@@ -27,6 +27,7 @@ __all__ = [
     "QubitOnticState",
     "OutOfConeError",
     "sample_ontic",
+    "sample_hits",
     "conditional_probability",
     "conditional_probability_unchecked",
     "exact_event_probability",
@@ -40,6 +41,10 @@ __all__ = [
 THETA0 = math.acos(0.6)
 
 _SIN_GUARD = 1.0 - 1e-12
+
+# Rounding slack within which a response is clipped into [0, 1] before a
+# binomial draw; matches the 1e-12 exactness tolerance of the harness.
+_RESPONSE_SLACK = 1e-12
 
 
 class OutOfConeError(ValueError):
@@ -80,6 +85,40 @@ def sample_ontic(v, rng: np.random.Generator) -> QubitOnticState:
     if rng.random() < math.sin(theta):
         return QubitOnticState(phi, 0)
     return QubitOnticState(theta, 1)
+
+
+def _unit_probability(p: float) -> float:
+    """Clip a response that rounding left just outside [0, 1].
+
+    Clipping gives the same outcome distribution as the per-round rule
+    ``u < p`` with ``u`` uniform on [0, 1). Values further out than
+    ``_RESPONSE_SLACK`` are a fault, not rounding, and raise.
+    """
+    if 0.0 <= p <= 1.0:
+        return p
+    if -_RESPONSE_SLACK <= p < 0.0:
+        return 0.0
+    if 1.0 < p <= 1.0 + _RESPONSE_SLACK:
+        return 1.0
+    raise ValueError(f"response {p!r} lies outside [0, 1] beyond rounding")
+
+
+def sample_hits(v, w, samples: int, rng: np.random.Generator) -> int:
+    """Count the outcomes w among ``samples`` independent rounds from v.
+
+    Exact in distribution to drawing ``sample_ontic`` and then the
+    outcome, round by round, but at a cost independent of ``samples``.
+    Consumes exactly three binomial variates: the azimuth-branch count
+    n0 ~ Bin(samples, sin(theta)), then the hits Bin(n0, P(w | phi, 0))
+    and Bin(samples - n0, P(w | theta, 1)), in that order.
+    """
+    theta, phi = to_spherical(v)
+    if theta >= THETA0:
+        raise OutOfConeError(f"zenith {theta!r} outside validity cone {THETA0!r}")
+    p0 = _unit_probability(conditional_probability_unchecked(w, QubitOnticState(phi, 0)))
+    p1 = _unit_probability(conditional_probability_unchecked(w, QubitOnticState(theta, 1)))
+    n0 = int(rng.binomial(samples, math.sin(theta)))
+    return int(rng.binomial(n0, p0)) + int(rng.binomial(samples - n0, p1))
 
 
 def _direct_probability(wx: float, wy: float, wz: float, x: float, n: int) -> float:

@@ -12,8 +12,11 @@ probabilities through the normal z-score
     z = (freq - p) * sqrt(samples) / sqrt(p * (1 - p))
 
 with degenerate probabilities (p = 0 or 1) checked for exact frequency
-match instead. A run passes when at most max(1, pairs // 100) cases
-land outside |z| <= 5.
+match instead. Each case draws its hit count hierarchically through the
+model's own count sampler (``sample_hits``, ``sample_hits_patched``,
+``sample_hits_ndim``): exact in distribution to drawing every round, at
+a cost that does not grow with ``samples``. A run passes when at most
+max(1, pairs // 100) cases land outside |z| <= 5.
 """
 
 from __future__ import annotations
@@ -31,17 +34,26 @@ from .cone import (
     QubitOnticState,
     conditional_probability_unchecked,
     exact_event_probability,
+    sample_hits,
     sweep_positivity,
 )
 from .dynamics import evolve_bloch, non_markov_witness
 from .geometry import born_probability_ndim, born_probability_qubit, random_amplitudes, random_bloch, to_spherical
-from .icosa import COVERING_RADIUS, EDGE_LENGTH, assign_patch, build_frame, extended_exact_probability
+from .icosa import (
+    COVERING_RADIUS,
+    EDGE_LENGTH,
+    assign_patch,
+    build_frame,
+    extended_exact_probability,
+    sample_hits_patched,
+)
 from .ndim import (
     WeightScheme,
     conditional_probability_grid,
     exact_event_probability_ndim,
     ground_weighted,
     make_in_region_pair,
+    sample_hits_ndim,
     uniform_weights,
     weighted_probability_sum,
 )
@@ -106,6 +118,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        for name in ("x_step", "radius", "theta", "phi_a", "phi_b"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.pairs < 1:
             raise ValueError("pairs must be at least 1")
         if self.samples < 0:
@@ -248,41 +264,11 @@ def _case_exact_qubit(cfg: ExperimentConfig, index: int) -> CaseRecord:
     )
 
 
-def _two_stage_frequency(
-    sin_theta: float, p0: float, p1: float, samples: int, rng: np.random.Generator
-) -> float:
-    """Vectorized sampling: branch bit first, then the binary outcome.
-
-    Given the preparation, the ontic coordinate is fixed within each
-    branch, so the outcome probability collapses to the pair (p0, p1).
-    """
-    branch = rng.random(samples) < sin_theta
-    p = np.where(branch, p0, p1)
-    hits = rng.random(samples) < p
-    return float(hits.mean())
-
-
-def _case_mc_qubit(cfg: ExperimentConfig, index: int) -> CaseRecord:
-    rng = case_rng(cfg.seed, index)
-    v, w, rejections = _draw_qubit_pair(cfg, rng)
-    born = born_probability_qubit(v, w)
-    if cfg.region == "cone":
-        v_rot, w_rot = v, w
-        inputs = (("v", _bloch_tuple(v)), ("w", _bloch_tuple(w)))
-    else:
-        k = assign_patch(_frame(), v)
-        rot = _frame().rotations[k - 1]
-        v_rot = rot @ v
-        v_rot /= np.linalg.norm(v_rot)
-        w_rot = rot @ w
-        w_rot /= np.linalg.norm(w_rot)
-        inputs = (("v", _bloch_tuple(v)), ("w", _bloch_tuple(w)), ("patch", k))
-    theta, phi = to_spherical(v_rot)
-    p0 = conditional_probability_unchecked(w_rot, QubitOnticState(phi, 0))
-    p1 = conditional_probability_unchecked(w_rot, QubitOnticState(theta, 1))
-    freq = _two_stage_frequency(math.sin(theta), p0, p1, cfg.samples, rng)
-    z = z_score(freq, born, cfg.samples)
-    exact_match = (freq == born) if z is None else None
+def _mc_record(
+    index: int, inputs: tuple, born: float, hits: int, samples: int, rejections: int
+) -> CaseRecord:
+    freq = hits / samples
+    z = z_score(freq, born, samples)
     return CaseRecord(
         index=index,
         inputs=inputs,
@@ -290,9 +276,21 @@ def _case_mc_qubit(cfg: ExperimentConfig, index: int) -> CaseRecord:
         born_p=born,
         freq=freq,
         z=z,
-        exact_match=exact_match,
+        exact_match=(freq == born) if z is None else None,
         rejections=rejections,
     )
+
+
+def _case_mc_qubit(cfg: ExperimentConfig, index: int) -> CaseRecord:
+    rng = case_rng(cfg.seed, index)
+    v, w, rejections = _draw_qubit_pair(cfg, rng)
+    inputs = (("v", _bloch_tuple(v)), ("w", _bloch_tuple(w)))
+    if cfg.region == "cone":
+        hits = sample_hits(v, w, cfg.samples, rng)
+    else:
+        hits = sample_hits_patched(_frame(), v, w, cfg.samples, rng)
+        inputs += (("patch", assign_patch(_frame(), v)),)
+    return _mc_record(index, inputs, born_probability_qubit(v, w), hits, cfg.samples, rejections)
 
 
 def _case_exact_ndim(cfg: ExperimentConfig, index: int) -> CaseRecord:
@@ -329,24 +327,10 @@ def _case_mc_ndim(cfg: ExperimentConfig, index: int) -> CaseRecord:
     rng = case_rng(cfg.seed, index)
     scheme = _scheme_for(cfg)
     pair = make_in_region_pair(cfg.dim, scheme, rng, radius=cfg.radius)
+    hits = sample_hits_ndim(pair.psi, pair.phi, scheme, cfg.samples, rng)
+    inputs = (("psi", _amp_tuple(pair.psi)), ("phi", _amp_tuple(pair.phi)))
     born = born_probability_ndim(pair.psi, pair.phi)
-    cell_p = conditional_probability_grid(pair.psi, pair.phi, scheme).ravel()
-    idx = np.searchsorted(scheme.cumulative, rng.random(cfg.samples), side="right")
-    idx = np.minimum(idx, cell_p.size - 1)
-    hits = rng.random(cfg.samples) < cell_p[idx]
-    freq = float(hits.mean())
-    z = z_score(freq, born, cfg.samples)
-    exact_match = (freq == born) if z is None else None
-    return CaseRecord(
-        index=index,
-        inputs=(("psi", _amp_tuple(pair.psi)), ("phi", _amp_tuple(pair.phi))),
-        exact_p=None,
-        born_p=born,
-        freq=freq,
-        z=z,
-        exact_match=exact_match,
-        rejections=pair.rejections,
-    )
+    return _mc_record(index, inputs, born, hits, cfg.samples, pair.rejections)
 
 
 def _map_cases(fn, cfg: ExperimentConfig, count: int) -> tuple:

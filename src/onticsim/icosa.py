@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import QubitOnticState, conditional_probability, exact_event_probability, sample_ontic
+from .cone import (
+    QubitOnticState,
+    conditional_probability,
+    exact_event_probability,
+    sample_hits,
+    sample_ontic,
+)
 from .geometry import as_bloch
 
 __all__ = [
@@ -28,6 +34,7 @@ __all__ = [
     "prepare",
     "measure_probability",
     "extended_exact_probability",
+    "sample_hits_patched",
     "simulate_outcome",
     "MESSAGE_STRUCT",
     "MESSAGE_SIZE",
@@ -127,12 +134,17 @@ def assign_patch(frame: IcosaFrame, v) -> int:
     return int(np.argmax(frame.vertices @ arr)) + 1
 
 
+def _rotate_into_patch(frame: IcosaFrame, k: int, u) -> np.ndarray:
+    """Unit vector u expressed in the frame where vertex k is the pole."""
+    rotated = frame.rotations[k - 1] @ as_bloch(u)
+    rotated /= np.linalg.norm(rotated)
+    return rotated
+
+
 def prepare(frame: IcosaFrame, v, rng: np.random.Generator) -> PatchedOnticState:
     """Rotate v into its patch frame and sample the cone-model ontic state."""
     k = assign_patch(frame, v)
-    rotated = frame.rotations[k - 1] @ as_bloch(v)
-    rotated /= np.linalg.norm(rotated)
-    s = sample_ontic(rotated, rng)
+    s = sample_ontic(_rotate_into_patch(frame, k, v), rng)
     return PatchedOnticState(x=s.x, n=s.n, k=k)
 
 
@@ -142,20 +154,25 @@ def measure_probability(frame: IcosaFrame, w, state: PatchedOnticState) -> float
     The event is rotated into the same patch frame the preparation was
     sampled in; the cone-model response function does the rest.
     """
-    rotated = frame.rotations[state.k - 1] @ as_bloch(w)
-    rotated /= np.linalg.norm(rotated)
+    rotated = _rotate_into_patch(frame, state.k, w)
     return conditional_probability(rotated, QubitOnticState(state.x, state.n))
 
 
 def extended_exact_probability(frame: IcosaFrame, v, w) -> float:
     """Exact model probability of w for any preparation on the sphere."""
     k = assign_patch(frame, v)
-    rot = frame.rotations[k - 1]
-    v_rot = rot @ as_bloch(v)
-    v_rot /= np.linalg.norm(v_rot)
-    w_rot = rot @ as_bloch(w)
-    w_rot /= np.linalg.norm(w_rot)
-    return exact_event_probability(v_rot, w_rot)
+    return exact_event_probability(_rotate_into_patch(frame, k, v), _rotate_into_patch(frame, k, w))
+
+
+def sample_hits_patched(frame: IcosaFrame, v, w, samples: int, rng: np.random.Generator) -> int:
+    """Count the outcomes w among ``samples`` rounds from any preparation v.
+
+    Rotates v and w into the patch of v and draws the count there with
+    ``cone.sample_hits``: exactly three binomial variates, as for
+    ``prepare`` followed by ``simulate_outcome`` round by round.
+    """
+    k = assign_patch(frame, v)
+    return sample_hits(_rotate_into_patch(frame, k, v), _rotate_into_patch(frame, k, w), samples, rng)
 
 
 def simulate_outcome(

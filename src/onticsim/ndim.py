@@ -32,6 +32,7 @@ __all__ = [
     "PositivityCheck",
     "PositivityError",
     "sample_ndim",
+    "sample_hits_ndim",
     "conditional_probability_ndim",
     "conditional_probability_grid",
     "positivity_check",
@@ -226,16 +227,37 @@ def weighted_probability_sum(psi, phi, scheme: WeightScheme) -> float:
     return float(np.sum(scheme.weights - 0.5 * sq))
 
 
+def _require_in_region(psi, phi, scheme: WeightScheme) -> None:
+    check = positivity_check(psi, phi, scheme)
+    if not check.ok:
+        raise PositivityError(check.margin, check.worst)
+
+
 def exact_event_probability_ndim(psi, phi, scheme: WeightScheme) -> float:
     """Model probability of event phi for preparation psi.
 
     Raises ``PositivityError`` when the pair fails the strict bound, so
     a returned value always came from a well-formed distribution.
     """
-    check = positivity_check(psi, phi, scheme)
-    if not check.ok:
-        raise PositivityError(check.margin, check.worst)
+    _require_in_region(psi, phi, scheme)
     return weighted_probability_sum(psi, phi, scheme)
+
+
+def sample_hits_ndim(psi, phi, scheme: WeightScheme, samples: int, rng: np.random.Generator) -> int:
+    """Count the outcomes phi among ``samples`` independent rounds from psi.
+
+    Exact in distribution to drawing ``sample_ndim`` and then the
+    outcome, round by round, at a cost of O(N^2) instead of O(samples).
+    Consumes one multinomial vector of the N^2 row-major cell counts,
+    then one binomial vector of the hits per cell. Raises
+    ``PositivityError`` for pairs outside the positivity region, the
+    same gate as ``exact_event_probability_ndim``; inside it every cell
+    response lies in [0, 1].
+    """
+    _require_in_region(psi, phi, scheme)
+    cells = rng.multinomial(samples, scheme.weights.ravel())
+    responses = conditional_probability_grid(psi, phi, scheme).ravel()
+    return int(rng.binomial(cells, responses).sum())
 
 
 class InRegionPair(NamedTuple):

@@ -25,7 +25,7 @@ __all__ = [
     "write_report",
 ]
 
-FORMAT_HEADER = "format: onticsim-report 1"
+FORMAT_HEADER = "format: onticsim-report 2"
 
 
 def format_float(x: float) -> str:

@@ -36,6 +36,11 @@ def test_config_validation():
         ExperimentConfig(kind="mc-qubit", samples=-1)
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig(kind="mc-qubit", samples=0))
+    # non-finite floats are rejected up front, not deep inside a run
+    for name in ("x_step", "radius", "theta", "phi_a", "phi_b"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ExperimentConfig(kind="positivity-sweep", **{name: bad})
 
 
 def test_config_digest_excludes_workers():
@@ -96,10 +101,12 @@ def test_mc_qubit_statistics():
 
 def test_mc_degenerate_probability_uses_exact_match():
     # z is undefined at p = 0 or 1; degenerate draws must match exactly
-    from onticsim.harness import _case_mc_qubit, _two_stage_frequency
+    from onticsim.cone import sample_hits
+    from onticsim.harness import _case_mc_qubit
 
-    assert _two_stage_frequency(0.5, 1.0, 1.0, 1000, np.random.default_rng(0)) == 1.0
-    assert _two_stage_frequency(0.5, 0.0, 0.0, 1000, np.random.default_rng(0)) == 0.0
+    v = np.array([0.5, 0.0, math.sqrt(0.75)])  # sin(theta) = 0.5: both branches drawn
+    assert sample_hits(v, v, 1000, np.random.default_rng(0)) == 1000
+    assert sample_hits(v, -v, 1000, np.random.default_rng(0)) == 0
     cfg = ExperimentConfig(kind="mc-qubit", pairs=1, samples=100, seed=0)
     record = _case_mc_qubit(cfg, 0)
     assert (record.z is None) == (record.exact_match is not None)
