@@ -1,20 +1,15 @@
 """Command-line front end for the verification experiments.
 
-Subcommands map onto the harness experiment kinds:
+Each subcommand runs one or more harness experiments, or the
+prepare/transmit/measure protocol, and writes its reports into a fresh
+run directory; ``onticsim --help`` lists them. Options come from one
+table (``_COMMON`` and ``_COMMANDS``): defaults, overridden by a
+``--config FILE`` of flat ``key = value`` lines (``#`` comments
+allowed), overridden by explicit flags. Every option is checked before the run directory is
+created, so bad input leaves nothing behind.
 
-    verify-qubit       exact qubit identity (cone and full sphere),
-                       optional Monte Carlo pass
-    verify-ndim        exact N-level identity, optional Monte Carlo pass
-    sweep-positivity   grid scan of the qubit response functions
-    covering           patch covering radius and vertex geometry
-    simulate-protocol  round-by-round prepare/transmit/measure run with
-                       the 10-byte wire messages written to disk
-    demo-nonmarkov     print the two-preparation memory witness
-
-Options can also be supplied through ``--config FILE`` holding flat
-``key = value`` lines (``#`` comments allowed); explicit flags override
-the file. Exit status: 0 all checks passed, 1 a check failed, 2 bad
-usage or config.
+Exit status: 0 all checks passed, 1 a check failed, 2 bad usage or
+config, 3 any other error (its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -24,57 +19,76 @@ import math
 import os
 import sys
 import time
+import traceback
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .cone import QubitOnticState, conditional_probability_unchecked
-from .geometry import as_bloch, born_probability_qubit, random_bloch, to_spherical
-from .harness import (
-    ExperimentConfig,
-    Z_LIMIT,
-    allowed_z_failures,
-    case_rng,
-    run_experiment,
-    z_score,
-)
+from .geometry import as_bloch, born_probability_qubit, random_bloch
+from .harness import ExperimentConfig, Z_LIMIT, case_rng, run_experiment, z_score
 from .icosa import (
-    MESSAGE_DTYPE,
     MESSAGE_SIZE,
-    assign_patch,
     build_frame,
     deserialize_message,
+    measure_messages,
+    prepare_messages,
     serialize_message,
 )
-from .reports import format_float, format_value, write_report, write_text_atomic
+from .reports import format_float, format_value, write_bytes_atomic, write_report, write_text_atomic
 
 __all__ = ["main", "entry"]
 
-_INT_KEYS = {"seed", "workers", "pairs", "samples", "dim", "events", "directions", "rounds"}
-_FLOAT_KEYS = {"x_step", "pole_mass", "radius", "theta", "phi_a", "phi_b"}
-_STR_KEYS = {"scheme", "format", "out_dir"}
-
-_DEFAULTS = {
-    "verify-qubit": {"pairs": 1000, "samples": 0},
-    "verify-ndim": {
-        "pairs": 500,
-        "samples": 0,
-        "dim": 2,
-        "scheme": "uniform",
-        "pole_mass": 0.6,
-        "radius": None,
-    },
-    "sweep-positivity": {"x_step": 1e-3, "events": 10000},
-    "covering": {"directions": 100000},
-    "simulate-protocol": {"rounds": 100000, "pairs": 1},
-    "demo-nonmarkov": {"theta": 0.5, "phi_a": 0.0, "phi_b": math.pi / 2.0},
+# The only list of options: name -> (type or choices, default, help).
+# Flags, --config keys and their merge are all built from it. Each
+# subcommand but simulate-protocol also names the experiments it runs:
+# (label, kind, fixed config fields); mc-* kinds run only when samples
+# is nonzero.
+_COMMON = {
+    "seed": (int, 0, "run seed"),
+    "workers": (int, 1, "worker processes"),
+    "out_dir": (str, None, "report root (default ./runs or $ONTICSIM_OUT_DIR)"),
+    "format": (("structured", "tabular", "both"), "both", "report formats to write"),
 }
+_COMMANDS = {
+    "verify-qubit": ("exact qubit identity (cone and sphere), optional Monte Carlo", {
+        "pairs": (int, 1000, "state/event pairs"),
+        "samples": (int, 0, "Monte Carlo samples per pair, 0 skips"),
+    }, [
+        ("exact-cone", "exact-qubit", {"region": "cone"}),
+        ("exact-sphere", "exact-qubit", {"region": "sphere"}),
+        ("mc-sphere", "mc-qubit", {"region": "sphere"}),
+    ]),
+    "verify-ndim": ("exact N-level identity, optional Monte Carlo", {
+        "pairs": (int, 500, "state/event pairs"),
+        "samples": (int, 0, "Monte Carlo samples per pair, 0 skips"),
+        "dim": (int, 2, "levels N"),
+        "scheme": (("uniform", "ground"), "uniform", "cell weight scheme"),
+        "pole_mass": (float, 0.6, "ground-scheme pole weight"),
+        "radius": (float, None, "in-region disc radius (default 0.2 / dim)"),
+    }, [("exact-ndim", "exact-ndim", {}), ("mc-ndim", "mc-ndim", {})]),
+    "sweep-positivity": ("grid scan of the response functions", {
+        "x_step": (float, 1e-3, "ontic coordinate grid step"),
+        "events": (int, 10000, "event directions"),
+    }, [("sweep", "positivity-sweep", {})]),
+    "covering": ("patch covering radius and vertex geometry", {
+        "directions": (int, 100000, "random directions"),
+    }, [("covering", "covering", {})]),
+    "simulate-protocol": ("prepare/transmit/measure rounds, 10-byte messages to disk", {
+        "rounds": (int, 100000, "rounds per pair"),
+        "pairs": (int, 1, "random state/event pairs to run"),
+    }, None),
+    "demo-nonmarkov": ("print the two-preparation memory witness", {
+        "theta": (float, 0.5, "shared zenith"),
+        "phi_a": (float, 0.0, "azimuth of preparation a"),
+        "phi_b": (float, math.pi / 2.0, "azimuth of preparation b"),
+    }, [("witness", "witness", {})]),
+}
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)} - {"kind", "samples"}
 
-_COMMON_DEFAULTS = {"seed": 0, "workers": 1, "out_dir": None, "format": "both"}
 
-
-class UsageError(ValueError):
-    """Bad flags or config content; maps to exit status 2."""
+def _table(command: str) -> dict:
+    return {**_COMMON, **_COMMANDS[command][1]}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,109 +97,185 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Verification experiments for compressed hidden-variable models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *, with_format: bool = True) -> None:
-        p.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
-        p.add_argument("--workers", type=int, default=None, help="worker processes (default 1)")
-        p.add_argument("--config", type=str, default=None, help="key = value options file")
-        p.add_argument("--out-dir", type=str, default=None, help="report root (default ./runs)")
-        if with_format:
+    for command, (summary, _, plan) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="key = value options file")
+        for name, (kind, default, help_text) in _table(command).items():
+            if name == "format" and plan is None:
+                continue  # writes no reports; a shared config file may still set it
+            choices = kind if isinstance(kind, tuple) else None
             p.add_argument(
-                "--format",
-                choices=("structured", "tabular", "both"),
-                default=None,
-                help="report formats to write (default both)",
+                "--" + name.replace("_", "-"),
+                type=None if choices else kind,
+                choices=choices,
+                help=help_text if default is None else f"{help_text} (default {default})",
             )
-
-    p = sub.add_parser("verify-qubit", help="exact qubit identity on cone and sphere")
-    common(p)
-    p.add_argument("--pairs", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None, help="Monte Carlo samples per pair (0 = skip)")
-
-    p = sub.add_parser("verify-ndim", help="exact N-level identity")
-    common(p)
-    p.add_argument("--pairs", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None, help="Monte Carlo samples per pair (0 = skip)")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--scheme", choices=("uniform", "ground"), default=None)
-    p.add_argument("--pole-mass", type=float, default=None)
-    p.add_argument("--radius", type=float, default=None)
-
-    p = sub.add_parser("sweep-positivity", help="grid scan of the response functions")
-    common(p)
-    p.add_argument("--x-step", type=float, default=None)
-    p.add_argument("--events", type=int, default=None)
-
-    p = sub.add_parser("covering", help="patch covering radius check")
-    common(p)
-    p.add_argument("--directions", type=int, default=None)
-
-    p = sub.add_parser("simulate-protocol", help="prepare/transmit/measure rounds")
-    common(p, with_format=False)
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--pairs", type=int, default=None, help="random state/event pairs to run")
-
-    p = sub.add_parser("demo-nonmarkov", help="zenith-rate memory witness")
-    common(p)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--phi-a", type=float, default=None)
-    p.add_argument("--phi-b", type=float, default=None)
-
     return parser
 
 
-def _parse_config_file(path: str) -> dict:
+def _convert(kind, text: str):
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ValueError(f"expected one of {kind}")
+        return text
+    if kind is float and text.lower() == "none":
+        return None
+    return kind(text)
+
+
+def _parse_config_file(path: str, command: str) -> dict:
     """Flat key = value lines; '#' starts a comment line."""
+    table = _table(command)
     options: dict = {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
+        key, sep, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key.startswith("pair."):
+        if not sep:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        if key.startswith("pair."):  # simulate-protocol pairs; other commands ignore them
             options.setdefault("explicit_pairs", []).append((key, value))
-            continue
-        try:
-            if key in _INT_KEYS:
-                options[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                options[key] = None if value.lower() == "none" else float(value)
-            elif key in _STR_KEYS:
-                options[key] = value
-            else:
-                raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
-        except ValueError as exc:
-            if isinstance(exc, UsageError):
-                raise
-            raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
+        elif key not in table:
+            raise ValueError(f"{path}:{lineno}: option {key!r} is not valid for {command}")
+        else:
+            try:
+                options[key] = _convert(table[key][0], value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
     return options
 
 
-def _merge_options(args: argparse.Namespace) -> dict:
-    opts = dict(_COMMON_DEFAULTS)
-    opts.update(_DEFAULTS[args.command])
-    if getattr(args, "config", None):
-        file_opts = _parse_config_file(args.config)
-        explicit = file_opts.pop("explicit_pairs", None)
-        unknown = set(file_opts) - set(opts)
-        if unknown:
-            raise UsageError(f"config options not valid for {args.command}: {sorted(unknown)}")
-        opts.update(file_opts)
-        if explicit is not None:
-            opts["explicit_pairs"] = explicit
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        opts[key] = value
+def _options(args: argparse.Namespace) -> dict:
+    """Table defaults, overridden by the config file, overridden by flags."""
+    table = _table(args.command)
+    opts = {name: default for name, (_, default, _) in table.items()}
+    if args.config:
+        opts.update(_parse_config_file(args.config, args.command))
+    opts.update((k, v) for k, v in vars(args).items() if k in table and v is not None)
     return opts
+
+
+def _plan(command: str, opts: dict) -> list:
+    """The (label, config) pairs a report subcommand runs, all validated."""
+    base = {k: v for k, v in opts.items() if k in _CONFIG_FIELDS}
+    if "directions" in opts:  # covering counts its random directions in pairs
+        base["pairs"] = opts["directions"]
+    plan = []
+    for label, kind, fixed in _COMMANDS[command][2]:
+        if kind.startswith("mc-"):
+            # A negative sample count reaches ExperimentConfig and is rejected.
+            if opts["samples"] == 0:
+                continue
+            fixed = {**fixed, "samples": opts["samples"]}
+        plan.append((label, ExperimentConfig(kind=kind, **base, **fixed)))
+    return plan
+
+
+def _run_plan(plan: list, opts: dict, run_dir: Path) -> int:
+    formats = ("structured", "tabular") if opts["format"] == "both" else (opts["format"],)
+    passed = True
+    for label, cfg in plan:
+        report = run_experiment(cfg)
+        write_report(report, run_dir / label, formats=formats)
+        if cfg.kind == "witness":
+            stats = dict(report.summary.stats)
+            print(f"shared zenith-branch coordinate x = {format_float(stats['shared_ontic_x'])}")
+            print(f"zenith rate of preparation a = {format_float(stats['rate_a'])}")
+            print(f"zenith rate of preparation b = {format_float(stats['rate_b'])}")
+            print(f"rate discrepancy = {format_float(stats['discrepancy'])}")
+            print("same ontic state, different velocities: the update rule needs the preparation")
+        failing = [name for name, ok in report.summary.criteria if not ok]
+        status = "PASS" if report.passed else "FAIL(" + ", ".join(failing) + ")"
+        stats = report.summary.stats
+        print(f"[{label}] {status} | " + ", ".join(f"{k} = {format_value(v)}" for k, v in stats))
+        passed = passed and report.passed
+    print(f"reports written to {run_dir}")
+    return 0 if passed else 1
+
+
+def _protocol_pairs(opts: dict) -> list:
+    """Fixed (v, w) pairs from the config's pair.N keys, else None per random pair."""
+    for name in ("rounds", "pairs", "workers"):
+        if opts[name] < 1:
+            raise ValueError(f"{name} must be at least 1")
+    if opts["seed"] < 0:
+        raise ValueError("seed cannot be negative")
+    pairs = []
+    for key, value in sorted(opts.get("explicit_pairs", []), key=lambda kv: kv[0]):
+        try:
+            nums = [float(p) for p in value.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"{key}: bad float in {value!r}") from exc
+        if len(nums) != 6:
+            raise ValueError(f"{key}: expected 6 comma-separated floats, got {value!r}")
+        v = np.array(nums[:3])
+        w = np.array(nums[3:])
+        if np.linalg.norm(v) < 1e-12 or np.linalg.norm(w) < 1e-12:
+            raise ValueError(f"{key}: vectors must be nonzero")
+        # as_bloch rejects what does not normalise, e.g. non-finite input
+        pairs.append((as_bloch(v / np.linalg.norm(v)), as_bloch(w / np.linalg.norm(w))))
+    return pairs or [None] * opts["pairs"]
+
+
+def _run_protocol(pair_list: list, opts: dict, run_dir: Path) -> int:
+    rounds = opts["rounds"]
+    frame = build_frame()
+    transcript = [
+        "protocol: patched qubit transmission",
+        f"rounds_per_pair = {rounds}",
+        f"message_bytes = {MESSAGE_SIZE}",
+        f"seed = {opts['seed']}",
+    ]
+    blobs = []
+    all_ok = True
+    for i, fixed in enumerate(pair_list):
+        rng = case_rng(opts["seed"], i)
+        v, w = (random_bloch(rng), random_bloch(rng)) if fixed is None else fixed
+        messages = prepare_messages(frame, v, rounds, rng)
+        blob = messages.tobytes()
+        blobs.append(blob)
+        first = blob[:MESSAGE_SIZE]
+        if serialize_message(deserialize_message(first)) != first:
+            raise RuntimeError(f"pair {i}: wire message {first.hex()} does not round-trip")
+        # The measurer sees only the wire bytes and the event.
+        hits = rng.random(rounds) < measure_messages(frame, w, blob)
+        freq = float(hits.mean())
+        born = born_probability_qubit(v, w)
+        z = z_score(freq, born, rounds)
+        ok = (abs(z) <= Z_LIMIT) if z is not None else (freq == born)
+        all_ok = all_ok and ok
+
+        transcript.append(f"pair {i}")
+        transcript.append(f"  v = {format_value(tuple(float(c) for c in v))}")
+        transcript.append(f"  w = {format_value(tuple(float(c) for c in w))}")
+        transcript.append(f"  patch = {int(messages['k'][0])}")
+        transcript.append(f"  born_p = {format_float(born)}")
+        checkpoint = 10
+        while checkpoint <= rounds:
+            transcript.append(
+                f"  checkpoint {checkpoint} freq = {format_float(float(hits[:checkpoint].mean()))}"
+            )
+            checkpoint *= 10
+        transcript.append(f"  freq = {format_float(freq)}")
+        if z is not None:
+            transcript.append(f"  z = {format_float(z)}")
+        transcript.append(f"  status = {'ok' if ok else 'outside tolerance'}")
+    transcript.append(f"passed = {'true' if all_ok else 'false'}")
+
+    blob_all = b"".join(blobs)
+    write_bytes_atomic(run_dir / "messages.bin", blob_all)
+    write_text_atomic(run_dir / "transcript.txt", "\n".join(transcript) + "\n")
+    print(f"{len(pair_list)} pair(s), {rounds} rounds each, "
+          f"{len(blob_all)} message bytes written")
+    print(f"transcript and messages in {run_dir}")
+    return 0 if all_ok else 1
 
 
 def _resolve_run_dir(opts: dict, command: str) -> Path:
@@ -201,258 +291,24 @@ def _resolve_run_dir(opts: dict, command: str) -> Path:
     return run_dir
 
 
-def _formats(opts: dict) -> tuple:
-    if opts["format"] == "both":
-        return ("structured", "tabular")
-    return (opts["format"],)
-
-
-def _emit(label: str, report) -> None:
-    failing = [name for name, ok in report.summary.criteria if not ok]
-    status = "PASS" if report.passed else "FAIL(" + ", ".join(failing) + ")"
-    stats = ", ".join(f"{name} = {format_value(value)}" for name, value in report.summary.stats)
-    print(f"[{label}] {status} | {stats}")
-
-
-def _run_and_write(cfg: ExperimentConfig, label: str, run_dir: Path, formats: tuple):
-    report = run_experiment(cfg)
-    write_report(report, run_dir / label, formats=formats)
-    _emit(label, report)
-    return report
-
-
-def _cmd_verify_qubit(opts: dict) -> int:
-    run_dir = _resolve_run_dir(opts, "verify-qubit")
-    formats = _formats(opts)
-    reports = []
-    for region in ("cone", "sphere"):
-        cfg = ExperimentConfig(
-            kind="exact-qubit",
-            pairs=opts["pairs"],
-            region=region,
-            seed=opts["seed"],
-            workers=opts["workers"],
-        )
-        reports.append(_run_and_write(cfg, f"exact-{region}", run_dir, formats))
-    if opts["samples"] > 0:
-        cfg = ExperimentConfig(
-            kind="mc-qubit",
-            pairs=opts["pairs"],
-            samples=opts["samples"],
-            region="sphere",
-            seed=opts["seed"],
-            workers=opts["workers"],
-        )
-        reports.append(_run_and_write(cfg, "mc-sphere", run_dir, formats))
-    print(f"reports written to {run_dir}")
-    return 0 if all(r.passed for r in reports) else 1
-
-
-def _cmd_verify_ndim(opts: dict) -> int:
-    run_dir = _resolve_run_dir(opts, "verify-ndim")
-    formats = _formats(opts)
-    base = dict(
-        pairs=opts["pairs"],
-        dim=opts["dim"],
-        scheme=opts["scheme"],
-        pole_mass=opts["pole_mass"],
-        seed=opts["seed"],
-        workers=opts["workers"],
-        radius=opts["radius"],
-    )
-    reports = [
-        _run_and_write(ExperimentConfig(kind="exact-ndim", **base), "exact-ndim", run_dir, formats)
-    ]
-    if opts["samples"] > 0:
-        cfg = ExperimentConfig(kind="mc-ndim", samples=opts["samples"], **base)
-        reports.append(_run_and_write(cfg, "mc-ndim", run_dir, formats))
-    print(f"reports written to {run_dir}")
-    return 0 if all(r.passed for r in reports) else 1
-
-
-def _cmd_sweep(opts: dict) -> int:
-    run_dir = _resolve_run_dir(opts, "sweep-positivity")
-    cfg = ExperimentConfig(
-        kind="positivity-sweep",
-        x_step=opts["x_step"],
-        events=opts["events"],
-        seed=opts["seed"],
-    )
-    report = _run_and_write(cfg, "sweep", run_dir, _formats(opts))
-    print(f"reports written to {run_dir}")
-    return 0 if report.passed else 1
-
-
-def _cmd_covering(opts: dict) -> int:
-    run_dir = _resolve_run_dir(opts, "covering")
-    cfg = ExperimentConfig(kind="covering", pairs=opts["directions"], seed=opts["seed"])
-    report = _run_and_write(cfg, "covering", run_dir, _formats(opts))
-    print(f"reports written to {run_dir}")
-    return 0 if report.passed else 1
-
-
-def _cmd_demo_nonmarkov(opts: dict) -> int:
-    run_dir = _resolve_run_dir(opts, "demo-nonmarkov")
-    cfg = ExperimentConfig(
-        kind="witness",
-        theta=opts["theta"],
-        phi_a=opts["phi_a"],
-        phi_b=opts["phi_b"],
-        seed=opts["seed"],
-    )
-    report = run_experiment(cfg)
-    write_report(report, run_dir / "witness", formats=_formats(opts))
-    stats = dict(report.summary.stats)
-    print(f"shared zenith-branch coordinate x = {format_float(stats['shared_ontic_x'])}")
-    print(f"zenith rate of preparation a = {format_float(stats['rate_a'])}")
-    print(f"zenith rate of preparation b = {format_float(stats['rate_b'])}")
-    print(f"rate discrepancy = {format_float(stats['discrepancy'])}")
-    print("same ontic state, different velocities: the update rule needs the preparation")
-    _emit("witness", report)
-    print(f"reports written to {run_dir}")
-    return 0 if report.passed else 1
-
-
-def _parse_explicit_pairs(entries) -> list:
-    pairs = []
-    for key, value in sorted(entries, key=lambda kv: kv[0]):
-        parts = [p.strip() for p in value.split(",")]
-        if len(parts) != 6:
-            raise UsageError(f"{key}: expected 6 comma-separated floats, got {value!r}")
-        try:
-            nums = [float(p) for p in parts]
-        except ValueError as exc:
-            raise UsageError(f"{key}: bad float in {value!r}") from exc
-        v = np.array(nums[:3])
-        w = np.array(nums[3:])
-        if np.linalg.norm(v) < 1e-12 or np.linalg.norm(w) < 1e-12:
-            raise UsageError(f"{key}: vectors must be nonzero")
-        pairs.append((v / np.linalg.norm(v), w / np.linalg.norm(w)))
-    return pairs
-
-
-def _cmd_simulate_protocol(opts: dict) -> int:
-    rounds = opts["rounds"]
-    if rounds < 1:
-        raise UsageError("rounds must be at least 1")
-    explicit = opts.get("explicit_pairs")
-    if explicit:
-        pair_list = _parse_explicit_pairs(explicit)
-    else:
-        pair_list = [None] * opts["pairs"]
-    run_dir = _resolve_run_dir(opts, "simulate-protocol")
-    frame = build_frame()
-
-    transcript = [
-        "protocol: patched qubit transmission",
-        f"rounds_per_pair = {rounds}",
-        f"message_bytes = {MESSAGE_SIZE}",
-        f"seed = {opts['seed']}",
-    ]
-    blobs = []
-    all_ok = True
-    for i, fixed in enumerate(pair_list):
-        rng = case_rng(opts["seed"], i)
-        if fixed is None:
-            v = random_bloch(rng)
-            w = random_bloch(rng)
-        else:
-            v, w = fixed
-            v = as_bloch(v)
-            w = as_bloch(w)
-
-        # Preparer side: patch assignment, rotation, per-round branch draw.
-        k = assign_patch(frame, v)
-        rot = frame.rotations[k - 1]
-        v_rot = rot @ v
-        v_rot /= np.linalg.norm(v_rot)
-        theta, phi = to_spherical(v_rot)
-        branch0 = rng.random(rounds) < math.sin(theta)
-        messages = np.empty(rounds, dtype=MESSAGE_DTYPE)
-        messages["x"] = np.where(branch0, phi, theta)
-        messages["n"] = np.where(branch0, 0, 1).astype(np.uint8)
-        messages["k"] = np.uint8(k)
-        blob = messages.tobytes()
-        blobs.append(blob)
-
-        # Round-trip spot check on the first message of the pair.
-        first = deserialize_message(blob[:MESSAGE_SIZE])
-        assert serialize_message(first) == blob[:MESSAGE_SIZE]
-
-        # Measurer side sees only the decoded bytes and the event.
-        decoded = np.frombuffer(blob, dtype=MESSAGE_DTYPE)
-        k_dec = int(decoded["k"][0])
-        if not np.all(decoded["k"] == k_dec):
-            raise AssertionError("patch index varied within a pair")
-        w_rot = frame.rotations[k_dec - 1] @ w
-        w_rot /= np.linalg.norm(w_rot)
-        p = np.array(
-            [
-                conditional_probability_unchecked(
-                    w_rot, QubitOnticState(float(x), int(n))
-                )
-                for x, n in zip(decoded["x"], decoded["n"])
-            ]
-        )
-        hits = rng.random(rounds) < p
-        freq = float(hits.mean())
-        born = born_probability_qubit(v, w)
-        z = z_score(freq, born, rounds)
-        ok = (abs(z) <= Z_LIMIT) if z is not None else (freq == born)
-        all_ok = all_ok and ok
-
-        transcript.append(f"pair {i}")
-        transcript.append(f"  v = {format_value(tuple(float(c) for c in v))}")
-        transcript.append(f"  w = {format_value(tuple(float(c) for c in w))}")
-        transcript.append(f"  patch = {k}")
-        transcript.append(f"  born_p = {format_float(born)}")
-        checkpoint = 10
-        while checkpoint <= rounds:
-            transcript.append(
-                f"  checkpoint {checkpoint} freq = {format_float(float(hits[:checkpoint].mean()))}"
-            )
-            checkpoint *= 10
-        transcript.append(f"  freq = {format_float(freq)}")
-        if z is not None:
-            transcript.append(f"  z = {format_float(z)}")
-        transcript.append(f"  status = {'ok' if ok else 'outside tolerance'}")
-    transcript.append(f"passed = {'true' if all_ok else 'false'}")
-
-    blob_all = b"".join(blobs)
-    tmp = run_dir / "messages.bin"
-    tmp.write_bytes(blob_all)
-    write_text_atomic(run_dir / "transcript.txt", "\n".join(transcript) + "\n")
-    print(f"{len(pair_list)} pair(s), {rounds} rounds each, "
-          f"{len(blob_all)} message bytes written")
-    print(f"transcript and messages in {run_dir}")
-    return 0 if all_ok else 1
-
-
-_COMMANDS = {
-    "verify-qubit": _cmd_verify_qubit,
-    "verify-ndim": _cmd_verify_ndim,
-    "sweep-positivity": _cmd_sweep,
-    "covering": _cmd_covering,
-    "simulate-protocol": _cmd_simulate_protocol,
-    "demo-nonmarkov": _cmd_demo_nonmarkov,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    protocol = args.command == "simulate-protocol"
     try:
-        opts = _merge_options(args)
-        return _COMMANDS[args.command](opts)
-    except UsageError as exc:
+        opts = _options(args)
+        work = _protocol_pairs(opts) if protocol else _plan(args.command, opts)
+    except ValueError as exc:  # bad flags, config file or option values
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    try:
+        run_dir = _resolve_run_dir(opts, args.command)
+        return (_run_protocol if protocol else _run_plan)(work, opts, run_dir)
+    except Exception:  # the run itself failed: not a usage error
+        traceback.print_exc()
+        return 3
 
 
 def entry() -> None:

@@ -73,15 +73,21 @@ class QubitOnticState:
                 raise ValueError(f"zenith out of [0, pi]: {self.x!r}")
 
 
+def _cone_angles(v) -> tuple[float, float]:
+    """Zenith and azimuth of preparation v, gated by the validity cone."""
+    theta, phi = to_spherical(v)
+    if theta >= THETA0:
+        raise OutOfConeError(f"zenith {theta!r} outside validity cone {THETA0!r}")
+    return theta, phi
+
+
 def sample_ontic(v, rng: np.random.Generator) -> QubitOnticState:
     """Draw the ontic state for preparation v.
 
     Consumes exactly one uniform variate: the azimuth branch is taken
     when it falls below sin(theta).
     """
-    theta, phi = to_spherical(v)
-    if theta >= THETA0:
-        raise OutOfConeError(f"zenith {theta!r} outside validity cone {THETA0!r}")
+    theta, phi = _cone_angles(v)
     if rng.random() < math.sin(theta):
         return QubitOnticState(phi, 0)
     return QubitOnticState(theta, 1)
@@ -112,18 +118,19 @@ def sample_hits(v, w, samples: int, rng: np.random.Generator) -> int:
     n0 ~ Bin(samples, sin(theta)), then the hits Bin(n0, P(w | phi, 0))
     and Bin(samples - n0, P(w | theta, 1)), in that order.
     """
-    theta, phi = to_spherical(v)
-    if theta >= THETA0:
-        raise OutOfConeError(f"zenith {theta!r} outside validity cone {THETA0!r}")
+    theta, phi = _cone_angles(v)
     p0 = _unit_probability(conditional_probability_unchecked(w, QubitOnticState(phi, 0)))
     p1 = _unit_probability(conditional_probability_unchecked(w, QubitOnticState(theta, 1)))
     n0 = int(rng.binomial(samples, math.sin(theta)))
     return int(rng.binomial(n0, p0)) + int(rng.binomial(samples - n0, p1))
 
 
-def _direct_probability(wx: float, wy: float, wz: float, x: float, n: int) -> float:
-    """Response functions in the form valid for w_z >= 0."""
-    s = math.sqrt(max(0.0, 1.0 - wz * wz))
+def _direct_probability(wx, wy, wz, s, x: float, n: int):
+    """Response functions in the form valid for w_z >= 0.
+
+    The event components, with ``s = sqrt(1 - wz^2)``, may be floats or
+    arrays of equal shape; the result has their shape.
+    """
     if n == 0:
         return 1.0 + 0.5 * (wx * math.cos(x) + wy * math.sin(x) - s)
     sin_x = math.sin(x)
@@ -142,9 +149,10 @@ def conditional_probability_unchecked(w, state: QubitOnticState) -> float:
     """
     arr = as_bloch(w)
     wx, wy, wz = float(arr[0]), float(arr[1]), float(arr[2])
+    s = math.sqrt(max(0.0, 1.0 - wz * wz))
     if wz < 0.0:
-        return 1.0 - _direct_probability(-wx, -wy, -wz, state.x, state.n)
-    return _direct_probability(wx, wy, wz, state.x, state.n)
+        return 1.0 - _direct_probability(-wx, -wy, -wz, s, state.x, state.n)
+    return _direct_probability(wx, wy, wz, s, state.x, state.n)
 
 
 def conditional_probability(w, state: QubitOnticState) -> float:
@@ -162,9 +170,7 @@ def exact_event_probability(v, w) -> float:
     Averages the two branch responses with weights sin(theta) and
     1 - sin(theta). Agrees with (1 + v.w) / 2 to rounding error.
     """
-    theta, phi = to_spherical(v)
-    if theta >= THETA0:
-        raise OutOfConeError(f"zenith {theta!r} outside validity cone {THETA0!r}")
+    theta, phi = _cone_angles(v)
     sin_theta = math.sin(theta)
     p0 = conditional_probability_unchecked(w, QubitOnticState(phi, 0))
     p1 = conditional_probability_unchecked(w, QubitOnticState(theta, 1))
@@ -249,13 +255,9 @@ def sweep_positivity(
     for n, (lo, hi) in ((0, (lo0, hi0)), (1, (lo1, hi1))):
         for x in grid(lo, hi):
             x = float(min(x, hi))
-            if n == 0:
-                p = 1.0 + 0.5 * (wx * math.cos(x) + wy * math.sin(x) - s)
-            else:
-                sin_x = math.sin(x)
-                if sin_x >= _SIN_GUARD:
-                    continue
-                p = (1.0 + (s - 2.0) * sin_x + wz * math.cos(x)) / (2.0 - 2.0 * sin_x)
+            if n == 1 and math.sin(x) >= _SIN_GUARD:
+                continue
+            p = _direct_probability(wx, wy, wz, s, x, n)
             p = np.where(flip, 1.0 - p, p)
             n_evaluations += p.size
             i_min = int(np.argmin(p))

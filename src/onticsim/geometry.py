@@ -51,8 +51,10 @@ def as_bloch(v) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"Bloch vector must have shape (3,), got {arr.shape}")
-    norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > UNIT_NORM_ATOL:
+    # math.hypot on three floats costs a fraction of np.linalg.norm on
+    # this per-call path; "not <=" also rejects NaN components.
+    norm = math.hypot(*arr.tolist())
+    if not abs(norm - 1.0) <= UNIT_NORM_ATOL:
         raise ValueError(f"Bloch vector must be unit norm, got |v| = {norm!r}")
     return arr
 

@@ -25,6 +25,7 @@ import concurrent.futures
 import functools
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -118,10 +119,16 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        for name in ("x_step", "radius", "theta", "phi_a", "phi_b"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "str" or (value is None and f.type == "float | None"):
+                continue
+            # bool is an int subclass; True must not pass as pairs = 1
+            number = numbers.Integral if f.type == "int" else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, number):
+                raise ValueError(f"{f.name} must be {f.type.split()[0]}, got {value!r}")
+            if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.pairs < 1:
             raise ValueError("pairs must be at least 1")
         if self.samples < 0:
@@ -144,6 +151,8 @@ class ExperimentConfig:
             raise ValueError("events must be at least 1")
         if self.radius is not None and self.radius <= 0.0:
             raise ValueError("radius must be positive when given")
+        if self.kind == "witness":
+            non_markov_witness(self.theta, self.phi_a, self.phi_b)  # raises on bad angles
 
     def items(self):
         """(name, value) pairs identifying the experiment, in field order."""

@@ -17,6 +17,7 @@ import numpy as np
 
 from .cone import (
     QubitOnticState,
+    _cone_angles,
     conditional_probability,
     exact_event_probability,
     sample_hits,
@@ -32,7 +33,9 @@ __all__ = [
     "PatchedOnticState",
     "assign_patch",
     "prepare",
+    "prepare_messages",
     "measure_probability",
+    "measure_messages",
     "extended_exact_probability",
     "sample_hits_patched",
     "simulate_outcome",
@@ -199,3 +202,34 @@ def deserialize_message(data: bytes) -> PatchedOnticState:
         raise ValueError(f"message must be {MESSAGE_SIZE} bytes, got {len(data)}")
     x, n, k = MESSAGE_STRUCT.unpack(data)
     return PatchedOnticState(x=x, n=n, k=k)
+
+
+def prepare_messages(frame: IcosaFrame, v, rounds: int, rng: np.random.Generator) -> np.ndarray:
+    """Wire messages of ``rounds`` independent ``prepare`` draws from v.
+
+    Returns a ``MESSAGE_DTYPE`` array whose bytes equal those of
+    ``serialize_message(prepare(frame, v, rng))`` called ``rounds``
+    times: it consumes the same ``rounds`` uniform variates, one per
+    round, with the patch rotation and branch rule of ``prepare``.
+    """
+    k = assign_patch(frame, v)
+    theta, phi = _cone_angles(_rotate_into_patch(frame, k, v))
+    azimuth = rng.random(rounds) < math.sin(theta)
+    messages = np.empty(rounds, dtype=MESSAGE_DTYPE)
+    messages["x"] = np.where(azimuth, phi, theta)
+    messages["n"] = ~azimuth
+    messages["k"] = k
+    return messages
+
+
+def measure_messages(frame: IcosaFrame, w, data: bytes) -> np.ndarray:
+    """Outcome probability of event w for each 10-byte message in data.
+
+    Each distinct message is decoded by ``deserialize_message`` and
+    priced by one ``measure_probability`` call, so a batch from
+    ``prepare_messages`` costs at most two response evaluations.
+    """
+    messages = np.frombuffer(data, dtype=f"V{MESSAGE_SIZE}")
+    distinct, which = np.unique(messages, return_inverse=True)
+    states = [deserialize_message(raw) for raw in distinct.tolist()]
+    return np.array([measure_probability(frame, w, s) for s in states], dtype=float)[which]

@@ -21,6 +21,7 @@ __all__ = [
     "format_value",
     "render_structured",
     "render_tabular",
+    "write_bytes_atomic",
     "write_text_atomic",
     "write_report",
 ]
@@ -110,14 +111,14 @@ def render_tabular(report) -> str:
     return buf.getvalue()
 
 
-def write_text_atomic(path, text: str) -> Path:
-    """Write text through a same-directory temp file and an atomic rename."""
+def write_bytes_atomic(path, data: bytes) -> Path:
+    """Write bytes through a same-directory temp file and an atomic rename."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp_name, target)
     except BaseException:
         try:
@@ -126,6 +127,11 @@ def write_text_atomic(path, text: str) -> Path:
             pass
         raise
     return target
+
+
+def write_text_atomic(path, text: str) -> Path:
+    """Write text as UTF-8, newlines as given, through ``write_bytes_atomic``."""
+    return write_bytes_atomic(path, text.encode("utf-8"))
 
 
 def write_report(report, directory, *, formats=("structured", "tabular")) -> list[Path]:

@@ -1,5 +1,9 @@
+import dataclasses
 import math
 
+import pytest
+
+from onticsim import cli, run_experiment
 from onticsim.cli import main
 from onticsim.icosa import MESSAGE_SIZE
 
@@ -194,3 +198,69 @@ def test_cli_reports_deterministic(tmp_path):
         assert (dir_a / label / "cases.csv").read_bytes() == (
             dir_b / label / "cases.csv"
         ).read_bytes()
+    for sub in ("a", "b"):
+        argv = ["simulate-protocol", "--rounds", "3000", "--pairs", "2", "--seed", "9"]
+        assert main([*argv, "--out-dir", str(tmp_path / sub)]) == 0
+    (dir_a,) = _run_dirs(tmp_path / "a", "simulate-protocol")
+    (dir_b,) = _run_dirs(tmp_path / "b", "simulate-protocol")
+    for name in ("transcript.txt", "messages.bin"):
+        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-protocol", "--pairs", "0"],
+        ["simulate-protocol", "--pairs", "-3"],
+        ["simulate-protocol", "--rounds", "0"],
+        ["simulate-protocol", "--workers", "0"],
+        ["simulate-protocol", "--seed", "-1"],
+        ["covering", "--workers", "0"],
+        ["sweep-positivity", "--workers", "0"],
+        ["demo-nonmarkov", "--theta", "inf"],
+        ["demo-nonmarkov", "--theta", "0"],
+        ["verify-qubit", "--pairs", "0"],
+        ["verify-qubit", "--samples", "-1"],
+        ["verify-ndim", "--scheme", "ground", "--pole-mass", "1.5"],
+    ],
+)
+def test_bad_input_exits_2_before_any_side_effect(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bad_config_values_leave_no_run_dir(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "bad.cfg"
+    for text, command in (
+        ("format = yaml\n", "covering"),
+        ("pair.0 = nan,0,1, 1,0,0\n", "simulate-protocol"),
+        ("theta = none\n", "demo-nonmarkov"),
+    ):
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2, text
+    assert not out.exists()
+    capsys.readouterr()
+
+
+def test_failed_check_exits_1(tmp_path, monkeypatch, capsys):
+    def failing(cfg):
+        report = run_experiment(cfg)
+        summary = dataclasses.replace(report.summary, passed=False)
+        return dataclasses.replace(report, summary=summary)
+
+    monkeypatch.setattr(cli, "run_experiment", failing)
+    assert main(["covering", "--directions", "100", "--out-dir", str(tmp_path)]) == 1
+    assert "[covering] FAIL(" in capsys.readouterr().out
+
+
+def test_internal_error_exits_3_with_traceback(tmp_path, monkeypatch, capsys):
+    def broken(cfg):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    assert main(["covering", "--directions", "100", "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "internal fault" in err

@@ -64,6 +64,8 @@ def test_as_bloch_rejects_bad_input():
         as_bloch((1.0, 0.0, 0.1))
     with pytest.raises(ValueError):
         as_bloch((1.0, 0.0))
+    with pytest.raises(ValueError):
+        as_bloch((math.nan, 0.0, 1.0))
 
 
 def test_as_amplitudes_rejects_bad_input():

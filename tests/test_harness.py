@@ -36,6 +36,15 @@ def test_config_validation():
         ExperimentConfig(kind="mc-qubit", samples=-1)
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig(kind="mc-qubit", samples=0))
+    # bools are not numbers here: True must not pass as pairs = 1
+    for name in ("pairs", "seed", "x_step", "theta"):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            ExperimentConfig(kind="exact-qubit", **{name: True})
+    with pytest.raises(ValueError, match="pairs must be int"):
+        ExperimentConfig(kind="exact-qubit", pairs=2.0)
+    # witness angles are checked when the config is built, not in the run
+    with pytest.raises(ValueError, match="zenith"):
+        ExperimentConfig(kind="witness", theta=0.0)
     # non-finite floats are rejected up front, not deep inside a run
     for name in ("x_step", "radius", "theta", "phi_a", "phi_b"):
         for bad in (math.nan, math.inf, -math.inf):

@@ -14,12 +14,15 @@ from onticsim import (
     born_probability_qubit,
     deserialize_message,
     extended_exact_probability,
+    measure_messages,
     measure_probability,
     prepare,
+    prepare_messages,
     random_bloch,
     serialize_message,
     simulate_outcome,
 )
+from onticsim import icosa
 from onticsim.icosa import MESSAGE_DTYPE, MESSAGE_STRUCT
 
 
@@ -118,6 +121,37 @@ def test_prepare_deterministic(frame):
     assert np.array_equal(v, v2)
     for _ in range(200):
         assert prepare(frame, v, a) == prepare(frame, v2, b)
+
+
+def test_prepare_messages_matches_per_round_prepare(frame):
+    # per-round prepare + serialize_message is the reference
+    tie = frame.vertices[0] + frame.vertices[1]
+    fixed = [frame.vertices[0], frame.vertices[11], tie / np.linalg.norm(tie)]
+    for seed in range(200):
+        v = fixed[seed] if seed < len(fixed) else random_bloch(np.random.default_rng([seed, 1]))
+        batched_rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
+        batched = prepare_messages(frame, v, 50, batched_rng).tobytes()
+        reference = b"".join(serialize_message(prepare(frame, v, reference_rng)) for _ in range(50))
+        assert batched == reference
+        assert batched_rng.random() == reference_rng.random()
+
+
+def test_measure_messages_prices_each_distinct_message_once(frame, rng, monkeypatch):
+    v, w = random_bloch(rng), random_bloch(rng)
+    data = prepare_messages(frame, v, 1000, rng).tobytes()
+    chunks = [data[i : i + MESSAGE_SIZE] for i in range(0, len(data), MESSAGE_SIZE)]
+    # per-message decode + measure_probability is the reference
+    reference = [measure_probability(frame, w, deserialize_message(c)) for c in chunks]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return measure_probability(*args)
+
+    monkeypatch.setattr(icosa, "measure_probability", counted)
+    assert measure_messages(frame, w, data).tolist() == reference
+    assert len(calls) == len(set(chunks)) <= 2  # one per branch at most
 
 
 def test_measure_probability_at_shared_vertex(frame):

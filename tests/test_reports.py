@@ -8,6 +8,7 @@ from onticsim.reports import (
     render_structured,
     render_tabular,
     write_report,
+    write_bytes_atomic,
     write_text_atomic,
 )
 
@@ -78,4 +79,6 @@ def test_write_text_atomic(tmp_path):
     assert target.read_text() == "alpha\n"
     write_text_atomic(target, "beta\n")
     assert target.read_text() == "beta\n"
+    write_bytes_atomic(target, b"\x00\n\xff")
+    assert target.read_bytes() == b"\x00\n\xff"
     assert list(target.parent.iterdir()) == [target]
