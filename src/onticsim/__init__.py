@@ -9,156 +9,16 @@ seeded experiments (``harness``) with deterministic reports
 (``reports``) and a command-line front end (``cli``).
 """
 
-from .cone import (
-    THETA0,
-    OutOfConeError,
-    PositivityReport,
-    QubitOnticState,
-    conditional_probability,
-    conditional_probability_unchecked,
-    exact_event_probability,
-    positivity_minimum_n0,
-    sample_hits,
-    sample_ontic,
-    sweep_positivity,
-)
-from .dynamics import (
-    WitnessReport,
-    evolve_bloch,
-    non_markov_witness,
-    rotation_about_y,
-    spherical_rates,
-)
-from .geometry import (
-    SphericalAngles,
-    as_amplitudes,
-    as_bloch,
-    born_probability_ndim,
-    born_probability_qubit,
-    fibonacci_sphere,
-    from_spherical,
-    random_amplitudes,
-    random_bloch,
-    to_spherical,
-)
-from .harness import (
-    EXPERIMENT_KINDS,
-    CaseRecord,
-    ExperimentConfig,
-    ExperimentReport,
-    ExperimentSummary,
-    allowed_z_failures,
-    case_rng,
-    covering_check,
-    run_experiment,
-    z_score,
-)
-from .icosa import (
-    COVERING_RADIUS,
-    EDGE_LENGTH,
-    MESSAGE_SIZE,
-    IcosaFrame,
-    PatchedOnticState,
-    assign_patch,
-    build_frame,
-    deserialize_message,
-    extended_exact_probability,
-    measure_messages,
-    measure_probability,
-    prepare,
-    prepare_messages,
-    sample_hits_patched,
-    serialize_message,
-    simulate_outcome,
-)
-from .ndim import (
-    InRegionPair,
-    NdimOnticState,
-    PositivityCheck,
-    PositivityError,
-    WeightScheme,
-    conditional_probability_grid,
-    conditional_probability_ndim,
-    exact_event_probability_ndim,
-    ground_weighted,
-    make_in_region_pair,
-    positivity_check,
-    sample_hits_ndim,
-    sample_ndim,
-    sufficient_condition,
-    uniform_weights,
-    weighted_probability_sum,
-)
+from . import cone, dynamics, geometry, harness, icosa, ndim
+from .cone import *  # noqa: F403
+from .dynamics import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .icosa import *  # noqa: F403
+from .ndim import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "THETA0",
-    "COVERING_RADIUS",
-    "EDGE_LENGTH",
-    "MESSAGE_SIZE",
-    "EXPERIMENT_KINDS",
-    "SphericalAngles",
-    "QubitOnticState",
-    "PatchedOnticState",
-    "NdimOnticState",
-    "IcosaFrame",
-    "WeightScheme",
-    "InRegionPair",
-    "PositivityCheck",
-    "PositivityError",
-    "PositivityReport",
-    "OutOfConeError",
-    "WitnessReport",
-    "CaseRecord",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "ExperimentSummary",
-    "as_bloch",
-    "as_amplitudes",
-    "to_spherical",
-    "from_spherical",
-    "born_probability_qubit",
-    "born_probability_ndim",
-    "random_bloch",
-    "random_amplitudes",
-    "fibonacci_sphere",
-    "sample_ontic",
-    "sample_hits",
-    "conditional_probability",
-    "conditional_probability_unchecked",
-    "exact_event_probability",
-    "positivity_minimum_n0",
-    "sweep_positivity",
-    "build_frame",
-    "assign_patch",
-    "prepare",
-    "prepare_messages",
-    "measure_probability",
-    "measure_messages",
-    "extended_exact_probability",
-    "sample_hits_patched",
-    "simulate_outcome",
-    "serialize_message",
-    "deserialize_message",
-    "uniform_weights",
-    "ground_weighted",
-    "sample_ndim",
-    "sample_hits_ndim",
-    "conditional_probability_ndim",
-    "conditional_probability_grid",
-    "positivity_check",
-    "sufficient_condition",
-    "weighted_probability_sum",
-    "exact_event_probability_ndim",
-    "make_in_region_pair",
-    "rotation_about_y",
-    "evolve_bloch",
-    "spherical_rates",
-    "non_markov_witness",
-    "case_rng",
-    "z_score",
-    "allowed_z_failures",
-    "covering_check",
-    "run_experiment",
-]
+# Public names are listed once, in each module's __all__.
+__all__ = [*geometry.__all__, *cone.__all__, *icosa.__all__, *ndim.__all__,
+           *dynamics.__all__, *harness.__all__]

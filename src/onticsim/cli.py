@@ -303,11 +303,14 @@ def main(argv=None) -> int:
     except ValueError as exc:  # bad flags, config file or option values
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    run_dir = None
     try:
         run_dir = _resolve_run_dir(opts, args.command)
         return (_run_protocol if protocol else _run_plan)(work, opts, run_dir)
     except Exception:  # the run itself failed: not a usage error
         traceback.print_exc()
+        if run_dir is not None and not any(run_dir.iterdir()):
+            run_dir.rmdir()
         return 3
 
 

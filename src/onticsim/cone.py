@@ -119,8 +119,7 @@ def sample_hits(v, w, samples: int, rng: np.random.Generator) -> int:
     and Bin(samples - n0, P(w | theta, 1)), in that order.
     """
     theta, phi = _cone_angles(v)
-    p0 = _unit_probability(conditional_probability_unchecked(w, QubitOnticState(phi, 0)))
-    p1 = _unit_probability(conditional_probability_unchecked(w, QubitOnticState(theta, 1)))
+    p0, p1 = map(_unit_probability, _responses(w, ((phi, 0), (theta, 1))))
     n0 = int(rng.binomial(samples, math.sin(theta)))
     return int(rng.binomial(n0, p0)) + int(rng.binomial(samples - n0, p1))
 
@@ -139,20 +138,27 @@ def _direct_probability(wx, wy, wz, s, x: float, n: int):
     return (1.0 + (s - 2.0) * sin_x + wz * math.cos(x)) / (2.0 - 2.0 * sin_x)
 
 
-def conditional_probability_unchecked(w, state: QubitOnticState) -> float:
-    """Outcome probability for event w given the ontic state, no cone gate.
+def _responses(w, states) -> list[float]:
+    """Responses to event w of each (x, n) ontic coordinate, no cone gate.
 
-    Events in the southern hemisphere are folded through the complement
-    rule P(-w | x, n) = 1 - P(w | x, n). The value can leave [0, 1] when
-    the zenith branch coordinate is at or beyond THETA0; positivity
-    sweeps rely on seeing those excursions.
+    Validates w once. Events in the southern hemisphere are folded
+    through the complement rule P(-w | x, n) = 1 - P(w | x, n).
     """
     arr = as_bloch(w)
     wx, wy, wz = float(arr[0]), float(arr[1]), float(arr[2])
     s = math.sqrt(max(0.0, 1.0 - wz * wz))
     if wz < 0.0:
-        return 1.0 - _direct_probability(-wx, -wy, -wz, s, state.x, state.n)
-    return _direct_probability(wx, wy, wz, s, state.x, state.n)
+        return [1.0 - _direct_probability(-wx, -wy, -wz, s, x, n) for x, n in states]
+    return [_direct_probability(wx, wy, wz, s, x, n) for x, n in states]
+
+
+def conditional_probability_unchecked(w, state: QubitOnticState) -> float:
+    """Outcome probability for event w given the ontic state, no cone gate.
+
+    The value can leave [0, 1] when the zenith branch coordinate is at
+    or beyond THETA0; positivity sweeps rely on seeing those excursions.
+    """
+    return _responses(w, ((state.x, state.n),))[0]
 
 
 def conditional_probability(w, state: QubitOnticState) -> float:
@@ -172,8 +178,7 @@ def exact_event_probability(v, w) -> float:
     """
     theta, phi = _cone_angles(v)
     sin_theta = math.sin(theta)
-    p0 = conditional_probability_unchecked(w, QubitOnticState(phi, 0))
-    p1 = conditional_probability_unchecked(w, QubitOnticState(theta, 1))
+    p0, p1 = _responses(w, ((phi, 0), (theta, 1)))
     return sin_theta * p0 + (1.0 - sin_theta) * p1
 
 

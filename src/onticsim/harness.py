@@ -1,10 +1,14 @@
 """Seeded verification experiments over the hidden-variable models.
 
 Each experiment kind turns a typed config into a report of per-case
-records plus summary criteria. Case ``i`` always draws from its own
-generator ``default_rng(SeedSequence([seed, i]))``, so results are a
-function of (config, seed) only: running with one worker or many
-produces byte-identical reports.
+records plus summary criteria. One table, ``_KINDS``, maps every kind
+to the function that runs it and returns (records, summary); its order
+is ``EXPERIMENT_KINDS``. The per-pair kinds (``exact-*``, ``mc-*``) map
+a case function over ``pairs`` and summarise the records; the sweep,
+covering and witness kinds are whole-run functions. Case ``i`` always
+draws from its own generator ``default_rng(SeedSequence([seed, i]))``,
+so results are a function of (config, seed) only: running with one
+worker or many produces byte-identical reports.
 
 Statistical kinds compare Monte Carlo frequencies against exact
 probabilities through the normal z-score
@@ -75,16 +79,6 @@ __all__ = [
     "run_experiment",
 ]
 
-EXPERIMENT_KINDS = (
-    "exact-qubit",
-    "mc-qubit",
-    "exact-ndim",
-    "mc-ndim",
-    "positivity-sweep",
-    "covering",
-    "witness",
-)
-
 EXACT_TOLERANCE = 1e-12
 Z_LIMIT = 5.0
 
@@ -133,6 +127,8 @@ class ExperimentConfig:
             raise ValueError("pairs must be at least 1")
         if self.samples < 0:
             raise ValueError("samples cannot be negative")
+        if self.kind.startswith("mc-") and self.samples < 1:
+            raise ValueError(f"{self.kind} needs samples >= 1")
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
         if self.scheme not in _SCHEMES:
@@ -153,6 +149,12 @@ class ExperimentConfig:
             raise ValueError("radius must be positive when given")
         if self.kind == "witness":
             non_markov_witness(self.theta, self.phi_a, self.phi_b)  # raises on bad angles
+        if self.kind.endswith("-ndim"):
+            # case 0's own draw: a radius too large for the scheme fails here
+            try:
+                make_in_region_pair(self.dim, _scheme_for(self), case_rng(self.seed, 0), radius=self.radius)
+            except RuntimeError as exc:
+                raise ValueError(f"radius too large for the {self.scheme} scheme: {exc}") from exc
 
     def items(self):
         """(name, value) pairs identifying the experiment, in field order."""
@@ -188,6 +190,10 @@ class ExperimentSummary:
     stats: tuple
     criteria: tuple
     passed: bool
+
+
+def _summary(stats: tuple, criteria: tuple) -> ExperimentSummary:
+    return ExperimentSummary(stats=stats, criteria=criteria, passed=all(ok for _, ok in criteria))
 
 
 @dataclass(frozen=True)
@@ -367,8 +373,7 @@ def _mc_summary(cfg: ExperimentConfig, records: tuple) -> ExperimentSummary:
         ("samples_per_pair", cfg.samples),
         ("total_rejections", sum(r.rejections or 0 for r in records)),
     )
-    criteria = (("z_within_limit", failures <= allowed),)
-    return ExperimentSummary(stats=stats, criteria=criteria, passed=failures <= allowed)
+    return _summary(stats, (("z_within_limit", failures <= allowed),))
 
 
 def _exact_qubit_summary(cfg: ExperimentConfig, records: tuple) -> ExperimentSummary:
@@ -379,8 +384,7 @@ def _exact_qubit_summary(cfg: ExperimentConfig, records: tuple) -> ExperimentSum
         ("mean_abs_error", sum(errors) / len(errors)),
         ("total_rejections", sum(r.rejections or 0 for r in records)),
     )
-    ok = max_error <= EXACT_TOLERANCE
-    return ExperimentSummary(stats=stats, criteria=(("born_identity", ok),), passed=ok)
+    return _summary(stats, (("born_identity", max_error <= EXACT_TOLERANCE),))
 
 
 def _exact_ndim_summary(cfg: ExperimentConfig, records: tuple) -> ExperimentSummary:
@@ -404,46 +408,27 @@ def _exact_ndim_summary(cfg: ExperimentConfig, records: tuple) -> ExperimentSumm
         ("conditionals_in_unit_interval", cond_min > 0.0 and cond_max <= 1.0),
         ("ungated_identity", max_ungated <= EXACT_TOLERANCE),
     )
-    passed = all(ok for _, ok in criteria)
-    return ExperimentSummary(stats=stats, criteria=criteria, passed=passed)
+    return _summary(stats, criteria)
 
 
-def _run_sweep(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_sweep(cfg: ExperimentConfig) -> tuple:
     report = sweep_positivity(cfg.x_step, cfg.events)
     z_axis = (0.0, 0.0, 1.0)
     boundary = conditional_probability_unchecked(z_axis, QubitOnticState(THETA0, 1))
     beyond = conditional_probability_unchecked(z_axis, QubitOnticState(THETA0 + 0.05, 1))
-    records = (
+    rows = (
+        ("global_min", report.min_x, report.min_n, report.min_event, report.min_value),
+        ("global_max", report.max_x, report.max_n, report.max_event, report.max_value),
+        ("boundary_zero", THETA0, 1, z_axis, boundary),
+        ("beyond_cone", THETA0 + 0.05, 1, z_axis, beyond),
+    )
+    records = tuple(
         CaseRecord(
-            index=0,
-            inputs=(
-                ("quantity", "global_min"),
-                ("x", report.min_x),
-                ("n", report.min_n),
-                ("event", report.min_event),
-            ),
-            extras=(("value", report.min_value),),
-        ),
-        CaseRecord(
-            index=1,
-            inputs=(
-                ("quantity", "global_max"),
-                ("x", report.max_x),
-                ("n", report.max_n),
-                ("event", report.max_event),
-            ),
-            extras=(("value", report.max_value),),
-        ),
-        CaseRecord(
-            index=2,
-            inputs=(("quantity", "boundary_zero"), ("x", THETA0), ("n", 1), ("event", z_axis)),
-            extras=(("value", boundary),),
-        ),
-        CaseRecord(
-            index=3,
-            inputs=(("quantity", "beyond_cone"), ("x", THETA0 + 0.05), ("n", 1), ("event", z_axis)),
-            extras=(("value", beyond),),
-        ),
+            index=i,
+            inputs=(("quantity", quantity), ("x", x), ("n", n), ("event", event)),
+            extras=(("value", value),),
+        )
+        for i, (quantity, x, n, event, value) in enumerate(rows)
     )
     criteria = (
         ("lower_bound", report.min_value >= -EXACT_TOLERANCE),
@@ -458,27 +443,29 @@ def _run_sweep(cfg: ExperimentConfig) -> ExperimentReport:
         ("boundary_value", boundary),
         ("beyond_value", beyond),
     )
-    passed = all(ok for _, ok in criteria)
-    summary = ExperimentSummary(stats=stats, criteria=criteria, passed=passed)
-    return ExperimentReport(config=cfg, records=records, summary=summary)
+    return records, _summary(stats, criteria)
+
+
+def _nearest_vertex_angles(frame, vectors: np.ndarray) -> np.ndarray:
+    """Angle from each row of ``vectors`` to its nearest frame vertex."""
+    dots = np.clip(vectors @ frame.vertices.T, -1.0, 1.0)
+    return np.arccos(dots.max(axis=1))
 
 
 def covering_check(frame, vectors) -> float:
     """Largest angle from any of the vectors to its nearest vertex."""
     arr = np.atleast_2d(np.asarray(vectors, dtype=float))
-    dots = np.clip(arr @ frame.vertices.T, -1.0, 1.0)
-    return float(np.arccos(dots.max(axis=1)).max())
+    return float(_nearest_vertex_angles(frame, arr).max())
 
 
-def _run_covering(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_covering(cfg: ExperimentConfig) -> tuple:
     frame = _frame()
     rng = case_rng(cfg.seed, 0)
     vz = rng.uniform(-1.0, 1.0, cfg.pairs)
     ph = rng.uniform(0.0, 2.0 * math.pi, cfg.pairs)
     s = np.sqrt(np.maximum(0.0, 1.0 - vz * vz))
     vectors = np.column_stack((s * np.cos(ph), s * np.sin(ph), vz))
-    dots = np.clip(vectors @ frame.vertices.T, -1.0, 1.0)
-    angles = np.arccos(dots.max(axis=1))
+    angles = _nearest_vertex_angles(frame, vectors)
     worst = int(np.argmax(angles))
     max_angle = float(angles[worst])
 
@@ -510,9 +497,7 @@ def _run_covering(cfg: ExperimentConfig) -> ExperimentReport:
         ("max_edge_deviation", max_edge_dev),
         ("directions", cfg.pairs),
     )
-    passed = all(ok for _, ok in criteria)
-    summary = ExperimentSummary(stats=stats, criteria=criteria, passed=passed)
-    return ExperimentReport(config=cfg, records=records, summary=summary)
+    return records, _summary(stats, criteria)
 
 
 def _fd_zenith_rate(v, dt: float) -> float:
@@ -522,34 +507,24 @@ def _fd_zenith_rate(v, dt: float) -> float:
     return (forward - backward) / (2.0 * dt)
 
 
-def _run_witness(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_witness(cfg: ExperimentConfig) -> tuple:
     witness = non_markov_witness(cfg.theta, cfg.phi_a, cfg.phi_b)
     dt = 1e-4
     fd_a = _fd_zenith_rate(np.array(witness.v_a), dt)
     fd_b = _fd_zenith_rate(np.array(witness.v_b), dt)
     err_a = abs(fd_a - witness.rate_a)
     err_b = abs(fd_b - witness.rate_b)
-    records = (
+    rows = (
+        ("a", witness.phi_a, witness.v_a, witness.rate_a, fd_a, err_a),
+        ("b", witness.phi_b, witness.v_b, witness.rate_b, fd_b, err_b),
+    )
+    records = tuple(
         CaseRecord(
-            index=0,
-            inputs=(
-                ("preparation", "a"),
-                ("theta", witness.theta),
-                ("phi", witness.phi_a),
-                ("v", witness.v_a),
-            ),
-            extras=(("zenith_rate", witness.rate_a), ("fd_rate", fd_a), ("fd_error", err_a)),
-        ),
-        CaseRecord(
-            index=1,
-            inputs=(
-                ("preparation", "b"),
-                ("theta", witness.theta),
-                ("phi", witness.phi_b),
-                ("v", witness.v_b),
-            ),
-            extras=(("zenith_rate", witness.rate_b), ("fd_rate", fd_b), ("fd_error", err_b)),
-        ),
+            index=i,
+            inputs=(("preparation", label), ("theta", witness.theta), ("phi", phi), ("v", v)),
+            extras=(("zenith_rate", rate), ("fd_rate", fd), ("fd_error", err)),
+        )
+        for i, (label, phi, v, rate, fd, err) in enumerate(rows)
     )
     criteria = (
         ("distinct_rates", witness.discrepancy > 0.0),
@@ -562,33 +537,27 @@ def _run_witness(cfg: ExperimentConfig) -> ExperimentReport:
         ("discrepancy", witness.discrepancy),
         ("max_fd_error", max(err_a, err_b)),
     )
-    passed = all(ok for _, ok in criteria)
-    summary = ExperimentSummary(stats=stats, criteria=criteria, passed=passed)
-    return ExperimentReport(config=cfg, records=records, summary=summary)
+    return records, _summary(stats, criteria)
+
+
+def _cases(case, summarize, cfg: ExperimentConfig) -> tuple:
+    """Records of ``case`` over every pair, and their summary."""
+    records = _map_cases(case, cfg, cfg.pairs)
+    return records, summarize(cfg, records)
+
+
+_KINDS = {
+    "exact-qubit": functools.partial(_cases, _case_exact_qubit, _exact_qubit_summary),
+    "mc-qubit": functools.partial(_cases, _case_mc_qubit, _mc_summary),
+    "exact-ndim": functools.partial(_cases, _case_exact_ndim, _exact_ndim_summary),
+    "mc-ndim": functools.partial(_cases, _case_mc_ndim, _mc_summary),
+    "positivity-sweep": _run_sweep,
+    "covering": _run_covering,
+    "witness": _run_witness,
+}
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute the experiment the config describes."""
-    if config.kind == "exact-qubit":
-        records = _map_cases(_case_exact_qubit, config, config.pairs)
-        return ExperimentReport(config, records, _exact_qubit_summary(config, records))
-    if config.kind == "mc-qubit":
-        if config.samples < 1:
-            raise ValueError("mc-qubit needs samples >= 1")
-        records = _map_cases(_case_mc_qubit, config, config.pairs)
-        return ExperimentReport(config, records, _mc_summary(config, records))
-    if config.kind == "exact-ndim":
-        records = _map_cases(_case_exact_ndim, config, config.pairs)
-        return ExperimentReport(config, records, _exact_ndim_summary(config, records))
-    if config.kind == "mc-ndim":
-        if config.samples < 1:
-            raise ValueError("mc-ndim needs samples >= 1")
-        records = _map_cases(_case_mc_ndim, config, config.pairs)
-        return ExperimentReport(config, records, _mc_summary(config, records))
-    if config.kind == "positivity-sweep":
-        return _run_sweep(config)
-    if config.kind == "covering":
-        return _run_covering(config)
-    if config.kind == "witness":
-        return _run_witness(config)
-    raise ValueError(f"unknown experiment kind {config.kind!r}")
+    return ExperimentReport(config, *_KINDS[config.kind](config))

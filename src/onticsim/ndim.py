@@ -142,20 +142,33 @@ def conditional_probability_ndim(phi, state: NdimOnticState, scheme: WeightSchem
     return 1.0 - sq / (2.0 * float(scheme.weights[state.n, state.m]))
 
 
-def _pair_products(psi: np.ndarray) -> np.ndarray:
-    """Matrix of all products conj(psi[n]) * psi[m]."""
-    return np.outer(np.conj(psi), psi)
-
-
-def conditional_probability_grid(psi, phi, scheme: WeightScheme) -> np.ndarray:
-    """Responses of every cell at once, for the X values induced by psi."""
+def _checked_pair(psi, phi, scheme: WeightScheme) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude arrays of a state/event pair, checked against the scheme."""
     psi_arr = as_amplitudes(psi)
     phi_arr = as_amplitudes(phi)
     if psi_arr.shape[0] != scheme.dim or phi_arr.shape[0] != scheme.dim:
         raise ValueError("state, event and scheme dimensions must all agree")
-    d = _pair_products(phi_arr) - _pair_products(psi_arr)
-    sq = d.real * d.real + d.imag * d.imag
+    return psi_arr, phi_arr
+
+
+def _distance_grid(psi, phi, scheme: WeightScheme) -> np.ndarray:
+    """|X_phi - X_psi|^2 in every cell, with X = conj(a[n]) * a[m]."""
+    psi_arr, phi_arr = _checked_pair(psi, phi, scheme)
+    d = np.outer(np.conj(phi_arr), phi_arr) - np.outer(np.conj(psi_arr), psi_arr)
+    return d.real * d.real + d.imag * d.imag
+
+
+def _cell_responses(sq: np.ndarray, scheme: WeightScheme) -> np.ndarray:
     return 1.0 - sq / (2.0 * scheme.weights)
+
+
+def _weighted_sum(sq: np.ndarray, scheme: WeightScheme) -> float:
+    return float(np.sum(scheme.weights - 0.5 * sq))
+
+
+def conditional_probability_grid(psi, phi, scheme: WeightScheme) -> np.ndarray:
+    """Responses of every cell at once, for the X values induced by psi."""
+    return _cell_responses(_distance_grid(psi, phi, scheme), scheme)
 
 
 class PositivityCheck(NamedTuple):
@@ -177,23 +190,23 @@ class PositivityError(ValueError):
         self.worst = worst
 
 
+def _region_check(psi, phi, scheme: WeightScheme) -> tuple[PositivityCheck, np.ndarray]:
+    """The positivity check of the pair and its distance grid."""
+    sq = _distance_grid(psi, phi, scheme)
+    margins = 2.0 * scheme.weights - sq
+    flat = int(np.argmin(margins))
+    worst = (flat // scheme.dim, flat % scheme.dim)
+    margin = float(margins[worst])
+    return PositivityCheck(ok=margin > 0.0, margin=margin, worst=worst), sq
+
+
 def positivity_check(psi, phi, scheme: WeightScheme) -> PositivityCheck:
     """Strict bound |X_psi - X_phi|^2 < 2 * w in every cell.
 
     ``margin`` is the smallest value of 2 * w - |difference|^2 over the
     table; the pair passes only when it is strictly positive.
     """
-    psi_arr = as_amplitudes(psi)
-    phi_arr = as_amplitudes(phi)
-    if psi_arr.shape[0] != scheme.dim or phi_arr.shape[0] != scheme.dim:
-        raise ValueError("state, event and scheme dimensions must all agree")
-    d = _pair_products(psi_arr) - _pair_products(phi_arr)
-    sq = d.real * d.real + d.imag * d.imag
-    margins = 2.0 * scheme.weights - sq
-    flat = int(np.argmin(margins))
-    worst = (flat // scheme.dim, flat % scheme.dim)
-    margin = float(margins[worst])
-    return PositivityCheck(ok=margin > 0.0, margin=margin, worst=worst)
+    return _region_check(psi, phi, scheme)[0]
 
 
 def sufficient_condition(psi, phi, scheme: WeightScheme) -> bool:
@@ -203,10 +216,7 @@ def sufficient_condition(psi, phi, scheme: WeightScheme) -> bool:
     triangle inequality forces |X_psi - X_phi|^2 < 2 * w_min in every
     cell. Sufficient but not necessary.
     """
-    psi_arr = as_amplitudes(psi)
-    phi_arr = as_amplitudes(phi)
-    if psi_arr.shape[0] != scheme.dim or phi_arr.shape[0] != scheme.dim:
-        raise ValueError("state, event and scheme dimensions must all agree")
+    psi_arr, phi_arr = _checked_pair(psi, phi, scheme)
     diff = psi_arr - phi_arr
     sq = diff.real * diff.real + diff.imag * diff.imag
     return bool(np.all(sq < 0.5 * float(scheme.weights.min())))
@@ -218,19 +228,15 @@ def weighted_probability_sum(psi, phi, scheme: WeightScheme) -> float:
     Telescopes to |<phi|psi>|^2 identically, whether or not the pair
     satisfies the positivity bound; no gate is applied here.
     """
-    psi_arr = as_amplitudes(psi)
-    phi_arr = as_amplitudes(phi)
-    if psi_arr.shape[0] != scheme.dim or phi_arr.shape[0] != scheme.dim:
-        raise ValueError("state, event and scheme dimensions must all agree")
-    d = _pair_products(phi_arr) - _pair_products(psi_arr)
-    sq = d.real * d.real + d.imag * d.imag
-    return float(np.sum(scheme.weights - 0.5 * sq))
+    return _weighted_sum(_distance_grid(psi, phi, scheme), scheme)
 
 
-def _require_in_region(psi, phi, scheme: WeightScheme) -> None:
-    check = positivity_check(psi, phi, scheme)
+def _require_in_region(psi, phi, scheme: WeightScheme) -> np.ndarray:
+    """Distance grid of an in-region pair; ``PositivityError`` otherwise."""
+    check, sq = _region_check(psi, phi, scheme)
     if not check.ok:
         raise PositivityError(check.margin, check.worst)
+    return sq
 
 
 def exact_event_probability_ndim(psi, phi, scheme: WeightScheme) -> float:
@@ -239,8 +245,7 @@ def exact_event_probability_ndim(psi, phi, scheme: WeightScheme) -> float:
     Raises ``PositivityError`` when the pair fails the strict bound, so
     a returned value always came from a well-formed distribution.
     """
-    _require_in_region(psi, phi, scheme)
-    return weighted_probability_sum(psi, phi, scheme)
+    return _weighted_sum(_require_in_region(psi, phi, scheme), scheme)
 
 
 def sample_hits_ndim(psi, phi, scheme: WeightScheme, samples: int, rng: np.random.Generator) -> int:
@@ -254,10 +259,9 @@ def sample_hits_ndim(psi, phi, scheme: WeightScheme, samples: int, rng: np.rando
     same gate as ``exact_event_probability_ndim``; inside it every cell
     response lies in [0, 1].
     """
-    _require_in_region(psi, phi, scheme)
+    sq = _require_in_region(psi, phi, scheme)
     cells = rng.multinomial(samples, scheme.weights.ravel())
-    responses = conditional_probability_grid(psi, phi, scheme).ravel()
-    return int(rng.binomial(cells, responses).sum())
+    return int(rng.binomial(cells, _cell_responses(sq, scheme).ravel()).sum())
 
 
 class InRegionPair(NamedTuple):

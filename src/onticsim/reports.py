@@ -59,17 +59,19 @@ def _config_lines(config) -> list[str]:
     return lines
 
 
-def _case_tokens(record) -> list[str]:
-    tokens = [f"case {record.index}"]
-    for name, value in record.inputs:
-        tokens.append(f"{name} = {format_value(value)}")
-    for name in ("exact_p", "born_p", "freq", "z", "exact_match", "rejections"):
-        value = getattr(record, name)
-        if value is not None:
-            tokens.append(f"{name} = {format_value(value)}")
-    for name, value in record.extras:
-        tokens.append(f"{name} = {format_value(value)}")
-    return tokens
+_FIXED_FIELDS = ("exact_p", "born_p", "freq", "z", "exact_match", "rejections")
+
+
+def _columns(record) -> list[tuple[str, object, bool]]:
+    """(name, value, fixed) for each column of a record, in report order.
+
+    Inputs come first, then the fixed fields, then the extras.
+    """
+    return [
+        *((name, value, False) for name, value in record.inputs),
+        *((name, getattr(record, name), True) for name in _FIXED_FIELDS),
+        *((name, value, False) for name, value in record.extras),
+    ]
 
 
 def render_structured(report) -> str:
@@ -78,7 +80,13 @@ def render_structured(report) -> str:
     out.extend(_config_lines(report.config))
     out.append("[cases]")
     for record in report.records:
-        out.append(" | ".join(_case_tokens(record)))
+        # the structured line leaves out fixed fields that are None
+        tokens = [
+            f"{name} = {format_value(value)}"
+            for name, value, fixed in _columns(record)
+            if not (fixed and value is None)
+        ]
+        out.append(" | ".join([f"case {record.index}", *tokens]))
     out.append("[summary]")
     for name, value in report.summary.stats:
         out.append(f"{name} = {format_value(value)}")
@@ -95,19 +103,9 @@ def render_tabular(report) -> str:
     if not report.records:
         writer.writerow(["index"])
         return buf.getvalue()
-    first = report.records[0]
-    header = ["index"]
-    header.extend(name for name, _ in first.inputs)
-    header.extend(("exact_p", "born_p", "freq", "z", "exact_match", "rejections"))
-    header.extend(name for name, _ in first.extras)
-    writer.writerow(header)
+    writer.writerow(["index", *(name for name, _, _ in _columns(report.records[0]))])
     for record in report.records:
-        row = [str(record.index)]
-        row.extend(format_value(value) for _, value in record.inputs)
-        for name in ("exact_p", "born_p", "freq", "z", "exact_match", "rejections"):
-            row.append(format_value(getattr(record, name)))
-        row.extend(format_value(value) for _, value in record.extras)
-        writer.writerow(row)
+        writer.writerow([str(record.index), *(format_value(value) for _, value, _ in _columns(record))])
     return buf.getvalue()
 
 

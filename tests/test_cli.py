@@ -222,6 +222,8 @@ def test_cli_reports_deterministic(tmp_path):
         ["verify-qubit", "--pairs", "0"],
         ["verify-qubit", "--samples", "-1"],
         ["verify-ndim", "--scheme", "ground", "--pole-mass", "1.5"],
+        ["verify-ndim", "--dim", "12", "--radius", "10", "--scheme", "ground", "--pole-mass", "0.9",
+         "--pairs", "1"],
     ],
 )
 def test_bad_input_exits_2_before_any_side_effect(tmp_path, capsys, argv):
@@ -264,3 +266,4 @@ def test_internal_error_exits_3_with_traceback(tmp_path, monkeypatch, capsys):
     assert main(["covering", "--directions", "100", "--out-dir", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "internal fault" in err
+    assert not any(tmp_path.iterdir())  # the empty run directory is removed

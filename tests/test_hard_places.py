@@ -1,0 +1,96 @@
+"""Worst-case audit of the exact qubit paths at the hard places.
+
+Random pairs rarely land where the model is most fragile, so this test
+builds its preparations deterministically: the poles (exactly, and
+within ``POLE_SIN_EPS`` of them), the patch ties between icosahedron
+vertices (edge midpoints and face centres), and the cone edge
+theta = THETA0 - eps. Events are fixed directions, the equator with
+w_z = +0.0 and -0.0 (the boundary of the complement fold), and +-v.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from onticsim import (
+    THETA0,
+    born_probability_qubit,
+    build_frame,
+    exact_event_probability,
+    extended_exact_probability,
+    fibonacci_sphere,
+    from_spherical,
+    sample_hits,
+    sample_hits_patched,
+    to_spherical,
+)
+from onticsim.geometry import POLE_SIN_EPS
+
+BOUND = 1e-12
+SAMPLES = 16
+
+
+def _unit(x):
+    return np.asarray(x, dtype=float) / np.linalg.norm(x)
+
+
+def _near_pole(pole, rho):
+    """Unit vector at distance rho from the +z or -z pole, exactly normalised."""
+    return np.array([rho, 0.0, math.copysign(math.sqrt(1.0 - rho * rho), pole)])
+
+
+def _places():
+    verts = build_frame().vertices
+    adjacent = verts @ verts.T > 0.4
+    np.fill_diagonal(adjacent, False)
+    edges = [(i, j) for i in range(12) for j in range(i + 1, 12) if adjacent[i, j]]
+    faces = [(i, j, k) for i, j in edges for k in range(j + 1, 12) if adjacent[i, k] and adjacent[j, k]]
+    assert len(edges) == 30 and len(faces) == 20
+    poles = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]), *verts]
+    for pole in (1.0, -1.0):
+        for rho in (0.5 * POLE_SIN_EPS, 0.999 * POLE_SIN_EPS, 2.0 * POLE_SIN_EPS):
+            poles.append(_near_pole(pole, rho))
+    cone_edge = [
+        from_spherical((THETA0 - eps, phi))
+        for eps in (1e-3, 1e-6, 1e-9, 1e-12)
+        for phi in (0.0, 0.7, math.pi, 5.1)
+    ]
+    return {
+        "poles": poles,
+        "ties": [_unit(verts[i] + verts[j]) for i, j in edges]
+        + [_unit(verts[i] + verts[j] + verts[k]) for i, j, k in faces],
+        "cone_edge": cone_edge,
+    }
+
+
+def _events(v):
+    fixed = list(np.vstack((np.eye(3), -np.eye(3), fibonacci_sphere(24))))
+    equator = [
+        np.array([math.cos(a), math.sin(a), z])
+        for a in (0.0, 0.5 * math.pi, 2.0, math.pi, 4.5)
+        for z in (0.0, -0.0)
+    ]
+    return fixed + equator + [np.array(v), -np.array(v)]
+
+
+@pytest.mark.parametrize("place", ["poles", "ties", "cone_edge"])
+def test_exact_paths_at_hard_places(frame, place):
+    rng = np.random.default_rng(5)
+    worst_cone = worst_sphere = 0.0
+    cone_pairs = 0
+    for v in _places()[place]:
+        in_cone = to_spherical(v).theta < THETA0
+        for w in _events(v):
+            born = born_probability_qubit(v, w)
+            worst_sphere = max(worst_sphere, abs(extended_exact_probability(frame, v, w) - born))
+            assert 0 <= sample_hits_patched(frame, v, w, SAMPLES, rng) <= SAMPLES
+            if in_cone:
+                cone_pairs += 1
+                worst_cone = max(worst_cone, abs(exact_event_probability(v, w) - born))
+                assert 0 <= sample_hits(v, w, SAMPLES, rng) <= SAMPLES
+    print(f"{place}: max |model - Born| cone {worst_cone:.2e} ({cone_pairs} pairs), "
+          f"sphere {worst_sphere:.2e}")
+    assert cone_pairs > 0
+    assert worst_cone <= BOUND
+    assert worst_sphere <= BOUND

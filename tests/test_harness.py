@@ -36,6 +36,11 @@ def test_config_validation():
         ExperimentConfig(kind="mc-qubit", samples=-1)
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig(kind="mc-qubit", samples=0))
+    with pytest.raises(ValueError, match="mc-ndim needs samples"):
+        ExperimentConfig(kind="mc-ndim", samples=0)
+    # a radius too large for the scheme fails when the config is built
+    with pytest.raises(ValueError, match="radius"):
+        ExperimentConfig(kind="exact-ndim", dim=12, scheme="ground", pole_mass=0.9, radius=10.0)
     # bools are not numbers here: True must not pass as pairs = 1
     for name in ("pairs", "seed", "x_step", "theta"):
         with pytest.raises(ValueError, match=f"{name} must be"):
