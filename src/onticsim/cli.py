@@ -46,7 +46,7 @@ __all__ = ["main", "entry"]
 # is nonzero.
 _COMMON = {
     "seed": (int, 0, "run seed"),
-    "workers": (int, 1, "worker processes"),
+    "workers": (int, 1, "accepted (at least 1) but unused: every run uses one process"),
     "out_dir": (str, None, "report root (default ./runs or $ONTICSIM_OUT_DIR)"),
     "format": (("structured", "tabular", "both"), "both", "report formats to write"),
 }
@@ -279,16 +279,18 @@ def _run_protocol(pair_list: list, opts: dict, run_dir: Path) -> int:
 
 
 def _resolve_run_dir(opts: dict, command: str) -> Path:
-    base = opts.get("out_dir") or os.environ.get("ONTICSIM_OUT_DIR") or "runs"
-    stamp = time.strftime("%Y%m%dT%H%M%S")
-    name = f"{command}-{opts['seed']}-{stamp}"
-    run_dir = Path(base) / name
+    """Create a fresh run directory; a name taken, even by a run started meanwhile, gets -N."""
+    base = Path(opts.get("out_dir") or os.environ.get("ONTICSIM_OUT_DIR") or "runs")
+    name = f"{command}-{opts['seed']}-{time.strftime('%Y%m%dT%H%M%S')}"
+    run_dir = base / name
     counter = 1
-    while run_dir.exists():
-        run_dir = Path(base) / f"{name}-{counter}"
-        counter += 1
-    run_dir.mkdir(parents=True)
-    return run_dir
+    while True:
+        try:
+            run_dir.mkdir(parents=True)  # FileExistsError only when run_dir itself exists
+            return run_dir
+        except FileExistsError:
+            run_dir = base / f"{name}-{counter}"
+            counter += 1
 
 
 def main(argv=None) -> int:

@@ -146,7 +146,7 @@ def _responses(w, states) -> list[float]:
     """
     arr = as_bloch(w)
     wx, wy, wz = float(arr[0]), float(arr[1]), float(arr[2])
-    s = math.sqrt(max(0.0, 1.0 - wz * wz))
+    s = math.hypot(wx, wy)  # sqrt(1 - wz^2) would cancel near the poles
     if wz < 0.0:
         return [1.0 - _direct_probability(-wx, -wy, -wz, s, x, n) for x, n in states]
     return [_direct_probability(wx, wy, wz, s, x, n) for x, n in states]

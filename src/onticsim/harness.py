@@ -3,12 +3,12 @@
 Each experiment kind turns a typed config into a report of per-case
 records plus summary criteria. One table, ``_KINDS``, maps every kind
 to the function that runs it and returns (records, summary); its order
-is ``EXPERIMENT_KINDS``. The per-pair kinds (``exact-*``, ``mc-*``) map
-a case function over ``pairs`` and summarise the records; the sweep,
-covering and witness kinds are whole-run functions. Case ``i`` always
-draws from its own generator ``default_rng(SeedSequence([seed, i]))``,
-so results are a function of (config, seed) only: running with one
-worker or many produces byte-identical reports.
+is ``EXPERIMENT_KINDS``. The per-pair kinds (``exact-*``, ``mc-*``) run
+a case function over ``pairs`` in the calling process and summarise the
+records; the sweep, covering and witness kinds are whole-run functions.
+Case ``i`` always draws from its own generator
+``default_rng(SeedSequence([seed, i]))``, so results are a function of
+(config, seed) only.
 
 Statistical kinds compare Monte Carlo frequencies against exact
 probabilities through the normal z-score
@@ -25,7 +25,6 @@ max(1, pairs // 100) cases land outside |z| <= 5.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import hashlib
 import math
@@ -90,8 +89,9 @@ _REGIONS = ("sphere", "cone")
 class ExperimentConfig:
     """Full description of one experiment run.
 
-    ``workers`` controls scheduling only; it is excluded from the
-    serialized identity so reports do not depend on it.
+    ``workers`` is accepted and checked (at least 1) but selects
+    nothing: every run uses one process. It is excluded from the
+    serialized identity, so reports do not depend on it.
     """
 
     kind: str
@@ -348,16 +348,6 @@ def _case_mc_ndim(cfg: ExperimentConfig, index: int) -> CaseRecord:
     return _mc_record(index, inputs, born, hits, cfg.samples, pair.rejections)
 
 
-def _map_cases(fn, cfg: ExperimentConfig, count: int) -> tuple:
-    """Run cases serially or across processes; order and results identical."""
-    if cfg.workers <= 1 or count <= 1:
-        return tuple(fn(cfg, i) for i in range(count))
-    bound = functools.partial(fn, cfg)
-    chunk = max(1, count // (cfg.workers * 8))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        return tuple(pool.map(bound, range(count), chunksize=chunk))
-
-
 def _mc_summary(cfg: ExperimentConfig, records: tuple) -> ExperimentSummary:
     z_values = [abs(r.z) for r in records if r.z is not None]
     failures = sum(
@@ -542,7 +532,7 @@ def _run_witness(cfg: ExperimentConfig) -> tuple:
 
 def _cases(case, summarize, cfg: ExperimentConfig) -> tuple:
     """Records of ``case`` over every pair, and their summary."""
-    records = _map_cases(case, cfg, cfg.pairs)
+    records = tuple(case(cfg, i) for i in range(cfg.pairs))
     return records, summarize(cfg, records)
 
 

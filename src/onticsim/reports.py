@@ -26,7 +26,7 @@ __all__ = [
     "write_report",
 ]
 
-FORMAT_HEADER = "format: onticsim-report 2"
+FORMAT_HEADER = "format: onticsim-report 3"
 
 
 def format_float(x: float) -> str:

@@ -178,6 +178,17 @@ def test_out_dir_environment_variable(tmp_path, monkeypatch):
     assert _run_dirs(tmp_path / "envout", "covering")
 
 
+def test_run_dir_taken_between_check_and_create(tmp_path, monkeypatch, capsys):
+    # Another run with the same command, seed and second made the directory
+    # after this run looked for it.
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101T000000")
+    (tmp_path / "demo-nonmarkov-0-20260101T000000").mkdir()
+    monkeypatch.setattr(cli.Path, "exists", lambda self: False)
+    assert main(["demo-nonmarkov", "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "demo-nonmarkov-0-20260101T000000-1" / "witness" / "report.txt").is_file()
+    capsys.readouterr()
+
+
 def test_cli_reports_deterministic(tmp_path):
     for sub in ("a", "b"):
         code = main(

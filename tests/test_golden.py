@@ -32,47 +32,47 @@ CASES = {
 # (render_structured, render_tabular) SHA-256 per case.
 DIGESTS = {
     "covering": (
-        "cfa2556d791c40df85633119a09f6f3a1ad2dfc2650665f5efdc5cfa2ae2687c",
+        "af646de2777901f6e8090a59aa92eb9c474c6d74a8d00b45e64217196a5e035e",
         "e8e89789b9d8374e5fac00cb480dc1c5723a95ec82dea26b12e34689a0fd8287",
     ),
     "exact-ndim-ground": (
-        "123d026b42016c91b948040820c8a40731631b31bd525bc511f58faada09fdfa",
+        "d09b718bd97d969bf99419609bdd35ed17ee5cbf2f2d74e9cb62ff42d934616c",
         "b77d2e3ea24457e32aa4f2c2780eb7310f354a234450d8d4e7663012f0ced0cc",
     ),
     "exact-ndim-uniform": (
-        "1f7ac7ad04ecfb2bcc718d35aa1293f0e1094fc2892b7e51e57339945f09505d",
+        "3c6ed2b57ad4575f1e869add8db581c73b80f774a79de839a56ae8301f16c82c",
         "160b70544864076cd6692662cf13575375887db778e891ba37a313984f75e697",
     ),
     "exact-qubit-cone": (
-        "19e102214c1225e64ea9d7b871c8125dee9d1b814e4c5029a7d6a438c3092445",
-        "824285ba29a57ba5d99069e1d8ed6d2655c030eaf389b4da52e58897e82c4ccb",
+        "8bab3c8845076d60e995e203f2fbbe843ced23d384c00ddc7abb7a229403dc45",
+        "2aa6eb6bad3d93b282cb39e99d71675db327b0d7828ade9062a5b6aa4d6eab58",
     ),
     "exact-qubit-sphere": (
-        "d8fb077b3099cd8906eca1d979ef8bc92f25c2d3eb481862c8976abcb0a2c678",
-        "e58bceec9d1c344eda318a312b78b604878da9c420dead0c71990711d100f5b5",
+        "46cbef7607ca8075b0a58b2d39b807e7b9c62b4c399d07e0b050faff076cceca",
+        "9a4e7358d8d8e85945ac4e909a96e0f0d99c284c104730f374aee365944c5c5e",
     ),
     "mc-ndim-ground": (
-        "f313b59f1bc01702763dc02b6defc8bb011f4a3fb9992e10c9bc08749f790530",
+        "2e0c85d011ec79f4a98c8852136b80fb4bfc7ced0aac1e6a72a0d0e1981c547e",
         "e9bfd5d689d8578953867e7028a1b978021de2d7906b7e3730e1745de026baac",
     ),
     "mc-ndim-uniform": (
-        "44576bb2f1494405f12ea042a3b159cd63a9aeba6256b9552147b61ffc0ce148",
+        "d496e829d7186965abea81f7317711c2ea51e89dd820ec48ac20cfcce0a200b5",
         "4d7ee0ade7350499e9df9e32d94f5347e08cf448b52115bccc17ef6e700b02c8",
     ),
     "mc-qubit-cone": (
-        "1b2baaad88051c4911da6a256b09fadaeee93fd58f6a0c1b7cbb88247361fe28",
+        "0758cfea713f65b7c4fdb9e4d57966b04e01d8f19ff647c8d0f36b370dfeb1af",
         "c39d73d3488d09982e1ccbeb84f0e2924830889e86a96e08a5870ae823338d26",
     ),
     "mc-qubit-sphere": (
-        "0b780cb3095fc8bb4683e5666665e1ae33d2cd6c2a48e6fbd4f1eb12dca5da1a",
+        "c136a4faf90c02148557aa2e72672d7a9ea4554c86876edef6a7f390fb5c94b9",
         "4bcc1b91c289f211a4507825bb2363eaeabcc9e0a0d9e1425fb7aefd0ffc6e7f",
     ),
     "positivity-sweep": (
-        "24d13fa37fea81cbbd80f6d6ccbbbac6ea444a76b15eba3235f2cbb28425b5d8",
+        "ddb9858cd011564b188b51a81130c3f3c64ca497ecac63b7e28deab4ec008620",
         "5086f76e5c92945e74d9eab53d42bfa34cfc65195131f00f9beb90c2469bc4d6",
     ),
     "witness": (
-        "69a814125b6529ccf5fa4e744bcbbb360d46769083db33e9310dade5485e038c",
+        "65a01ed6f22a630ff64ee164b89322fadc702249cf90622127197c14e80f2cec",
         "8ba11fb96e6b44015dc448541245c9ef47ebccca0ca4424d74e96e596675755b",
     ),
 }

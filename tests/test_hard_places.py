@@ -6,6 +6,8 @@ within ``POLE_SIN_EPS`` of them), the patch ties between icosahedron
 vertices (edge midpoints and face centres), and the cone edge
 theta = THETA0 - eps. Events are fixed directions, the equator with
 w_z = +0.0 and -0.0 (the boundary of the complement fold), and +-v.
+Next to each vertex (1e-4 down to 1e-12 rad off it), w = +-v sits next
+to the patch pole, where ``1 - w_z**2`` would cancel.
 """
 
 import math
@@ -56,11 +58,18 @@ def _places():
         for eps in (1e-3, 1e-6, 1e-9, 1e-12)
         for phi in (0.0, 0.7, math.pi, 5.1)
     ]
+    tilt = _unit([1.0, 2.0, 3.0])
+    near_vertices = [
+        math.cos(eps) * u + math.sin(eps) * _unit(np.cross(u, tilt))
+        for u in verts
+        for eps in (1e-4, 1e-6, 1e-8, 1e-9, 1e-10, 1e-12)
+    ]
     return {
         "poles": poles,
         "ties": [_unit(verts[i] + verts[j]) for i, j in edges]
         + [_unit(verts[i] + verts[j] + verts[k]) for i, j, k in faces],
         "cone_edge": cone_edge,
+        "near_vertices": near_vertices,
     }
 
 
@@ -74,7 +83,7 @@ def _events(v):
     return fixed + equator + [np.array(v), -np.array(v)]
 
 
-@pytest.mark.parametrize("place", ["poles", "ties", "cone_edge"])
+@pytest.mark.parametrize("place", ["poles", "ties", "cone_edge", "near_vertices"])
 def test_exact_paths_at_hard_places(frame, place):
     rng = np.random.default_rng(5)
     worst_cone = worst_sphere = 0.0

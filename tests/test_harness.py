@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import multiprocessing.process
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from onticsim import (
     run_experiment,
     z_score,
 )
+from onticsim.cli import main
 from onticsim.reports import render_structured, render_tabular
 
 
@@ -175,6 +178,22 @@ def test_worker_count_byte_identical():
         parallel = run_experiment(ExperimentConfig(workers=3, **kw))
         assert render_structured(serial) == render_structured(parallel)
         assert render_tabular(serial) == render_tabular(parallel)
+
+
+def test_runs_stay_in_one_process(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run started another process")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    for kw in (
+        dict(kind="exact-qubit", pairs=20, region="sphere"),
+        dict(kind="exact-ndim", pairs=20, dim=3),
+        dict(kind="mc-qubit", pairs=20, samples=1000),
+    ):
+        assert run_experiment(ExperimentConfig(workers=3, seed=4, **kw)).passed
+    argv = ["verify-qubit", "--pairs", "20", "--samples", "1000", "--workers", "2"]
+    assert main([*argv, "--seed", "4", "--out-dir", str(tmp_path)]) == 0
 
 
 def test_z_scores_normally_distributed():
