@@ -59,14 +59,20 @@ def as_bloch(v) -> np.ndarray:
     return arr
 
 
+def _scalar(a):
+    """A 0-d result as a Python scalar; results over a stack stay arrays."""
+    return a.item() if a.ndim == 0 else a
+
+
 def as_amplitudes(psi) -> np.ndarray:
-    """Validate and return a unit-norm complex amplitude vector (N >= 2)."""
+    """Validate and return unit-norm complex amplitude vectors, shape (..., N >= 2)."""
     arr = np.asarray(psi, dtype=complex)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError("amplitude vector must be one-dimensional with N >= 2")
-    norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > UNIT_NORM_ATOL:
-        raise ValueError(f"amplitude vector must be unit norm, got |psi| = {norm!r}")
+    if arr.ndim < 1 or arr.shape[-1] < 2:
+        raise ValueError("amplitude vectors must have N >= 2 components on the last axis")
+    error = abs(np.hypot.reduce(np.abs(arr), axis=-1) - 1.0)
+    # "not <=" also rejects NaN components
+    if not (error <= UNIT_NORM_ATOL).all():
+        raise ValueError(f"amplitude vectors must be unit norm, off by {float(error.max())!r}")
     return arr
 
 
@@ -106,43 +112,44 @@ def born_probability_qubit(v, w) -> float:
     return min(1.0, max(0.0, 0.5 * (1.0 + dot)))
 
 
-def born_probability_ndim(psi, phi) -> float:
-    """Quantum probability |<phi|psi>|^2 for N-level states."""
+def born_probability_ndim(psi, phi):
+    """Quantum probability |<phi|psi>|^2 of N-level states, per pair of a stack."""
     psi_arr = as_amplitudes(psi)
     phi_arr = as_amplitudes(phi)
-    if psi_arr.shape != phi_arr.shape:
+    if psi_arr.shape[-1] != phi_arr.shape[-1]:
         raise ValueError(
-            f"dimension mismatch: {psi_arr.shape[0]} vs {phi_arr.shape[0]}"
+            f"dimension mismatch: {psi_arr.shape[-1]} vs {phi_arr.shape[-1]}"
         )
-    overlap = complex(np.vdot(phi_arr, psi_arr))
+    overlap = _scalar((np.conj(phi_arr) * psi_arr).sum(axis=-1))
     return overlap.real**2 + overlap.imag**2
 
 
-def random_bloch(rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform unit vector: v_z uniform in [-1, 1], azimuth uniform.
+def random_bloch(rng: np.random.Generator, *, z_min: float = -1.0) -> np.ndarray:
+    """Haar-uniform unit vector on the cap v_z >= z_min, the whole sphere by default.
 
-    Exactly two uniform draws are consumed per call, in this order, so
-    seeded streams are stable across releases.
+    Uniform v_z on [z_min, 1) and a uniform azimuth are uniform on the cap
+    (Archimedes' hat-box theorem). Consumes two uniform draws, v_z's first.
     """
-    vz = rng.uniform(-1.0, 1.0)
-    phi = rng.uniform(0.0, TWO_PI)
+    if not -1.0 <= z_min < 1.0:
+        raise ValueError(f"z_min must lie in [-1, 1), got {z_min!r}")
+    u, t = rng.random(2).tolist()
+    vz = z_min + (1.0 - z_min) * u
+    phi = TWO_PI * t
     s = math.sqrt(max(0.0, 1.0 - vz * vz))
     return np.array([s * math.cos(phi), s * math.sin(phi), vz])
 
 
-def random_amplitudes(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform N-level pure state via normalized complex Gaussians.
+def random_amplitudes(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Haar-uniform N-level pure state, or ``size`` of them, via normalized complex Gaussians.
 
     Draws the real block then the imaginary block, which fixes the
     stream layout for reproducibility.
     """
     if dim < 2:
         raise ValueError(f"need at least two amplitudes, got dim = {dim}")
-    while True:
-        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        norm = float(np.linalg.norm(z))
-        if norm > 1e-12:  # astronomically unlikely to loop
-            return z / norm
+    shape = (dim,) if size is None else (size, dim)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return z / np.hypot.reduce(np.abs(z), axis=-1, keepdims=True)
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:

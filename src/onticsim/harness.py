@@ -2,13 +2,15 @@
 
 Each experiment kind turns a typed config into a report of per-case
 records plus summary criteria. One table, ``_KINDS``, maps every kind
-to the function that runs it and returns (records, summary); its order
-is ``EXPERIMENT_KINDS``. The per-pair kinds (``exact-*``, ``mc-*``) run
-a case function over ``pairs`` in the calling process and summarise the
-records; the sweep, covering and witness kinds are whole-run functions.
-Case ``i`` always draws from its own generator
-``default_rng(SeedSequence([seed, i]))``, so results are a function of
-(config, seed) only.
+to the function that runs the whole experiment in the calling process
+and returns (records, summary); its order is ``EXPERIMENT_KINDS``.
+
+Every run draws from one generator, ``case_rng(seed, 0)``, so results
+are a function of (config, seed) only. The qubit kinds draw v, then w,
+then (for MC) the three binomials, pair after pair, so case i does not
+depend on ``pairs``; the cone region draws v on its cap directly. The
+N-level kinds draw stacks, one array pass each. Replaying one case
+means rerunning its experiment.
 
 Statistical kinds compare Monte Carlo frequencies against exact
 probabilities through the normal z-score
@@ -84,6 +86,9 @@ Z_LIMIT = 5.0
 _SCHEMES = ("uniform", "ground")
 _REGIONS = ("sphere", "cone")
 
+# Lowest v_z of the cone region's cap: at cos(THETA0) = 0.6 the cone gate refuses v.
+_CONE_Z_MIN = math.nextafter(0.6, 1.0)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -150,7 +155,7 @@ class ExperimentConfig:
         if self.kind == "witness":
             non_markov_witness(self.theta, self.phi_a, self.phi_b)  # raises on bad angles
         if self.kind.endswith("-ndim"):
-            # case 0's own draw: a radius too large for the scheme fails here
+            # feasibility probe on the run's seed: a radius too large for the scheme fails here
             try:
                 make_in_region_pair(self.dim, _scheme_for(self), case_rng(self.seed, 0), radius=self.radius)
             except RuntimeError as exc:
@@ -210,7 +215,7 @@ class ExperimentReport:
 
 
 def case_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for case ``index`` of a seeded run."""
+    """Independent generator ``index`` of a seeded run; every experiment draws from 0."""
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
@@ -239,44 +244,36 @@ def _scheme_for(cfg: ExperimentConfig) -> WeightScheme:
     return ground_weighted(cfg.dim, cfg.pole_mass)
 
 
-def _bloch_tuple(v: np.ndarray) -> tuple:
-    return tuple(float(c) for c in v)
+def _qubit_pairs(cfg: ExperimentConfig):
+    """(index, v, w, inputs, rng) per pair; the caller's draws from rng follow w's."""
+    rng = case_rng(cfg.seed, 0)
+    cone = cfg.region == "cone"
+    for index in range(cfg.pairs):
+        v = random_bloch(rng, z_min=_CONE_Z_MIN if cone else -1.0)
+        w = random_bloch(rng)
+        inputs = (("v", tuple(v.tolist())), ("w", tuple(w.tolist())))
+        if not cone:
+            inputs += (("patch", assign_patch(_frame(), v)),)
+        yield index, v, w, inputs, rng
 
 
-def _amp_tuple(psi: np.ndarray) -> tuple:
-    return tuple(complex(c) for c in psi)
-
-
-def _draw_qubit_pair(cfg: ExperimentConfig, rng: np.random.Generator):
-    """Preparation and event; cone region redraws until strictly inside."""
-    rejections = 0
-    v = random_bloch(rng)
-    if cfg.region == "cone":
-        while to_spherical(v).theta >= THETA0:
-            rejections += 1
-            v = random_bloch(rng)
-    w = random_bloch(rng)
-    return v, w, rejections
-
-
-def _case_exact_qubit(cfg: ExperimentConfig, index: int) -> CaseRecord:
-    rng = case_rng(cfg.seed, index)
-    v, w, rejections = _draw_qubit_pair(cfg, rng)
-    born = born_probability_qubit(v, w)
-    if cfg.region == "cone":
-        exact = exact_event_probability(v, w)
-        inputs = (("v", _bloch_tuple(v)), ("w", _bloch_tuple(w)))
-    else:
-        exact = extended_exact_probability(_frame(), v, w)
-        inputs = (("v", _bloch_tuple(v)), ("w", _bloch_tuple(w)), ("patch", assign_patch(_frame(), v)))
-    return CaseRecord(
-        index=index,
-        inputs=inputs,
-        exact_p=exact,
-        born_p=born,
-        rejections=rejections,
-        extras=(("abs_error", abs(exact - born)),),
+def _run_exact_qubit(cfg: ExperimentConfig) -> tuple:
+    records, errors = [], []
+    for index, v, w, inputs, _ in _qubit_pairs(cfg):
+        if cfg.region == "cone":
+            exact = exact_event_probability(v, w)
+        else:
+            exact = extended_exact_probability(_frame(), v, w)
+        born = born_probability_qubit(v, w)
+        errors.append(abs(exact - born))
+        extras = (("abs_error", errors[-1]),)
+        records.append(CaseRecord(index, inputs, exact, born, rejections=0, extras=extras))
+    stats = (
+        ("max_abs_error", max(errors)),
+        ("mean_abs_error", sum(errors) / len(errors)),
+        ("total_rejections", 0),
     )
+    return tuple(records), _summary(stats, (("born_identity", max(errors) <= EXACT_TOLERANCE),))
 
 
 def _mc_record(
@@ -296,58 +293,6 @@ def _mc_record(
     )
 
 
-def _case_mc_qubit(cfg: ExperimentConfig, index: int) -> CaseRecord:
-    rng = case_rng(cfg.seed, index)
-    v, w, rejections = _draw_qubit_pair(cfg, rng)
-    inputs = (("v", _bloch_tuple(v)), ("w", _bloch_tuple(w)))
-    if cfg.region == "cone":
-        hits = sample_hits(v, w, cfg.samples, rng)
-    else:
-        hits = sample_hits_patched(_frame(), v, w, cfg.samples, rng)
-        inputs += (("patch", assign_patch(_frame(), v)),)
-    return _mc_record(index, inputs, born_probability_qubit(v, w), hits, cfg.samples, rejections)
-
-
-def _case_exact_ndim(cfg: ExperimentConfig, index: int) -> CaseRecord:
-    rng = case_rng(cfg.seed, index)
-    scheme = _scheme_for(cfg)
-    pair = make_in_region_pair(cfg.dim, scheme, rng, radius=cfg.radius)
-    exact = exact_event_probability_ndim(pair.psi, pair.phi, scheme)
-    born = born_probability_ndim(pair.psi, pair.phi)
-    grid = conditional_probability_grid(pair.psi, pair.phi, scheme)
-    # Unconstrained pair: the weighted sum telescopes to the quantum
-    # value even when positivity fails.
-    psi_any = random_amplitudes(cfg.dim, rng)
-    phi_any = random_amplitudes(cfg.dim, rng)
-    ungated_error = abs(
-        weighted_probability_sum(psi_any, phi_any, scheme)
-        - born_probability_ndim(psi_any, phi_any)
-    )
-    return CaseRecord(
-        index=index,
-        inputs=(("psi", _amp_tuple(pair.psi)), ("phi", _amp_tuple(pair.phi))),
-        exact_p=exact,
-        born_p=born,
-        rejections=pair.rejections,
-        extras=(
-            ("abs_error", abs(exact - born)),
-            ("cond_min", float(grid.min())),
-            ("cond_max", float(grid.max())),
-            ("ungated_error", ungated_error),
-        ),
-    )
-
-
-def _case_mc_ndim(cfg: ExperimentConfig, index: int) -> CaseRecord:
-    rng = case_rng(cfg.seed, index)
-    scheme = _scheme_for(cfg)
-    pair = make_in_region_pair(cfg.dim, scheme, rng, radius=cfg.radius)
-    hits = sample_hits_ndim(pair.psi, pair.phi, scheme, cfg.samples, rng)
-    inputs = (("psi", _amp_tuple(pair.psi)), ("phi", _amp_tuple(pair.phi)))
-    born = born_probability_ndim(pair.psi, pair.phi)
-    return _mc_record(index, inputs, born, hits, cfg.samples, pair.rejections)
-
-
 def _mc_summary(cfg: ExperimentConfig, records: tuple) -> ExperimentSummary:
     z_values = [abs(r.z) for r in records if r.z is not None]
     failures = sum(
@@ -361,44 +306,79 @@ def _mc_summary(cfg: ExperimentConfig, records: tuple) -> ExperimentSummary:
         ("z_failures", failures),
         ("allowed_failures", allowed),
         ("samples_per_pair", cfg.samples),
-        ("total_rejections", sum(r.rejections or 0 for r in records)),
+        ("total_rejections", sum(r.rejections for r in records)),
     )
     return _summary(stats, (("z_within_limit", failures <= allowed),))
 
 
-def _exact_qubit_summary(cfg: ExperimentConfig, records: tuple) -> ExperimentSummary:
-    errors = [abs(r.exact_p - r.born_p) for r in records]
-    max_error = max(errors)
-    stats = (
-        ("max_abs_error", max_error),
-        ("mean_abs_error", sum(errors) / len(errors)),
-        ("total_rejections", sum(r.rejections or 0 for r in records)),
+def _run_mc_qubit(cfg: ExperimentConfig) -> tuple:
+    records = []
+    for index, v, w, inputs, rng in _qubit_pairs(cfg):
+        if cfg.region == "cone":
+            hits = sample_hits(v, w, cfg.samples, rng)
+        else:
+            hits = sample_hits_patched(_frame(), v, w, cfg.samples, rng)
+        records.append(_mc_record(index, inputs, born_probability_qubit(v, w), hits, cfg.samples, 0))
+    return tuple(records), _mc_summary(cfg, records)
+
+
+def _ndim_pairs(cfg: ExperimentConfig) -> tuple:
+    rng = case_rng(cfg.seed, 0)
+    scheme = _scheme_for(cfg)
+    pairs = make_in_region_pair(cfg.dim, scheme, rng, radius=cfg.radius, size=cfg.pairs)
+    rows = zip(pairs.psi.tolist(), pairs.phi.tolist())
+    return rng, scheme, pairs, [(("psi", tuple(psi)), ("phi", tuple(phi))) for psi, phi in rows]
+
+
+def _run_exact_ndim(cfg: ExperimentConfig) -> tuple:
+    rng, scheme, pairs, inputs = _ndim_pairs(cfg)
+    exact = exact_event_probability_ndim(pairs.psi, pairs.phi, scheme)
+    born = born_probability_ndim(pairs.psi, pairs.phi)
+    grid = conditional_probability_grid(pairs.psi, pairs.phi, scheme)
+    # Unconstrained pairs: the weighted sum telescopes to the quantum
+    # value even when positivity fails.
+    psi_any = random_amplitudes(cfg.dim, rng, size=cfg.pairs)
+    phi_any = random_amplitudes(cfg.dim, rng, size=cfg.pairs)
+    ungated = weighted_probability_sum(psi_any, phi_any, scheme)
+    extras = {
+        "abs_error": np.abs(exact - born),
+        "cond_min": grid.min(axis=(1, 2)),
+        "cond_max": grid.max(axis=(1, 2)),
+        "ungated_error": np.abs(ungated - born_probability_ndim(psi_any, phi_any)),
+    }
+    columns = [c.tolist() for c in (exact, born, pairs.rejections, *extras.values())]
+    records = tuple(
+        CaseRecord(index, x, e, b, rejections=r, extras=tuple(zip(extras, rest)))
+        for index, (x, e, b, r, *rest) in enumerate(zip(inputs, *columns))
     )
-    return _summary(stats, (("born_identity", max_error <= EXACT_TOLERANCE),))
-
-
-def _exact_ndim_summary(cfg: ExperimentConfig, records: tuple) -> ExperimentSummary:
-    def extra(record: CaseRecord, name: str) -> float:
-        return dict(record.extras)[name]
-
-    max_error = max(extra(r, "abs_error") for r in records)
-    cond_min = min(extra(r, "cond_min") for r in records)
-    cond_max = max(extra(r, "cond_max") for r in records)
-    max_ungated = max(extra(r, "ungated_error") for r in records)
-    total_rejections = sum(r.rejections for r in records)
+    max_error = float(extras["abs_error"].max())
+    cond_min = float(extras["cond_min"].min())
+    cond_max = float(extras["cond_max"].max())
+    max_ungated = float(extras["ungated_error"].max())
     stats = (
         ("max_abs_error", max_error),
         ("cond_min", cond_min),
         ("cond_max", cond_max),
         ("max_ungated_error", max_ungated),
-        ("total_rejections", total_rejections),
+        ("total_rejections", int(pairs.rejections.sum())),
     )
     criteria = (
         ("born_identity", max_error <= EXACT_TOLERANCE),
         ("conditionals_in_unit_interval", cond_min > 0.0 and cond_max <= 1.0),
         ("ungated_identity", max_ungated <= EXACT_TOLERANCE),
     )
-    return _summary(stats, criteria)
+    return records, _summary(stats, criteria)
+
+
+def _run_mc_ndim(cfg: ExperimentConfig) -> tuple:
+    rng, scheme, pairs, inputs = _ndim_pairs(cfg)
+    hits = sample_hits_ndim(pairs.psi, pairs.phi, scheme, cfg.samples, rng)
+    born = born_probability_ndim(pairs.psi, pairs.phi)
+    columns = zip(inputs, born.tolist(), hits.tolist(), pairs.rejections.tolist())
+    records = tuple(
+        _mc_record(index, x, b, h, cfg.samples, r) for index, (x, b, h, r) in enumerate(columns)
+    )
+    return records, _mc_summary(cfg, records)
 
 
 def _run_sweep(cfg: ExperimentConfig) -> tuple:
@@ -470,7 +450,7 @@ def _run_covering(cfg: ExperimentConfig) -> tuple:
     records = (
         CaseRecord(
             index=0,
-            inputs=(("worst_vector", _bloch_tuple(vectors[worst])),),
+            inputs=(("worst_vector", tuple(vectors[worst].tolist())),),
             extras=(("angle_to_nearest_vertex", max_angle),),
         ),
     )
@@ -530,17 +510,11 @@ def _run_witness(cfg: ExperimentConfig) -> tuple:
     return records, _summary(stats, criteria)
 
 
-def _cases(case, summarize, cfg: ExperimentConfig) -> tuple:
-    """Records of ``case`` over every pair, and their summary."""
-    records = tuple(case(cfg, i) for i in range(cfg.pairs))
-    return records, summarize(cfg, records)
-
-
 _KINDS = {
-    "exact-qubit": functools.partial(_cases, _case_exact_qubit, _exact_qubit_summary),
-    "mc-qubit": functools.partial(_cases, _case_mc_qubit, _mc_summary),
-    "exact-ndim": functools.partial(_cases, _case_exact_ndim, _exact_ndim_summary),
-    "mc-ndim": functools.partial(_cases, _case_mc_ndim, _mc_summary),
+    "exact-qubit": _run_exact_qubit,
+    "mc-qubit": _run_mc_qubit,
+    "exact-ndim": _run_exact_ndim,
+    "mc-ndim": _run_mc_ndim,
     "positivity-sweep": _run_sweep,
     "covering": _run_covering,
     "witness": _run_witness,

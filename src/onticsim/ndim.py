@@ -11,6 +11,9 @@ and the weighted sum over cells telescopes to the quantum probability
 consistent (all responses in [0, 1]) when the pair (psi, phi) satisfies
 the strict positivity bound |X_psi - X_phi|^2 < 2 * w[n, m] in every
 cell, which confines events to a neighborhood of the preparation.
+
+The pair functions take one pair, with Python scalar results, or stacks
+of shape (..., N) in the same code, with arrays over the leading axes.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import as_amplitudes, random_amplitudes
+from .geometry import _scalar, as_amplitudes, random_amplitudes
 
 __all__ = [
     "WeightScheme",
@@ -122,8 +125,8 @@ def sample_ndim(psi, scheme: WeightScheme, rng: np.random.Generator) -> NdimOnti
     cumulative table).
     """
     arr = as_amplitudes(psi)
-    if arr.shape[0] != scheme.dim:
-        raise ValueError(f"state has {arr.shape[0]} components, scheme expects {scheme.dim}")
+    if arr.shape != (scheme.dim,):
+        raise ValueError(f"state has shape {arr.shape}, scheme expects ({scheme.dim},)")
     flat = int(np.searchsorted(scheme.cumulative, rng.random(), side="right"))
     flat = min(flat, scheme.dim * scheme.dim - 1)
     n, m = divmod(flat, scheme.dim)
@@ -133,8 +136,8 @@ def sample_ndim(psi, scheme: WeightScheme, rng: np.random.Generator) -> NdimOnti
 def conditional_probability_ndim(phi, state: NdimOnticState, scheme: WeightScheme) -> float:
     """Response of one ontic cell to the event phi."""
     arr = as_amplitudes(phi)
-    if arr.shape[0] != scheme.dim:
-        raise ValueError(f"event has {arr.shape[0]} components, scheme expects {scheme.dim}")
+    if arr.shape != (scheme.dim,):
+        raise ValueError(f"event has shape {arr.shape}, scheme expects ({scheme.dim},)")
     if state.n >= scheme.dim or state.m >= scheme.dim:
         raise ValueError(f"cell ({state.n}, {state.m}) outside a {scheme.dim}-level table")
     d = complex(np.conj(arr[state.n]) * arr[state.m]) - state.X
@@ -146,15 +149,15 @@ def _checked_pair(psi, phi, scheme: WeightScheme) -> tuple[np.ndarray, np.ndarra
     """Amplitude arrays of a state/event pair, checked against the scheme."""
     psi_arr = as_amplitudes(psi)
     phi_arr = as_amplitudes(phi)
-    if psi_arr.shape[0] != scheme.dim or phi_arr.shape[0] != scheme.dim:
+    if psi_arr.shape[-1] != scheme.dim or phi_arr.shape[-1] != scheme.dim:
         raise ValueError("state, event and scheme dimensions must all agree")
     return psi_arr, phi_arr
 
 
 def _distance_grid(psi, phi, scheme: WeightScheme) -> np.ndarray:
     """|X_phi - X_psi|^2 in every cell, with X = conj(a[n]) * a[m]."""
-    psi_arr, phi_arr = _checked_pair(psi, phi, scheme)
-    d = np.outer(np.conj(phi_arr), phi_arr) - np.outer(np.conj(psi_arr), psi_arr)
+    a, b = _checked_pair(psi, phi, scheme)
+    d = np.conj(b)[..., :, None] * b[..., None, :] - np.conj(a)[..., :, None] * a[..., None, :]
     return d.real * d.real + d.imag * d.imag
 
 
@@ -162,8 +165,8 @@ def _cell_responses(sq: np.ndarray, scheme: WeightScheme) -> np.ndarray:
     return 1.0 - sq / (2.0 * scheme.weights)
 
 
-def _weighted_sum(sq: np.ndarray, scheme: WeightScheme) -> float:
-    return float(np.sum(scheme.weights - 0.5 * sq))
+def _weighted_sum(sq: np.ndarray, scheme: WeightScheme):
+    return _scalar((scheme.weights - 0.5 * sq).sum(axis=(-2, -1)))
 
 
 def conditional_probability_grid(psi, phi, scheme: WeightScheme) -> np.ndarray:
@@ -172,7 +175,7 @@ def conditional_probability_grid(psi, phi, scheme: WeightScheme) -> np.ndarray:
 
 
 class PositivityCheck(NamedTuple):
-    """Outcome of the strict per-cell positivity bound."""
+    """Outcome of the strict per-cell positivity bound; arrays of each field for stacks."""
 
     ok: bool
     margin: float
@@ -180,7 +183,7 @@ class PositivityCheck(NamedTuple):
 
 
 class PositivityError(ValueError):
-    """Event lies outside the positivity region of the preparation."""
+    """Event outside the preparation's positivity region; a stack's ``worst`` leads with the row."""
 
     def __init__(self, margin: float, worst: tuple[int, int]):
         super().__init__(
@@ -190,14 +193,10 @@ class PositivityError(ValueError):
         self.worst = worst
 
 
-def _region_check(psi, phi, scheme: WeightScheme) -> tuple[PositivityCheck, np.ndarray]:
-    """The positivity check of the pair and its distance grid."""
+def _margins(psi, phi, scheme: WeightScheme) -> tuple[np.ndarray, np.ndarray]:
+    """2 * w - |X_phi - X_psi|^2 in every cell, and the distance grid."""
     sq = _distance_grid(psi, phi, scheme)
-    margins = 2.0 * scheme.weights - sq
-    flat = int(np.argmin(margins))
-    worst = (flat // scheme.dim, flat % scheme.dim)
-    margin = float(margins[worst])
-    return PositivityCheck(ok=margin > 0.0, margin=margin, worst=worst), sq
+    return 2.0 * scheme.weights - sq, sq
 
 
 def positivity_check(psi, phi, scheme: WeightScheme) -> PositivityCheck:
@@ -206,7 +205,11 @@ def positivity_check(psi, phi, scheme: WeightScheme) -> PositivityCheck:
     ``margin`` is the smallest value of 2 * w - |difference|^2 over the
     table; the pair passes only when it is strictly positive.
     """
-    return _region_check(psi, phi, scheme)[0]
+    margins = _margins(psi, phi, scheme)[0]
+    flat = margins.reshape(*margins.shape[:-2], -1)
+    margin = flat.min(axis=-1)
+    n, m = divmod(flat.argmin(axis=-1), scheme.dim)
+    return PositivityCheck(_scalar(margin > 0.0), _scalar(margin), (_scalar(n), _scalar(m)))
 
 
 def sufficient_condition(psi, phi, scheme: WeightScheme) -> bool:
@@ -232,10 +235,11 @@ def weighted_probability_sum(psi, phi, scheme: WeightScheme) -> float:
 
 
 def _require_in_region(psi, phi, scheme: WeightScheme) -> np.ndarray:
-    """Distance grid of an in-region pair; ``PositivityError`` otherwise."""
-    check, sq = _region_check(psi, phi, scheme)
-    if not check.ok:
-        raise PositivityError(check.margin, check.worst)
+    """Distance grid of in-region pairs; ``PositivityError`` otherwise."""
+    margins, sq = _margins(psi, phi, scheme)
+    if not margins.min() > 0.0:
+        worst = np.unravel_index(np.argmin(margins), margins.shape)
+        raise PositivityError(float(margins[worst]), tuple(int(i) for i in worst))
     return sq
 
 
@@ -248,24 +252,25 @@ def exact_event_probability_ndim(psi, phi, scheme: WeightScheme) -> float:
     return _weighted_sum(_require_in_region(psi, phi, scheme), scheme)
 
 
-def sample_hits_ndim(psi, phi, scheme: WeightScheme, samples: int, rng: np.random.Generator) -> int:
+def sample_hits_ndim(psi, phi, scheme: WeightScheme, samples: int, rng: np.random.Generator):
     """Count the outcomes phi among ``samples`` independent rounds from psi.
 
     Exact in distribution to drawing ``sample_ndim`` and then the
     outcome, round by round, at a cost of O(N^2) instead of O(samples).
     Consumes one multinomial vector of the N^2 row-major cell counts,
-    then one binomial vector of the hits per cell. Raises
-    ``PositivityError`` for pairs outside the positivity region, the
-    same gate as ``exact_event_probability_ndim``; inside it every cell
-    response lies in [0, 1].
+    then one binomial vector of the hits per cell (a stack: every pair's
+    multinomial first). Raises ``PositivityError`` for pairs outside the
+    positivity region, the same gate as ``exact_event_probability_ndim``;
+    inside it every cell response lies in [0, 1].
     """
     sq = _require_in_region(psi, phi, scheme)
-    cells = rng.multinomial(samples, scheme.weights.ravel())
-    return int(rng.binomial(cells, _cell_responses(sq, scheme).ravel()).sum())
+    cells = rng.multinomial(samples, scheme.weights.ravel(), size=sq.shape[:-2])
+    hits = rng.binomial(cells, _cell_responses(sq, scheme).reshape(cells.shape))
+    return _scalar(hits.sum(axis=-1))
 
 
 class InRegionPair(NamedTuple):
-    """Preparation/event pair inside the positivity region."""
+    """Preparation/event pair inside the positivity region, or stacks of them."""
 
     psi: np.ndarray
     phi: np.ndarray
@@ -279,6 +284,7 @@ def make_in_region_pair(
     *,
     radius: float | None = None,
     max_rejections: int = 1000,
+    size: int | None = None,
 ) -> InRegionPair:
     """Draw a random pair guaranteed to pass the positivity check.
 
@@ -286,7 +292,8 @@ def make_in_region_pair(
     complex disc of the given radius (default 0.2 / dim), renormalizes
     and keeps the pair if the strict bound holds. Per attempt the stream
     consumes the Haar draw, then ``dim`` disc radii, then ``dim`` disc
-    angles.
+    angles; with ``size``, each attempt draws them for every row still
+    without a pair, and ``rejections`` counts per row.
     """
     if dim != scheme.dim:
         raise ValueError(f"dim {dim} does not match scheme dimension {scheme.dim}")
@@ -294,16 +301,27 @@ def make_in_region_pair(
         radius = 0.2 / dim
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius!r}")
-    rejections = 0
-    while rejections <= max_rejections:
-        psi = random_amplitudes(dim, rng)
-        mag = radius * np.sqrt(rng.random(dim))
-        ang = 2.0 * math.pi * rng.random(dim)
+
+    def attempt(rows: int):
+        psi = random_amplitudes(dim, rng, size=rows)
+        mag = radius * np.sqrt(rng.random((rows, dim)))
+        ang = 2.0 * math.pi * rng.random((rows, dim))
         phi = psi + mag * np.exp(1j * ang)
-        phi = phi / np.linalg.norm(phi)
-        if positivity_check(psi, phi, scheme).ok:
-            return InRegionPair(psi=psi, phi=phi, rejections=rejections)
-        rejections += 1
-    raise RuntimeError(
-        f"no in-region pair after {max_rejections} rejections; reduce the radius"
-    )
+        phi /= np.hypot.reduce(np.abs(phi), axis=-1, keepdims=True)
+        return psi, phi, _margins(psi, phi, scheme)[0].min(axis=(-2, -1)) > 0.0
+
+    psi, phi, ok = attempt(1 if size is None else size)
+    rejections = np.zeros(len(ok), dtype=int)
+    todo = (~ok).nonzero()[0]
+    while todo.size:
+        # every row still to do has failed the same number of attempts
+        if rejections[todo[0]] == max_rejections:
+            raise RuntimeError(
+                f"no in-region pair after {max_rejections} rejections; reduce the radius"
+            )
+        rejections[todo] += 1
+        psi[todo], phi[todo], ok = attempt(todo.size)
+        todo = todo[~ok]
+    if size is None:
+        return InRegionPair(psi=psi[0], phi=phi[0], rejections=int(rejections[0]))
+    return InRegionPair(psi=psi, phi=phi, rejections=rejections)

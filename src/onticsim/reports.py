@@ -26,11 +26,11 @@ __all__ = [
     "write_report",
 ]
 
-FORMAT_HEADER = "format: onticsim-report 3"
+FORMAT_HEADER = "format: onticsim-report 4"
 
 
 def format_float(x: float) -> str:
-    """Shortest representation that round-trips a float64."""
+    """17 significant digits, which round-trip any float64."""
     return f"{x:.17g}"
 
 

@@ -73,6 +73,12 @@ def test_as_amplitudes_rejects_bad_input():
         as_amplitudes([0.9, 0.0])
     with pytest.raises(ValueError):
         as_amplitudes([1.0])
+    with pytest.raises(ValueError):
+        as_amplitudes([math.nan, 1.0])
+    # stacks are checked row by row
+    assert as_amplitudes([[1.0, 0.0], [0.0, 1.0]]).shape == (2, 2)
+    with pytest.raises(ValueError):
+        as_amplitudes([[1.0, 0.0], [0.9, 0.0]])
 
 
 def test_born_qubit_values():
@@ -108,10 +114,43 @@ def test_random_bloch_unit_and_deterministic():
         assert np.array_equal(va, random_bloch(b))
 
 
+def test_random_bloch_matches_two_uniform_draws():
+    # one rng.random(2) call gives the bits and the stream of two rng.uniform calls
+    def reference(rng):
+        vz = rng.uniform(-1.0, 1.0)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        s = math.sqrt(max(0.0, 1.0 - vz * vz))
+        return np.array([s * math.cos(phi), s * math.sin(phi), vz])
+
+    a = np.random.default_rng(14)
+    b = np.random.default_rng(14)
+    for _ in range(10**5):
+        assert np.array_equal(random_bloch(a), reference(b))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_random_amplitudes_statistics():
     rng = np.random.default_rng(13)
-    first = [abs(random_amplitudes(4, rng)[0]) ** 2 for _ in range(10**5)]
+    first = np.abs(random_amplitudes(4, rng, size=10**5)[:, 0]) ** 2
     assert abs(float(np.mean(first)) - 0.25) < 0.01
+
+
+def test_random_amplitudes_single_state_stream():
+    # one state draws the real block then the imaginary block, as the
+    # per-state loop it replaced did; values agree to the last bits
+    def reference(dim, rng):
+        while True:
+            z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            norm = float(np.linalg.norm(z))
+            if norm > 1e-12:
+                return z / norm
+
+    for dim in (2, 3, 4, 8):
+        a = np.random.default_rng(dim)
+        b = np.random.default_rng(dim)
+        for _ in range(100):
+            np.testing.assert_allclose(random_amplitudes(dim, a), reference(dim, b), rtol=0, atol=1e-15)
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_random_amplitudes_unit_norm(rng):

@@ -4,6 +4,11 @@ Each case renders both report formats and compares their SHA-256 with a
 digest written below. A refactor that keeps results must keep these
 bytes. The digests may change only together with a ``FORMAT_HEADER``
 bump in ``onticsim.reports`` and a CHANGES.md entry that says why.
+
+Run as a script from the repository root to print the ``DIGESTS`` table
+of the current code, ready to paste below:
+
+    PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
@@ -32,47 +37,47 @@ CASES = {
 # (render_structured, render_tabular) SHA-256 per case.
 DIGESTS = {
     "covering": (
-        "af646de2777901f6e8090a59aa92eb9c474c6d74a8d00b45e64217196a5e035e",
+        "7a100329feb2609b5559454c5f953c366c5dbe65392ba81d45dadfae8e8911aa",
         "e8e89789b9d8374e5fac00cb480dc1c5723a95ec82dea26b12e34689a0fd8287",
     ),
     "exact-ndim-ground": (
-        "d09b718bd97d969bf99419609bdd35ed17ee5cbf2f2d74e9cb62ff42d934616c",
-        "b77d2e3ea24457e32aa4f2c2780eb7310f354a234450d8d4e7663012f0ced0cc",
+        "f158f16aa8e564f99f566d7cd183088d71a48de350148921a50c1883e9175a07",
+        "d600fbe03f5069572b16b5c6a13959779e6572a1b0b003ef389461a70caa6298",
     ),
     "exact-ndim-uniform": (
-        "3c6ed2b57ad4575f1e869add8db581c73b80f774a79de839a56ae8301f16c82c",
-        "160b70544864076cd6692662cf13575375887db778e891ba37a313984f75e697",
+        "3320c34462660d2a6da6f5cd9665a417de68284df0bfbda6243aad15e322817b",
+        "929ead5c5e4d0668b54cac31cf03bc683c442888e288430f6249ee803bee5819",
     ),
     "exact-qubit-cone": (
-        "8bab3c8845076d60e995e203f2fbbe843ced23d384c00ddc7abb7a229403dc45",
-        "2aa6eb6bad3d93b282cb39e99d71675db327b0d7828ade9062a5b6aa4d6eab58",
+        "aa031a473b102a382372d1c054e2966eeb2e6a3017e63685527424176c7fde44",
+        "8709a76dd9dd6d8c1ca1e3c05305c4f7b4538b7d6852ad0c5ae44ebdcd4b0e14",
     ),
     "exact-qubit-sphere": (
-        "46cbef7607ca8075b0a58b2d39b807e7b9c62b4c399d07e0b050faff076cceca",
-        "9a4e7358d8d8e85945ac4e909a96e0f0d99c284c104730f374aee365944c5c5e",
+        "c520a50296da1ad39a67e0d52a9ef917bc331903fb1df48edcbd96d54518ad22",
+        "3eb563167f32a80b97530767b0401500a3257f15b88a179cb1221b5f93a58fd6",
     ),
     "mc-ndim-ground": (
-        "2e0c85d011ec79f4a98c8852136b80fb4bfc7ced0aac1e6a72a0d0e1981c547e",
-        "e9bfd5d689d8578953867e7028a1b978021de2d7906b7e3730e1745de026baac",
+        "a69bcf5be5feddecc5317d0ac87cd88e00e48f56e10689caf2015086d1691af8",
+        "9a6bd3ac28141407ec3fee38a69e6404663e37e7ba95d4d069d51457af817e0b",
     ),
     "mc-ndim-uniform": (
-        "d496e829d7186965abea81f7317711c2ea51e89dd820ec48ac20cfcce0a200b5",
-        "4d7ee0ade7350499e9df9e32d94f5347e08cf448b52115bccc17ef6e700b02c8",
+        "eb0fa68946edbf321750ec723d88d45d4f08c7e3c372149b511d7c7bcfded050",
+        "f3bb14382a61c12e4edf073da3d8db75232b59063768617789b384f981976263",
     ),
     "mc-qubit-cone": (
-        "0758cfea713f65b7c4fdb9e4d57966b04e01d8f19ff647c8d0f36b370dfeb1af",
-        "c39d73d3488d09982e1ccbeb84f0e2924830889e86a96e08a5870ae823338d26",
+        "57e96492deefc6df6830639730695583b8f065f52596a31544b62a8ff5de3218",
+        "0eee2de0ee1ef77c3695d9131c7510ba4289d51d4722c3005e8c1c67f8fe369a",
     ),
     "mc-qubit-sphere": (
-        "c136a4faf90c02148557aa2e72672d7a9ea4554c86876edef6a7f390fb5c94b9",
-        "4bcc1b91c289f211a4507825bb2363eaeabcc9e0a0d9e1425fb7aefd0ffc6e7f",
+        "38ab7d5b0b5afbe7caae4fe69c75025e4c34a0416854da8029c83400bf343f03",
+        "267db825c021d7d987a6b1e50a2f2c9cd72ed12d4c3a093dffb64fc12a3ca45e",
     ),
     "positivity-sweep": (
-        "ddb9858cd011564b188b51a81130c3f3c64ca497ecac63b7e28deab4ec008620",
+        "def38300c4107bf833c807d43725e27dc69c46f24d16af5216d8720c476de792",
         "5086f76e5c92945e74d9eab53d42bfa34cfc65195131f00f9beb90c2469bc4d6",
     ),
     "witness": (
-        "65a01ed6f22a630ff64ee164b89322fadc702249cf90622127197c14e80f2cec",
+        "cde94dc146892ffd7a04bd9b8088014aa45e0006e0bdd04829b68a0f5e18502c",
         "8ba11fb96e6b44015dc448541245c9ef47ebccca0ca4424d74e96e596675755b",
     ),
 }
@@ -82,7 +87,19 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _digests(name: str) -> tuple:
+    report = run_experiment(ExperimentConfig(seed=SEED, **CASES[name]))
+    return _sha(render_structured(report)), _sha(render_tabular(report))
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_pinned(name):
-    report = run_experiment(ExperimentConfig(seed=SEED, **CASES[name]))
-    assert (_sha(render_structured(report)), _sha(render_tabular(report))) == DIGESTS[name]
+    assert _digests(name) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    print("DIGESTS = {")
+    for name in sorted(CASES):
+        structured, tabular = _digests(name)
+        print(f'    "{name}": (\n        "{structured}",\n        "{tabular}",\n    ),')
+    print("}")

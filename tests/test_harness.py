@@ -10,14 +10,18 @@ from onticsim import (
     COVERING_RADIUS,
     THETA0,
     ExperimentConfig,
+    OutOfConeError,
     allowed_z_failures,
     build_frame,
     case_rng,
     covering_check,
+    random_bloch,
     run_experiment,
     z_score,
 )
 from onticsim.cli import main
+from onticsim.cone import _cone_angles
+from onticsim.harness import _CONE_Z_MIN
 from onticsim.reports import render_structured, render_tabular
 
 
@@ -99,11 +103,42 @@ def test_exact_qubit_runs_both_regions():
         stats_map = dict(report.summary.stats)
         assert stats_map["max_abs_error"] <= 1e-12
         assert len(report.records) == 500
-    # cone region redraws some preparations and records it
+    # the cone region samples its cap directly: nothing is redrawn
     report = run_experiment(
         ExperimentConfig(kind="exact-qubit", pairs=500, region="cone", seed=2)
     )
-    assert dict(report.summary.stats)["total_rejections"] > 0
+    assert dict(report.summary.stats)["total_rejections"] == 0
+    for record in report.records:
+        _cone_angles(dict(record.inputs)["v"])  # raises outside the cone
+
+
+def test_cone_cap_draws():
+    # v_z uniform on the cap with a uniform azimuth is Haar on the cap
+    rng = np.random.default_rng(12)
+    vz = [random_bloch(rng, z_min=_CONE_Z_MIN)[2] for _ in range(10**5)]
+    assert min(vz) > 0.6
+    assert stats.kstest(vz, stats.uniform(loc=0.6, scale=0.4).cdf).pvalue > 1e-4
+
+
+class _FixedUniforms:
+    """Stands in for a generator: ``random(2)`` returns the given pair."""
+
+    def __init__(self, u, t):
+        self.pair = np.array([u, t])
+
+    def random(self, size):
+        return self.pair
+
+
+def test_cone_cap_lower_bound_passes_gate():
+    # u = 0 puts v_z exactly on the lower bound of the cap
+    for k in range(8):
+        _cone_angles(random_bloch(_FixedUniforms(0.0, k / 8), z_min=_CONE_Z_MIN))
+        with pytest.raises(OutOfConeError):
+            _cone_angles(random_bloch(_FixedUniforms(0.0, k / 8), z_min=0.6))
+    for bad in (-1.5, 1.0, math.nan):
+        with pytest.raises(ValueError, match="z_min"):
+            random_bloch(np.random.default_rng(0), z_min=bad)
 
 
 def test_mc_qubit_statistics():
@@ -119,13 +154,12 @@ def test_mc_qubit_statistics():
 def test_mc_degenerate_probability_uses_exact_match():
     # z is undefined at p = 0 or 1; degenerate draws must match exactly
     from onticsim.cone import sample_hits
-    from onticsim.harness import _case_mc_qubit
 
     v = np.array([0.5, 0.0, math.sqrt(0.75)])  # sin(theta) = 0.5: both branches drawn
     assert sample_hits(v, v, 1000, np.random.default_rng(0)) == 1000
     assert sample_hits(v, -v, 1000, np.random.default_rng(0)) == 0
     cfg = ExperimentConfig(kind="mc-qubit", pairs=1, samples=100, seed=0)
-    record = _case_mc_qubit(cfg, 0)
+    record = run_experiment(cfg).records[0]
     assert (record.z is None) == (record.exact_match is not None)
 
 

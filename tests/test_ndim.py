@@ -18,6 +18,7 @@ from onticsim import (
     make_in_region_pair,
     positivity_check,
     random_amplitudes,
+    sample_hits_ndim,
     sample_ndim,
     sufficient_condition,
     uniform_weights,
@@ -282,3 +283,119 @@ def test_telescoping_property(dim, seed):
     assert weighted_probability_sum(a, b, scheme) == pytest.approx(
         born_probability_ndim(a, b), abs=1e-12
     )
+
+
+SCHEMES = [
+    pytest.param(dim, name, id=f"{name}-{dim}")
+    for dim in (2, 3, 4, 8)
+    for name in ("uniform", "ground")
+]
+
+
+def _scheme(dim, name):
+    return uniform_weights(dim) if name == "uniform" else ground_weighted(dim, 0.6)
+
+
+@pytest.mark.parametrize("dim, name", SCHEMES)
+def test_stacked_calls_match_single_pairs(dim, name):
+    scheme = _scheme(dim, name)
+    rng = np.random.default_rng(dim)
+    pairs = make_in_region_pair(dim, scheme, rng, size=50)
+    assert pairs.psi.shape == pairs.phi.shape == (50, dim)
+    assert pairs.rejections.shape == (50,)
+    any_psi = random_amplitudes(dim, rng, size=50)
+    any_phi = random_amplitudes(dim, rng, size=50)
+    exact = exact_event_probability_ndim(pairs.psi, pairs.phi, scheme)
+    grid = conditional_probability_grid(pairs.psi, pairs.phi, scheme)
+    born = born_probability_ndim(pairs.psi, pairs.phi)
+    check = positivity_check(pairs.psi, pairs.phi, scheme)
+    ungated = weighted_probability_sum(any_psi, any_phi, scheme)
+    for i in range(50):
+        psi, phi = pairs.psi[i], pairs.phi[i]
+        assert exact[i] == exact_event_probability_ndim(psi, phi, scheme)
+        assert np.array_equal(grid[i], conditional_probability_grid(psi, phi, scheme))
+        assert abs(born[i] - born_probability_ndim(psi, phi)) <= 1e-15
+        single = positivity_check(psi, phi, scheme)
+        assert single.ok
+        assert (check.ok[i], check.margin[i]) == (single.ok, single.margin)
+        assert (check.worst[0][i], check.worst[1][i]) == single.worst
+        assert ungated[i] == weighted_probability_sum(any_psi[i], any_phi[i], scheme)
+    # one pair as a stack of one draws the same counts as the pair alone
+    psi, phi = pairs.psi[0], pairs.phi[0]
+    stacked = sample_hits_ndim(psi[None], phi[None], scheme, 1000, np.random.default_rng(1))
+    assert stacked.tolist() == [sample_hits_ndim(psi, phi, scheme, 1000, np.random.default_rng(1))]
+
+
+def test_single_pair_calls_return_python_scalars():
+    scheme = uniform_weights(3)
+    pair = make_in_region_pair(3, scheme, np.random.default_rng(3))
+    assert type(pair.rejections) is int
+    assert type(exact_event_probability_ndim(pair.psi, pair.phi, scheme)) is float
+    assert type(born_probability_ndim(pair.psi, pair.phi)) is float
+    check = positivity_check(pair.psi, pair.phi, scheme)
+    assert (type(check.ok), type(check.margin), type(check.worst[0])) == (bool, float, int)
+    hits = sample_hits_ndim(pair.psi, pair.phi, scheme, 100, np.random.default_rng(3))
+    assert type(hits) is int
+
+
+def test_per_cell_calls_refuse_stacks(rng):
+    scheme = uniform_weights(2)
+    stack = np.array([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="shape"):
+        sample_ndim(stack, scheme, rng)
+    with pytest.raises(ValueError, match="shape"):
+        conditional_probability_ndim(stack, NdimOnticState(0, 0, 1 + 0j), scheme)
+
+
+def test_stacked_out_of_region_row_is_named():
+    scheme = uniform_weights(2)
+    pairs = make_in_region_pair(2, scheme, np.random.default_rng(8), size=6)
+    psi, phi = pairs.psi.copy(), pairs.phi.copy()
+    psi[4], phi[4] = [1.0, 0.0], [0.0, 1.0]
+    for call in (
+        lambda: exact_event_probability_ndim(psi, phi, scheme),
+        lambda: sample_hits_ndim(psi, phi, scheme, 10, np.random.default_rng(0)),
+    ):
+        with pytest.raises(PositivityError, match=r"cell \(4, ") as err:
+            call()
+        assert err.value.worst[0] == 4
+        assert err.value.margin < 0.0
+
+
+def test_make_in_region_pair_stack_rows_pass(rng):
+    for dim, scheme in ((2, uniform_weights(2)), (4, ground_weighted(4, 0.5))):
+        # a wide radius makes rows fail and be redrawn
+        pairs = make_in_region_pair(dim, scheme, rng, radius=1.5 / dim, size=300)
+        assert pairs.rejections.sum() > 0
+        for psi, phi in zip(pairs.psi, pairs.phi):
+            assert positivity_check(psi, phi, scheme).ok
+
+
+def _reference_pair(dim, scheme, rng, radius):
+    """The per-attempt loop that single-pair draws must reproduce."""
+    rejections = 0
+    while True:
+        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        psi = z / np.linalg.norm(z)
+        mag = radius * np.sqrt(rng.random(dim))
+        ang = 2.0 * math.pi * rng.random(dim)
+        phi = psi + mag * np.exp(1j * ang)
+        phi = phi / np.linalg.norm(phi)
+        if positivity_check(psi, phi, scheme).ok:
+            return psi, phi, rejections
+        rejections += 1
+
+
+@pytest.mark.parametrize("dim, name", SCHEMES)
+def test_single_pair_stream_matches_per_attempt_loop(dim, name):
+    scheme = _scheme(dim, name)
+    a = np.random.default_rng(dim)
+    b = np.random.default_rng(dim)
+    # a wide radius makes some draws take more than one attempt
+    for _ in range(50):
+        pair = make_in_region_pair(dim, scheme, a, radius=1.5 / dim)
+        psi, phi, rejections = _reference_pair(dim, scheme, b, 1.5 / dim)
+        assert pair.rejections == rejections
+        np.testing.assert_allclose(pair.psi, psi, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(pair.phi, phi, rtol=0, atol=1e-15)
+    assert a.bit_generator.state == b.bit_generator.state

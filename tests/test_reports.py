@@ -43,7 +43,7 @@ def test_structured_layout():
     cfg = ExperimentConfig(kind="witness", seed=5)
     text = render_structured(run_experiment(cfg))
     lines = text.splitlines()
-    assert lines[0] == "format: onticsim-report 3"
+    assert lines[0] == "format: onticsim-report 4"
     assert "[config]" in lines
     assert "[cases]" in lines
     assert "[summary]" in lines
