@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, as_bloch, to_spherical
+from .geometry import TWO_PI, _unit_rows, as_bloch, to_spherical
 
 __all__ = [
     "THETA0",
@@ -221,9 +221,10 @@ def sweep_positivity(
     """Grid-scan both response functions and record their extrema.
 
     The event set defaults to a Fibonacci-sphere grid of
-    ``n_event_points`` directions; pass ``events`` to pin specific
-    directions instead. Branch n = 0 scans azimuths over [0, 2*pi) and
-    branch n = 1 scans zeniths over [0, THETA0) unless overridden.
+    ``n_event_points`` directions; pass ``events``, unit vectors, to pin
+    specific directions instead. Branch n = 0 scans azimuths over
+    [0, 2*pi) and branch n = 1 scans zeniths over [0, THETA0) unless
+    overridden.
     """
     from .geometry import fibonacci_sphere
 
@@ -232,9 +233,7 @@ def sweep_positivity(
     if events is None:
         ev = fibonacci_sphere(n_event_points)
     else:
-        ev = np.atleast_2d(np.asarray(events, dtype=float))
-        if ev.shape[1] != 3:
-            raise ValueError("events must be an (m, 3) array of unit vectors")
+        ev = _unit_rows(events, "events")
 
     # Fold southern-hemisphere events through the complement rule once,
     # up front: evaluate the direct form at -w and map p -> 1 - p.

@@ -64,15 +64,28 @@ def _scalar(a):
     return a.item() if a.ndim == 0 else a
 
 
+def _require_unit_norms(norms: np.ndarray, what: str) -> None:
+    error = abs(norms - 1.0)
+    # "not <=" also rejects NaN components; an infinite one makes the norm inf
+    if not (error <= UNIT_NORM_ATOL).all():
+        raise ValueError(f"{what} must be unit norm, off by {float(error.max())!r}")
+
+
 def as_amplitudes(psi) -> np.ndarray:
     """Validate and return unit-norm complex amplitude vectors, shape (..., N >= 2)."""
     arr = np.asarray(psi, dtype=complex)
     if arr.ndim < 1 or arr.shape[-1] < 2:
         raise ValueError("amplitude vectors must have N >= 2 components on the last axis")
-    error = abs(np.hypot.reduce(np.abs(arr), axis=-1) - 1.0)
-    # "not <=" also rejects NaN components
-    if not (error <= UNIT_NORM_ATOL).all():
-        raise ValueError(f"amplitude vectors must be unit norm, off by {float(error.max())!r}")
+    _require_unit_norms(np.hypot.reduce(np.abs(arr), axis=-1), "amplitude vectors")
+    return arr
+
+
+def _unit_rows(vectors, what: str) -> np.ndarray:
+    """Validate and return unit 3-vectors as an (m, 3) float64 array, row by row."""
+    arr = np.atleast_2d(np.asarray(vectors, dtype=float))
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(f"{what} must be an (m, 3) array of unit vectors, got shape {arr.shape}")
+    _require_unit_norms(np.hypot.reduce(arr, axis=-1), what)
     return arr
 
 

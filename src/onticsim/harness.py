@@ -1,9 +1,13 @@
 """Seeded verification experiments over the hidden-variable models.
 
 Each experiment kind turns a typed config into a report of per-case
-records plus summary criteria. One table, ``_KINDS``, maps every kind
-to the function that runs the whole experiment in the calling process
-and returns (records, summary); its order is ``EXPERIMENT_KINDS``.
+rows plus summary criteria. One table, ``_KINDS``, maps every kind to
+the function that runs the whole experiment in the calling process and
+returns (records, summary); its order is ``EXPERIMENT_KINDS``. A row is
+a namedtuple of plain values whose fields are the report's columns, in
+order: ``index``, the kind's inputs, the fixed fields ``_FIXED_FIELDS``,
+then the kind's extras. This module alone names the columns, in one
+block of row types.
 
 Every run draws from one generator, ``case_rng(seed, 0)``, so results
 are a function of (config, seed) only. The qubit kinds draw v, then w,
@@ -27,6 +31,7 @@ max(1, pairs // 100) cases land outside |z| <= 5.
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import math
@@ -44,7 +49,8 @@ from .cone import (
     sweep_positivity,
 )
 from .dynamics import evolve_bloch, non_markov_witness
-from .geometry import born_probability_ndim, born_probability_qubit, random_amplitudes, random_bloch, to_spherical
+from .geometry import _unit_rows, born_probability_ndim, born_probability_qubit, random_amplitudes
+from .geometry import random_bloch, to_spherical
 from .icosa import (
     COVERING_RADIUS,
     EDGE_LENGTH,
@@ -70,7 +76,6 @@ __all__ = [
     "EXACT_TOLERANCE",
     "Z_LIMIT",
     "ExperimentConfig",
-    "CaseRecord",
     "ExperimentSummary",
     "ExperimentReport",
     "case_rng",
@@ -173,19 +178,26 @@ class ExperimentConfig:
         return "sha256:" + hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-@dataclass(frozen=True)
-class CaseRecord:
-    """One verification case: inputs, probabilities and checks."""
+_FIXED_FIELDS = ("exact_p", "born_p", "freq", "z", "exact_match", "rejections")
 
-    index: int
-    inputs: tuple
-    exact_p: float | None = None
-    born_p: float | None = None
-    freq: float | None = None
-    z: float | None = None
-    exact_match: bool | None = None
-    rejections: int | None = None
-    extras: tuple = ()
+
+def _row_type(name: str, inputs: str, extras: str = ""):
+    """Row type: index, inputs, fixed fields, extras; fields after the inputs default to None."""
+    tail = (*_FIXED_FIELDS, *extras.split())
+    names = ("index", *inputs.split(), *tail)
+    return collections.namedtuple(name, names, defaults=(None,) * len(tail), module=__name__)
+
+
+# The row type of each kind (qubit kinds: per region), bound to its own name so rows pickle.
+_ExactSphereRow = _row_type("_ExactSphereRow", "v w patch", "abs_error")
+_ExactConeRow = _row_type("_ExactConeRow", "v w", "abs_error")
+_McSphereRow = _row_type("_McSphereRow", "v w patch")
+_McConeRow = _row_type("_McConeRow", "v w")
+_ExactNdimRow = _row_type("_ExactNdimRow", "psi phi", "abs_error cond_min cond_max ungated_error")
+_McNdimRow = _row_type("_McNdimRow", "psi phi")
+_SweepRow = _row_type("_SweepRow", "quantity x n event", "value")
+_CoveringRow = _row_type("_CoveringRow", "worst_vector", "angle_to_nearest_vertex")
+_WitnessRow = _row_type("_WitnessRow", "preparation theta phi v", "zenith_rate fd_rate fd_error")
 
 
 @dataclass(frozen=True)
@@ -203,7 +215,7 @@ def _summary(stats: tuple, criteria: tuple) -> ExperimentSummary:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Everything a run produced; renderable via the reports module."""
+    """Everything a run produced, one flat row per case; renderable via the reports module."""
 
     config: object
     records: tuple
@@ -251,13 +263,14 @@ def _qubit_pairs(cfg: ExperimentConfig):
     for index in range(cfg.pairs):
         v = random_bloch(rng, z_min=_CONE_Z_MIN if cone else -1.0)
         w = random_bloch(rng)
-        inputs = (("v", tuple(v.tolist())), ("w", tuple(w.tolist())))
+        inputs = (tuple(v.tolist()), tuple(w.tolist()))
         if not cone:
-            inputs += (("patch", assign_patch(_frame(), v)),)
+            inputs += (assign_patch(_frame(), v),)
         yield index, v, w, inputs, rng
 
 
 def _run_exact_qubit(cfg: ExperimentConfig) -> tuple:
+    row = _ExactConeRow if cfg.region == "cone" else _ExactSphereRow
     records, errors = [], []
     for index, v, w, inputs, _ in _qubit_pairs(cfg):
         if cfg.region == "cone":
@@ -266,8 +279,7 @@ def _run_exact_qubit(cfg: ExperimentConfig) -> tuple:
             exact = extended_exact_probability(_frame(), v, w)
         born = born_probability_qubit(v, w)
         errors.append(abs(exact - born))
-        extras = (("abs_error", errors[-1]),)
-        records.append(CaseRecord(index, inputs, exact, born, rejections=0, extras=extras))
+        records.append(row(index, *inputs, exact, born, rejections=0, abs_error=errors[-1]))
     stats = (
         ("max_abs_error", max(errors)),
         ("mean_abs_error", sum(errors) / len(errors)),
@@ -277,29 +289,19 @@ def _run_exact_qubit(cfg: ExperimentConfig) -> tuple:
 
 
 def _mc_record(
-    index: int, inputs: tuple, born: float, hits: int, samples: int, rejections: int
-) -> CaseRecord:
+    row, index: int, inputs: tuple, born: float, hits: int, samples: int, rejections: int
+) -> tuple:
     freq = hits / samples
     z = z_score(freq, born, samples)
-    return CaseRecord(
-        index=index,
-        inputs=inputs,
-        exact_p=None,
-        born_p=born,
-        freq=freq,
-        z=z,
-        exact_match=(freq == born) if z is None else None,
-        rejections=rejections,
+    match = (freq == born) if z is None else None
+    return row(
+        index, *inputs, born_p=born, freq=freq, z=z, exact_match=match, rejections=rejections
     )
 
 
 def _mc_summary(cfg: ExperimentConfig, records: tuple) -> ExperimentSummary:
     z_values = [abs(r.z) for r in records if r.z is not None]
-    failures = sum(
-        1
-        for r in records
-        if (r.z is not None and abs(r.z) > Z_LIMIT) or (r.z is None and not r.exact_match)
-    )
+    failures = sum(not r.exact_match if r.z is None else abs(r.z) > Z_LIMIT for r in records)
     allowed = allowed_z_failures(cfg.pairs)
     stats = (
         ("max_abs_z", max(z_values) if z_values else 0.0),
@@ -312,13 +314,15 @@ def _mc_summary(cfg: ExperimentConfig, records: tuple) -> ExperimentSummary:
 
 
 def _run_mc_qubit(cfg: ExperimentConfig) -> tuple:
+    row = _McConeRow if cfg.region == "cone" else _McSphereRow
     records = []
     for index, v, w, inputs, rng in _qubit_pairs(cfg):
         if cfg.region == "cone":
             hits = sample_hits(v, w, cfg.samples, rng)
         else:
             hits = sample_hits_patched(_frame(), v, w, cfg.samples, rng)
-        records.append(_mc_record(index, inputs, born_probability_qubit(v, w), hits, cfg.samples, 0))
+        born = born_probability_qubit(v, w)
+        records.append(_mc_record(row, index, inputs, born, hits, cfg.samples, 0))
     return tuple(records), _mc_summary(cfg, records)
 
 
@@ -327,7 +331,7 @@ def _ndim_pairs(cfg: ExperimentConfig) -> tuple:
     scheme = _scheme_for(cfg)
     pairs = make_in_region_pair(cfg.dim, scheme, rng, radius=cfg.radius, size=cfg.pairs)
     rows = zip(pairs.psi.tolist(), pairs.phi.tolist())
-    return rng, scheme, pairs, [(("psi", tuple(psi)), ("phi", tuple(phi))) for psi, phi in rows]
+    return rng, scheme, pairs, [(tuple(psi), tuple(phi)) for psi, phi in rows]
 
 
 def _run_exact_ndim(cfg: ExperimentConfig) -> tuple:
@@ -340,32 +344,30 @@ def _run_exact_ndim(cfg: ExperimentConfig) -> tuple:
     psi_any = random_amplitudes(cfg.dim, rng, size=cfg.pairs)
     phi_any = random_amplitudes(cfg.dim, rng, size=cfg.pairs)
     ungated = weighted_probability_sum(psi_any, phi_any, scheme)
-    extras = {
-        "abs_error": np.abs(exact - born),
-        "cond_min": grid.min(axis=(1, 2)),
-        "cond_max": grid.max(axis=(1, 2)),
-        "ungated_error": np.abs(ungated - born_probability_ndim(psi_any, phi_any)),
-    }
-    columns = [c.tolist() for c in (exact, born, pairs.rejections, *extras.values())]
+    abs_error = np.abs(exact - born)
+    cond_min = grid.min(axis=(1, 2))
+    cond_max = grid.max(axis=(1, 2))
+    ungated_error = np.abs(ungated - born_probability_ndim(psi_any, phi_any))
+    arrays = (exact, born, pairs.rejections, abs_error, cond_min, cond_max, ungated_error)
+    columns = zip(inputs, *(a.tolist() for a in arrays))
     records = tuple(
-        CaseRecord(index, x, e, b, rejections=r, extras=tuple(zip(extras, rest)))
-        for index, (x, e, b, r, *rest) in enumerate(zip(inputs, *columns))
+        _ExactNdimRow(
+            index, *x, e, b, rejections=r, abs_error=a, cond_min=lo, cond_max=hi, ungated_error=u
+        )
+        for index, (x, e, b, r, a, lo, hi, u) in enumerate(columns)
     )
-    max_error = float(extras["abs_error"].max())
-    cond_min = float(extras["cond_min"].min())
-    cond_max = float(extras["cond_max"].max())
-    max_ungated = float(extras["ungated_error"].max())
     stats = (
-        ("max_abs_error", max_error),
-        ("cond_min", cond_min),
-        ("cond_max", cond_max),
-        ("max_ungated_error", max_ungated),
+        ("max_abs_error", float(abs_error.max())),
+        ("cond_min", float(cond_min.min())),
+        ("cond_max", float(cond_max.max())),
+        ("max_ungated_error", float(ungated_error.max())),
         ("total_rejections", int(pairs.rejections.sum())),
     )
+    value = dict(stats)
     criteria = (
-        ("born_identity", max_error <= EXACT_TOLERANCE),
-        ("conditionals_in_unit_interval", cond_min > 0.0 and cond_max <= 1.0),
-        ("ungated_identity", max_ungated <= EXACT_TOLERANCE),
+        ("born_identity", value["max_abs_error"] <= EXACT_TOLERANCE),
+        ("conditionals_in_unit_interval", value["cond_min"] > 0.0 and value["cond_max"] <= 1.0),
+        ("ungated_identity", value["max_ungated_error"] <= EXACT_TOLERANCE),
     )
     return records, _summary(stats, criteria)
 
@@ -376,40 +378,33 @@ def _run_mc_ndim(cfg: ExperimentConfig) -> tuple:
     born = born_probability_ndim(pairs.psi, pairs.phi)
     columns = zip(inputs, born.tolist(), hits.tolist(), pairs.rejections.tolist())
     records = tuple(
-        _mc_record(index, x, b, h, cfg.samples, r) for index, (x, b, h, r) in enumerate(columns)
+        _mc_record(_McNdimRow, index, x, b, h, cfg.samples, r)
+        for index, (x, b, h, r) in enumerate(columns)
     )
     return records, _mc_summary(cfg, records)
 
 
 def _run_sweep(cfg: ExperimentConfig) -> tuple:
-    report = sweep_positivity(cfg.x_step, cfg.events)
+    scan = sweep_positivity(cfg.x_step, cfg.events)
     z_axis = (0.0, 0.0, 1.0)
     boundary = conditional_probability_unchecked(z_axis, QubitOnticState(THETA0, 1))
     beyond = conditional_probability_unchecked(z_axis, QubitOnticState(THETA0 + 0.05, 1))
-    rows = (
-        ("global_min", report.min_x, report.min_n, report.min_event, report.min_value),
-        ("global_max", report.max_x, report.max_n, report.max_event, report.max_value),
-        ("boundary_zero", THETA0, 1, z_axis, boundary),
-        ("beyond_cone", THETA0 + 0.05, 1, z_axis, beyond),
-    )
-    records = tuple(
-        CaseRecord(
-            index=i,
-            inputs=(("quantity", quantity), ("x", x), ("n", n), ("event", event)),
-            extras=(("value", value),),
-        )
-        for i, (quantity, x, n, event, value) in enumerate(rows)
+    records = (
+        _SweepRow(0, "global_min", scan.min_x, scan.min_n, scan.min_event, value=scan.min_value),
+        _SweepRow(1, "global_max", scan.max_x, scan.max_n, scan.max_event, value=scan.max_value),
+        _SweepRow(2, "boundary_zero", THETA0, 1, z_axis, value=boundary),
+        _SweepRow(3, "beyond_cone", THETA0 + 0.05, 1, z_axis, value=beyond),
     )
     criteria = (
-        ("lower_bound", report.min_value >= -EXACT_TOLERANCE),
-        ("upper_bound", report.max_value <= 1.0 + EXACT_TOLERANCE),
+        ("lower_bound", scan.min_value >= -EXACT_TOLERANCE),
+        ("upper_bound", scan.max_value <= 1.0 + EXACT_TOLERANCE),
         ("boundary_zero", abs(boundary) <= EXACT_TOLERANCE),
         ("beyond_cone_negative", beyond < 0.0),
     )
     stats = (
-        ("min_value", report.min_value),
-        ("max_value", report.max_value),
-        ("n_evaluations", report.n_evaluations),
+        ("min_value", scan.min_value),
+        ("max_value", scan.max_value),
+        ("n_evaluations", scan.n_evaluations),
         ("boundary_value", boundary),
         ("beyond_value", beyond),
     )
@@ -423,9 +418,8 @@ def _nearest_vertex_angles(frame, vectors: np.ndarray) -> np.ndarray:
 
 
 def covering_check(frame, vectors) -> float:
-    """Largest angle from any of the vectors to its nearest vertex."""
-    arr = np.atleast_2d(np.asarray(vectors, dtype=float))
-    return float(_nearest_vertex_angles(frame, arr).max())
+    """Largest angle from any of the unit vectors to its nearest vertex."""
+    return float(_nearest_vertex_angles(frame, _unit_rows(vectors, "vectors")).max())
 
 
 def _run_covering(cfg: ExperimentConfig) -> tuple:
@@ -447,13 +441,7 @@ def _run_covering(cfg: ExperimentConfig) -> tuple:
     edge_count = int(edge_mask.sum())
     max_edge_dev = float(np.abs(pairwise[edge_mask] - EDGE_LENGTH).max())
 
-    records = (
-        CaseRecord(
-            index=0,
-            inputs=(("worst_vector", tuple(vectors[worst].tolist())),),
-            extras=(("angle_to_nearest_vertex", max_angle),),
-        ),
-    )
+    records = (_CoveringRow(0, tuple(vectors[worst].tolist()), angle_to_nearest_vertex=max_angle),)
     criteria = (
         ("within_covering_radius", max_angle <= COVERING_RADIUS + 1e-6),
         ("inside_validity_cone", max_angle < THETA0),
@@ -489,11 +477,7 @@ def _run_witness(cfg: ExperimentConfig) -> tuple:
         ("b", witness.phi_b, witness.v_b, witness.rate_b, fd_b, err_b),
     )
     records = tuple(
-        CaseRecord(
-            index=i,
-            inputs=(("preparation", label), ("theta", witness.theta), ("phi", phi), ("v", v)),
-            extras=(("zenith_rate", rate), ("fd_rate", fd), ("fd_error", err)),
-        )
+        _WitnessRow(i, label, witness.theta, phi, v, zenith_rate=rate, fd_rate=fd, fd_error=err)
         for i, (label, phi, v, rate, fd, err) in enumerate(rows)
     )
     criteria = (

@@ -217,12 +217,12 @@ def sufficient_condition(psi, phi, scheme: WeightScheme) -> bool:
 
     If |psi[n] - phi[n]|^2 < w_min / 2 for every component then the
     triangle inequality forces |X_psi - X_phi|^2 < 2 * w_min in every
-    cell. Sufficient but not necessary.
+    cell. Sufficient but not necessary. One result per pair of a stack.
     """
     psi_arr, phi_arr = _checked_pair(psi, phi, scheme)
     diff = psi_arr - phi_arr
     sq = diff.real * diff.real + diff.imag * diff.imag
-    return bool(np.all(sq < 0.5 * float(scheme.weights.min())))
+    return _scalar(np.all(sq < 0.5 * float(scheme.weights.min()), axis=-1))
 
 
 def weighted_probability_sum(psi, phi, scheme: WeightScheme) -> float:

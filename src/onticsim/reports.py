@@ -1,10 +1,14 @@
 """Deterministic text renderings of experiment reports.
 
 Two formats are produced from the same report object: a structured
-human-readable summary and a flat CSV of per-case rows. Every float is
-printed with round-trip precision and files are written atomically, so
-a report is a pure function of its config and seed; identical runs
-produce byte-identical files.
+human-readable summary and a flat CSV of per-case rows. The renderers
+know no experiment column: a report holds at least one record, and each
+record is a namedtuple whose fields are the columns in report order,
+led by the case index. Every value is formatted once into a token table
+that both formats share. Every float is printed with round-trip
+precision and files are written atomically, so a report is a pure
+function of its config and seed; identical runs produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -59,34 +63,21 @@ def _config_lines(config) -> list[str]:
     return lines
 
 
-_FIXED_FIELDS = ("exact_p", "born_p", "freq", "z", "exact_match", "rejections")
+def _token_table(records) -> list[tuple[str, ...]]:
+    """Each record's values as tokens, each value formatted once, column by column."""
+    columns = [[format_value(value) for value in column] for column in zip(*records)]
+    return list(zip(*columns))
 
 
-def _columns(record) -> list[tuple[str, object, bool]]:
-    """(name, value, fixed) for each column of a record, in report order.
-
-    Inputs come first, then the fixed fields, then the extras.
-    """
-    return [
-        *((name, value, False) for name, value in record.inputs),
-        *((name, getattr(record, name), True) for name in _FIXED_FIELDS),
-        *((name, value, False) for name, value in record.extras),
-    ]
-
-
-def render_structured(report) -> str:
-    """Sectioned text report: config, one line per case, summary."""
+def _structured(report, table) -> str:
     out = [FORMAT_HEADER, "[config]"]
     out.extend(_config_lines(report.config))
     out.append("[cases]")
-    for record in report.records:
-        # the structured line leaves out fixed fields that are None
-        tokens = [
-            f"{name} = {format_value(value)}"
-            for name, value, fixed in _columns(record)
-            if not (fixed and value is None)
-        ]
-        out.append(" | ".join([f"case {record.index}", *tokens]))
+    names = report.records[0]._fields[1:]
+    for record, (index, *tokens) in zip(report.records, table):
+        # the structured line leaves out values that are None
+        cells = [f"{n} = {t}" for n, v, t in zip(names, record[1:], tokens) if v is not None]
+        out.append(" | ".join([f"case {index}", *cells]))
     out.append("[summary]")
     for name, value in report.summary.stats:
         out.append(f"{name} = {format_value(value)}")
@@ -96,17 +87,22 @@ def render_structured(report) -> str:
     return "\n".join(out) + "\n"
 
 
-def render_tabular(report) -> str:
-    """One CSV row per case; column set is fixed by the first record."""
+def _tabular(report, table) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if not report.records:
-        writer.writerow(["index"])
-        return buf.getvalue()
-    writer.writerow(["index", *(name for name, _, _ in _columns(report.records[0]))])
-    for record in report.records:
-        writer.writerow([str(record.index), *(format_value(value) for _, value, _ in _columns(record))])
+    writer.writerow(report.records[0]._fields)
+    writer.writerows(table)
     return buf.getvalue()
+
+
+def render_structured(report) -> str:
+    """Sectioned text report: config, one line per case, summary."""
+    return _structured(report, _token_table(report.records))
+
+
+def render_tabular(report) -> str:
+    """One CSV row per case; the header is the first record's field names."""
+    return _tabular(report, _token_table(report.records))
 
 
 def write_bytes_atomic(path, data: bytes) -> Path:
@@ -132,15 +128,20 @@ def write_text_atomic(path, text: str) -> Path:
     return write_bytes_atomic(path, text.encode("utf-8"))
 
 
+# Report format -> (file name, renderer taking the report and its token table).
+_FORMATS = {"structured": ("report.txt", _structured), "tabular": ("cases.csv", _tabular)}
+
+
 def write_report(report, directory, *, formats=("structured", "tabular")) -> list[Path]:
-    """Render the requested formats into a directory; returns written paths."""
-    directory = Path(directory)
-    written = []
-    for fmt in formats:
-        if fmt == "structured":
-            written.append(write_text_atomic(directory / "report.txt", render_structured(report)))
-        elif fmt == "tabular":
-            written.append(write_text_atomic(directory / "cases.csv", render_tabular(report)))
-        else:
-            raise ValueError(f"unknown report format: {fmt!r}")
-    return written
+    """Render the requested formats into a directory; returns written paths.
+
+    All formats are checked before any file is written, and share one token table.
+    """
+    unknown = [fmt for fmt in formats if fmt not in _FORMATS]
+    if unknown:
+        raise ValueError(f"unknown report format: {unknown[0]!r}")
+    table = _token_table(report.records)
+    return [
+        write_text_atomic(Path(directory) / name, render(report, table))
+        for name, render in map(_FORMATS.get, formats)
+    ]

@@ -186,6 +186,20 @@ def test_sweep_azimuth_branch_attains_one():
     assert rep.max_n == 0
 
 
+@pytest.mark.parametrize("events", [
+    [(2.0, 0.0, 0.0)],
+    [(0.0, 0.0, 1.0 + 1e-9)],
+    [(math.nan, 0.0, 1.0)],
+    [(0.0, -math.inf, 0.0)],
+    [(0.0, 0.0, 1.0), (0.0, 0.6, 0.6)],
+    [(0.0, 0.0, 1.0, 0.0)],
+])
+def test_sweep_rejects_bad_events(events):
+    # a non-unit event would read as a positivity violation (min -0.5 for (2, 0, 0))
+    with pytest.raises(ValueError):
+        sweep_positivity(0.01, 1, events=events)
+
+
 def test_sweep_rejects_bad_step():
     with pytest.raises(ValueError):
         sweep_positivity(0.0, 10)

@@ -109,7 +109,7 @@ def test_exact_qubit_runs_both_regions():
     )
     assert dict(report.summary.stats)["total_rejections"] == 0
     for record in report.records:
-        _cone_angles(dict(record.inputs)["v"])  # raises outside the cone
+        _cone_angles(record.v)  # raises outside the cone
 
 
 def test_cone_cap_draws():
@@ -264,6 +264,18 @@ def test_covering_experiment():
 
 def test_covering_check_vertices_are_zero(frame):
     assert covering_check(frame, frame.vertices) < 1e-7
+
+
+@pytest.mark.parametrize("vectors", [
+    [(2.0, 0.0, 0.0)],
+    [(0.0, 0.0, 1.0 + 1e-9)],
+    [(math.nan, 0.0, 1.0)],
+    [(0.0, -math.inf, 0.0)],
+    [(0.0, 0.0, 1.0), (0.0, 0.6, 0.6)],
+])
+def test_covering_check_rejects_bad_vectors(frame, vectors):
+    with pytest.raises(ValueError, match="unit norm"):
+        covering_check(frame, vectors)
 
 
 def test_witness_experiment():

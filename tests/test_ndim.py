@@ -310,6 +310,11 @@ def test_stacked_calls_match_single_pairs(dim, name):
     born = born_probability_ndim(pairs.psi, pairs.phi)
     check = positivity_check(pairs.psi, pairs.phi, scheme)
     ungated = weighted_probability_sum(any_psi, any_phi, scheme)
+    # far pairs too, so both outcomes of the sufficient condition occur
+    near = sufficient_condition(pairs.psi, pairs.phi, scheme)
+    far = sufficient_condition(any_psi, any_phi, scheme)
+    assert near.shape == far.shape == (50,)
+    assert {*near.tolist(), *far.tolist()} == {True, False}
     for i in range(50):
         psi, phi = pairs.psi[i], pairs.phi[i]
         assert exact[i] == exact_event_probability_ndim(psi, phi, scheme)
@@ -320,6 +325,8 @@ def test_stacked_calls_match_single_pairs(dim, name):
         assert (check.ok[i], check.margin[i]) == (single.ok, single.margin)
         assert (check.worst[0][i], check.worst[1][i]) == single.worst
         assert ungated[i] == weighted_probability_sum(any_psi[i], any_phi[i], scheme)
+        assert near[i] == sufficient_condition(psi, phi, scheme)
+        assert far[i] == sufficient_condition(any_psi[i], any_phi[i], scheme)
     # one pair as a stack of one draws the same counts as the pair alone
     psi, phi = pairs.psi[0], pairs.phi[0]
     stacked = sample_hits_ndim(psi[None], phi[None], scheme, 1000, np.random.default_rng(1))
@@ -336,6 +343,12 @@ def test_single_pair_calls_return_python_scalars():
     assert (type(check.ok), type(check.margin), type(check.worst[0])) == (bool, float, int)
     hits = sample_hits_ndim(pair.psi, pair.phi, scheme, 100, np.random.default_rng(3))
     assert type(hits) is int
+    assert type(sufficient_condition(pair.psi, pair.phi, scheme)) is bool
+    # one result per pair of a stack: orthogonal basis states are far apart
+    a = np.eye(2, dtype=complex)
+    stacked = sufficient_condition(a, a[::-1], uniform_weights(2))
+    assert stacked.tolist() == [False, False]
+    assert sufficient_condition(a, a[[0, 0]], uniform_weights(2)).tolist() == [True, False]
 
 
 def test_per_cell_calls_refuse_stacks(rng):

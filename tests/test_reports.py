@@ -1,7 +1,12 @@
+import csv
+import functools
+import io
+import pickle
+
 import numpy as np
 import pytest
 
-from onticsim import ExperimentConfig, run_experiment
+from onticsim import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 from onticsim.reports import (
     format_float,
     format_value,
@@ -70,7 +75,8 @@ def test_write_report_files(tmp_path):
     assert (tmp_path / "report.txt").read_text() == render_structured(report)
     assert (tmp_path / "cases.csv").read_text() == render_tabular(report)
     with pytest.raises(ValueError):
-        write_report(report, tmp_path, formats=("yaml",))
+        write_report(report, tmp_path / "bad", formats=("structured", "yaml"))
+    assert not (tmp_path / "bad").exists()  # every format is checked before writing
 
 
 def test_write_text_atomic(tmp_path):
@@ -82,3 +88,63 @@ def test_write_text_atomic(tmp_path):
     write_bytes_atomic(target, b"\x00\n\xff")
     assert target.read_bytes() == b"\x00\n\xff"
     assert list(target.parent.iterdir()) == [target]
+
+
+# One small run per experiment kind, and the qubit kinds in both regions.
+ROW_CONFIGS = {
+    "exact-qubit-sphere": dict(kind="exact-qubit", pairs=6),
+    "exact-qubit-cone": dict(kind="exact-qubit", pairs=6, region="cone"),
+    "mc-qubit-sphere": dict(kind="mc-qubit", pairs=6, samples=100),
+    "mc-qubit-cone": dict(kind="mc-qubit", pairs=6, samples=100, region="cone"),
+    "exact-ndim": dict(kind="exact-ndim", pairs=6, dim=3),
+    "mc-ndim": dict(kind="mc-ndim", pairs=6, samples=100, dim=3, scheme="ground"),
+    "positivity-sweep": dict(kind="positivity-sweep", x_step=0.05, events=50),
+    "covering": dict(kind="covering", pairs=100),
+    "witness": dict(kind="witness"),
+}
+PER_PAIR_KINDS = ("exact-qubit", "mc-qubit", "exact-ndim", "mc-ndim")
+
+
+@functools.lru_cache(maxsize=None)
+def _row_report(name):
+    return run_experiment(ExperimentConfig(seed=2, **ROW_CONFIGS[name]))
+
+
+def test_row_configs_cover_every_kind():
+    assert {cfg["kind"] for cfg in ROW_CONFIGS.values()} == set(EXPERIMENT_KINDS)
+
+
+@pytest.mark.parametrize("name", ROW_CONFIGS)
+def test_rows_are_the_report_columns(name):
+    report = _row_report(name)
+    fields = report.records[0]._fields
+    assert fields[0] == "index"
+    assert all(type(r) is type(report.records[0]) for r in report.records)
+    assert [r.index for r in report.records] == list(range(len(report.records)))
+    assert pickle.loads(pickle.dumps(report)) == report
+    assert next(csv.reader(io.StringIO(render_tabular(report)))) == list(fields)
+    # a structured case line names exactly the fields whose value is not None
+    lines = [line for line in render_structured(report).splitlines() if line.startswith("case ")]
+    for record, line in zip(report.records, lines, strict=True):
+        names = [cell.split(" = ")[0] for cell in line.split(" | ")[1:]]
+        assert names == [f for f, v in zip(fields[1:], record[1:]) if v is not None]
+
+
+@pytest.mark.parametrize("name", ROW_CONFIGS)
+def test_per_pair_rows_carry_rejections(name):
+    # perfbench/tracing.py sums r.rejections over the per-pair kinds
+    report = _row_report(name)
+    if report.config.kind in PER_PAIR_KINDS:
+        assert all(type(r.rejections) is int for r in report.records)
+    else:
+        assert all(r.rejections is None for r in report.records)
+
+
+@pytest.mark.parametrize("name", ROW_CONFIGS)
+def test_write_report_matches_the_renderers(name, tmp_path):
+    report = _row_report(name)
+    write_report(report, tmp_path)
+    assert (tmp_path / "report.txt").read_bytes() == render_structured(report).encode("utf-8")
+    assert (tmp_path / "cases.csv").read_bytes() == render_tabular(report).encode("utf-8")
+    write_report(report, tmp_path / "one", formats=("tabular",))
+    assert [p.name for p in (tmp_path / "one").iterdir()] == ["cases.csv"]
