@@ -11,6 +11,13 @@ response functions that reproduce the quantum probability exactly:
 
 for every event w, as long as the preparation lies strictly inside the
 validity cone theta < THETA0 = arccos(3/5).
+
+The response is written once, in ``_response``, over
+(cos x, sin x) of the ontic coordinate, and runs on floats for one pair
+and on arrays for (m, 3) stacks of pairs and for the positivity sweep.
+The exact marginal and the hit-count sampler read sin(theta), cos(theta)
+and the azimuth straight off the preparation's components, so a row of a
+stack equals the single call bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, _unit_rows, as_bloch, to_spherical
+from .geometry import POLE_SIN_EPS, TWO_PI, _bloch_rows, _scalar, _unit_rows, to_spherical
 
 __all__ = [
     "THETA0",
@@ -39,6 +46,7 @@ __all__ = [
 # Largest zenith for which both response functions stay within [0, 1]
 # for every measurement event. cos(THETA0) = 3/5 exactly.
 THETA0 = math.acos(0.6)
+_COS_THETA0 = 0.6
 
 _SIN_GUARD = 1.0 - 1e-12
 
@@ -46,9 +54,21 @@ _SIN_GUARD = 1.0 - 1e-12
 # binomial draw; matches the 1e-12 exactness tolerance of the harness.
 _RESPONSE_SLACK = 1e-12
 
+# Values per kernel call in the positivity sweep: two grid rows of 10000 events, 160 KB
+# per array. Blocks past about 240 KB ran 1.5x slower in a fresh process (glibc returns
+# and refetches their pages on every block).
+_SWEEP_BLOCK_VALUES = 20000
+
 
 class OutOfConeError(ValueError):
-    """Preparation zenith at or beyond the validity cone boundary."""
+    """Preparation zenith at or beyond the validity cone boundary.
+
+    ``rows`` names the refused rows of a stack; it is empty for one preparation.
+    """
+
+    def __init__(self, message: str, rows: tuple = ()):
+        super().__init__(message)
+        self.rows = rows
 
 
 @dataclass(frozen=True)
@@ -93,63 +113,114 @@ def sample_ontic(v, rng: np.random.Generator) -> QubitOnticState:
     return QubitOnticState(theta, 1)
 
 
-def _unit_probability(p: float) -> float:
-    """Clip a response that rounding left just outside [0, 1].
+def _unit_probability(p):
+    """Clip responses that rounding left just outside [0, 1]; floats or arrays.
 
     Clipping gives the same outcome distribution as the per-round rule
     ``u < p`` with ``u`` uniform on [0, 1). Values further out than
     ``_RESPONSE_SLACK`` are a fault, not rounding, and raise.
     """
-    if 0.0 <= p <= 1.0:
-        return p
-    if -_RESPONSE_SLACK <= p < 0.0:
-        return 0.0
-    if 1.0 < p <= 1.0 + _RESPONSE_SLACK:
-        return 1.0
-    raise ValueError(f"response {p!r} lies outside [0, 1] beyond rounding")
+    stack = isinstance(p, np.ndarray)
+    low, high = (p.min(), p.max()) if stack else (p, p)
+    if not (-_RESPONSE_SLACK <= low and high <= 1.0 + _RESPONSE_SLACK):
+        raise ValueError(f"response in [{low!r}, {high!r}] lies outside [0, 1] beyond rounding")
+    return np.clip(p, 0.0, 1.0) if stack else min(1.0, max(0.0, p))
 
 
-def sample_hits(v, w, samples: int, rng: np.random.Generator) -> int:
+def _sqrt(x):
+    """math.sqrt of a float, np.sqrt of an array: both correctly rounded, so bit-equal."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _components(u):
+    """One unit vector as three floats, or an (m, 3) stack of them as three column arrays."""
+    arr = _bloch_rows(u)
+    return arr.tolist() if arr.ndim == 1 else tuple(arr.T)
+
+
+def _cone_trig(v):
+    """sin(theta), cos(theta), cos(phi), sin(phi) of preparation(s) v, read off the components.
+
+    sin(theta) = sqrt(v_x^2 + v_y^2), cos(theta) = v_z and (cos(phi), sin(phi))
+    = (v_x, v_y) / sin(theta), with phi = 0 below ``POLE_SIN_EPS`` as in
+    ``to_spherical``. Only + - * / and sqrt, so a row of a stack equals the
+    single call bit for bit. Preparations with v_z <= cos(THETA0) = 3/5 are refused.
+    """
+    vx, vy, vz = _components(v)
+    rho = _sqrt(vx * vx + vy * vy)
+    if not isinstance(vz, np.ndarray):
+        if not vz > _COS_THETA0:
+            raise OutOfConeError(f"cos(zenith) {vz!r} at or below cos(THETA0) = {_COS_THETA0}")
+        return (rho, vz, 1.0, 0.0) if rho < POLE_SIN_EPS else (rho, vz, vx / rho, vy / rho)
+    rows = tuple(np.flatnonzero(~(vz > _COS_THETA0)).tolist())
+    if rows:
+        raise OutOfConeError(f"rows {list(rows)} at or below cos(THETA0) = {_COS_THETA0}", rows)
+    pole = rho < POLE_SIN_EPS
+    safe = np.where(pole, 1.0, rho)
+    return rho, vz, np.where(pole, 1.0, vx / safe), np.where(pole, 0.0, vy / safe)
+
+
+def _event(w):
+    """Event(s) w as (w_x, w_y, w_z, s, flip) for ``_response``, with s = sqrt(w_x^2 + w_y^2).
+
+    Southern events (flip: w_z < 0) are negated. s is not sqrt(1 - w_z^2),
+    which cancels near the poles.
+    """
+    wx, wy, wz = _components(w)
+    flip = wz < 0.0
+    sign = np.where(flip, -1.0, 1.0) if isinstance(flip, np.ndarray) else (-1.0 if flip else 1.0)
+    wx, wy, wz = wx * sign, wy * sign, wz * sign
+    return wx, wy, wz, _sqrt(wx * wx + wy * wy), flip
+
+
+def _response(event, cos_x, sin_x, n: int):
+    """The cone response of branch n at ontic coordinate (cos x, sin x) to event(s) ``event``.
+
+    The only place the response is written. The direct form, valid for
+    w_z >= 0, is evaluated at the negated southern events, and the
+    complement rule P(-w | x, n) = 1 - P(w | x, n) maps them back. Floats
+    or arrays that broadcast: the augmented assignments rebind floats and
+    work in place on the one new array, with the same bits either way.
+    """
+    wx, wy, wz, s, flip = event
+    if n == 0:
+        p = wx * cos_x
+        p += wy * sin_x
+        p -= s
+        p *= 0.5
+        p += 1.0
+    else:
+        p = (s - 2.0) * sin_x
+        p += 1.0
+        p += wz * cos_x
+        p /= 2.0 - 2.0 * sin_x
+    if isinstance(p, np.ndarray):
+        return np.subtract(1.0, p, out=p, where=flip)
+    return 1.0 - p if flip else p
+
+
+def _branches(v, w):
+    """sin(theta) of preparation(s) v and the responses p0, p1 of both branches to event(s) w."""
+    sin_t, cos_t, cos_p, sin_p = _cone_trig(v)
+    event = _event(w)
+    return sin_t, _response(event, cos_p, sin_p, 0), _response(event, cos_t, sin_t, 1)
+
+
+def sample_hits(v, w, samples: int, rng: np.random.Generator):
     """Count the outcomes w among ``samples`` independent rounds from v.
 
     Exact in distribution to drawing ``sample_ontic`` and then the
     outcome, round by round, but at a cost independent of ``samples``.
-    Consumes exactly three binomial variates: the azimuth-branch count
-    n0 ~ Bin(samples, sin(theta)), then the hits Bin(n0, P(w | phi, 0))
-    and Bin(samples - n0, P(w | theta, 1)), in that order.
+    Consumes exactly three binomial variates per pair: the azimuth-branch
+    count n0 ~ Bin(samples, sin(theta)), then the hits Bin(n0, P(w | phi, 0))
+    and Bin(samples - n0, P(w | theta, 1)). For (m, 3) stacks of v and w
+    each of the three is one draw of m variates, and one count per pair
+    is returned.
     """
-    theta, phi = _cone_angles(v)
-    p0, p1 = map(_unit_probability, _responses(w, ((phi, 0), (theta, 1))))
-    n0 = int(rng.binomial(samples, math.sin(theta)))
-    return int(rng.binomial(n0, p0)) + int(rng.binomial(samples - n0, p1))
-
-
-def _direct_probability(wx, wy, wz, s, x: float, n: int):
-    """Response functions in the form valid for w_z >= 0.
-
-    The event components, with ``s = sqrt(1 - wz^2)``, may be floats or
-    arrays of equal shape; the result has their shape.
-    """
-    if n == 0:
-        return 1.0 + 0.5 * (wx * math.cos(x) + wy * math.sin(x) - s)
-    sin_x = math.sin(x)
-    if sin_x >= _SIN_GUARD:
-        raise ValueError(f"branch n = 1 response undefined at sin(x) = {sin_x!r}")
-    return (1.0 + (s - 2.0) * sin_x + wz * math.cos(x)) / (2.0 - 2.0 * sin_x)
-
-
-def _responses(w, states) -> list[float]:
-    """Responses to event w of each (x, n) ontic coordinate, no cone gate.
-
-    Validates w once. Events in the southern hemisphere are folded
-    through the complement rule P(-w | x, n) = 1 - P(w | x, n).
-    """
-    arr = as_bloch(w)
-    wx, wy, wz = float(arr[0]), float(arr[1]), float(arr[2])
-    s = math.hypot(wx, wy)  # sqrt(1 - wz^2) would cancel near the poles
-    if wz < 0.0:
-        return [1.0 - _direct_probability(-wx, -wy, -wz, s, x, n) for x, n in states]
-    return [_direct_probability(wx, wy, wz, s, x, n) for x, n in states]
+    sin_t, p0, p1 = _branches(v, w)
+    p0, p1 = _unit_probability(p0), _unit_probability(p1)
+    n0 = rng.binomial(samples, sin_t)
+    return _scalar(np.asarray(rng.binomial(n0, p0) + rng.binomial(samples - n0, p1)))
 
 
 def conditional_probability_unchecked(w, state: QubitOnticState) -> float:
@@ -158,7 +229,10 @@ def conditional_probability_unchecked(w, state: QubitOnticState) -> float:
     The value can leave [0, 1] when the zenith branch coordinate is at
     or beyond THETA0; positivity sweeps rely on seeing those excursions.
     """
-    return _responses(w, ((state.x, state.n),))[0]
+    cos_x, sin_x = math.cos(state.x), math.sin(state.x)
+    if state.n == 1 and sin_x >= _SIN_GUARD:
+        raise ValueError(f"branch n = 1 response undefined at sin(x) = {sin_x!r}")
+    return _response(_event(w), cos_x, sin_x, state.n)
 
 
 def conditional_probability(w, state: QubitOnticState) -> float:
@@ -170,16 +244,16 @@ def conditional_probability(w, state: QubitOnticState) -> float:
     return conditional_probability_unchecked(w, state)
 
 
-def exact_event_probability(v, w) -> float:
+def exact_event_probability(v, w):
     """Model probability of event w for preparation v, marginalized exactly.
 
     Averages the two branch responses with weights sin(theta) and
-    1 - sin(theta). Agrees with (1 + v.w) / 2 to rounding error.
+    1 - sin(theta). Agrees with (1 + v.w) / 2 to rounding error. For
+    (m, 3) stacks of v and w, one value per pair, each bit-equal to the
+    single call; ``OutOfConeError.rows`` names the refused rows.
     """
-    theta, phi = _cone_angles(v)
-    sin_theta = math.sin(theta)
-    p0, p1 = _responses(w, ((phi, 0), (theta, 1)))
-    return sin_theta * p0 + (1.0 - sin_theta) * p1
+    sin_t, p0, p1 = _branches(v, w)
+    return sin_t * p0 + (1.0 - sin_t) * p1
 
 
 def positivity_minimum_n0(wz: float) -> float:
@@ -224,7 +298,12 @@ def sweep_positivity(
     ``n_event_points`` directions; pass ``events``, unit vectors, to pin
     specific directions instead. Branch n = 0 scans azimuths over
     [0, 2*pi) and branch n = 1 scans zeniths over [0, THETA0) unless
-    overridden.
+    overridden; zeniths where the n = 1 denominator vanishes are skipped.
+
+    The grid goes through the response kernel in blocks of a few rows:
+    (cos x, sin x) of each row from ``math``, as (K, 1) columns against
+    the events, at most ``_SWEEP_BLOCK_VALUES`` values per block. Ties
+    keep the first occurrence in (branch, x, event) order.
     """
     from .geometry import fibonacci_sphere
 
@@ -235,12 +314,11 @@ def sweep_positivity(
     else:
         ev = _unit_rows(events, "events")
 
-    # Fold southern-hemisphere events through the complement rule once,
-    # up front: evaluate the direct form at -w and map p -> 1 - p.
+    # The events in ``_event``'s form, negated once up front where southern;
+    # contiguous rows run faster, and s stays sqrt(1 - w_z^2) as it always was here.
     flip = ev[:, 2] < 0.0
-    direct = np.where(flip[:, None], -ev, ev)
-    wx, wy, wz = direct[:, 0], direct[:, 1], direct[:, 2]
-    s = np.sqrt(np.maximum(0.0, 1.0 - wz * wz))
+    wx, wy, wz = np.where(flip[:, None], -ev, ev).T.copy()
+    event = (wx, wy, wz, np.sqrt(np.maximum(0.0, 1.0 - wz * wz)), flip)
 
     lo0, hi0 = x_range_n0 if x_range_n0 is not None else (0.0, TWO_PI)
     lo1, hi1 = x_range_n1 if x_range_n1 is not None else (0.0, THETA0)
@@ -256,28 +334,26 @@ def sweep_positivity(
         count = max(1, int(math.ceil((hi - lo) / x_grid_step)))
         return lo + x_grid_step * np.arange(count + 1)
 
+    m = len(ev)
+    rows = max(1, _SWEEP_BLOCK_VALUES // m)
     for n, (lo, hi) in ((0, (lo0, hi0)), (1, (lo1, hi1))):
-        for x in grid(lo, hi):
-            x = float(min(x, hi))
-            if n == 1 and math.sin(x) >= _SIN_GUARD:
-                continue
-            p = _direct_probability(wx, wy, wz, s, x, n)
-            p = np.where(flip, 1.0 - p, p)
+        xs = [x for x in map(float, np.minimum(grid(lo, hi), hi)) if n == 0 or math.sin(x) < _SIN_GUARD]
+        cos_x = np.array([[math.cos(x)] for x in xs])
+        sin_x = np.array([[math.sin(x)] for x in xs])
+        for start in range(0, len(xs), rows):
+            block = slice(start, start + rows)
+            p = _response(event, cos_x[block], sin_x[block], n)
             n_evaluations += p.size
+            # flat argmin/argmax keep the first occurrence in (x, event) order, as a row-by-row scan
             i_min = int(np.argmin(p))
             i_max = int(np.argmax(p))
-            if p[i_min] < min_value:
-                min_value, min_x, min_n, min_idx = float(p[i_min]), x, n, i_min
-            if p[i_max] > max_value:
-                max_value, max_x, max_n, max_idx = float(p[i_max]), x, n, i_max
+            if p.flat[i_min] < min_value:
+                min_value, min_n = float(p.flat[i_min]), n
+                min_x, min_idx = xs[start + i_min // m], i_min % m
+            if p.flat[i_max] > max_value:
+                max_value, max_n = float(p.flat[i_max]), n
+                max_x, max_idx = xs[start + i_max // m], i_max % m
     return PositivityReport(
-        min_value=min_value,
-        min_x=min_x,
-        min_n=min_n,
-        min_event=tuple(float(c) for c in ev[min_idx]),
-        max_value=max_value,
-        max_x=max_x,
-        max_n=max_n,
-        max_event=tuple(float(c) for c in ev[max_idx]),
-        n_evaluations=n_evaluations,
+        min_value, min_x, min_n, tuple(ev[min_idx].tolist()),
+        max_value, max_x, max_n, tuple(ev[max_idx].tolist()), n_evaluations,
     )

@@ -89,6 +89,19 @@ def _unit_rows(vectors, what: str) -> np.ndarray:
     return arr
 
 
+def _bloch_rows(u) -> np.ndarray:
+    """One validated unit vector, shape (3,), or an (m, 3) stack validated row by row."""
+    arr = np.asarray(u, dtype=float)
+    return as_bloch(arr) if arr.shape == (3,) else _unit_rows(arr, "Bloch vectors")
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray):
+    """Dot product of one pair, or of each row pair as a (1, 3) @ (3, 1) product with the same bits."""
+    if a.ndim == 1 == b.ndim:
+        return np.dot(a, b)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def to_spherical(v) -> SphericalAngles:
     """Zenith and azimuth of a unit vector.
 
@@ -119,10 +132,10 @@ def from_spherical(angles: SphericalAngles) -> np.ndarray:
     )
 
 
-def born_probability_qubit(v, w) -> float:
-    """Quantum probability (1 + v.w) / 2 of the event w given the state v."""
-    dot = float(np.dot(as_bloch(v), as_bloch(w)))
-    return min(1.0, max(0.0, 0.5 * (1.0 + dot)))
+def born_probability_qubit(v, w):
+    """Quantum probability (1 + v.w) / 2 of the event w given the state v, per pair of a stack."""
+    p = 0.5 * (1.0 + _dot_rows(_bloch_rows(v), _bloch_rows(w)))
+    return min(1.0, max(0.0, float(p))) if p.ndim == 0 else np.clip(p, 0.0, 1.0)
 
 
 def born_probability_ndim(psi, phi):
@@ -137,19 +150,24 @@ def born_probability_ndim(psi, phi):
     return overlap.real**2 + overlap.imag**2
 
 
-def random_bloch(rng: np.random.Generator, *, z_min: float = -1.0) -> np.ndarray:
+def random_bloch(rng: np.random.Generator, *, z_min: float = -1.0, size: int | None = None):
     """Haar-uniform unit vector on the cap v_z >= z_min, the whole sphere by default.
 
     Uniform v_z on [z_min, 1) and a uniform azimuth are uniform on the cap
     (Archimedes' hat-box theorem). Consumes two uniform draws, v_z's first.
+    With ``size``, draws ``rng.random((size, 2))`` and returns a (size, 3)
+    stack whose rows match ``size`` single draws to rounding (numpy's sin
+    and cos in place of ``math``'s).
     """
     if not -1.0 <= z_min < 1.0:
         raise ValueError(f"z_min must lie in [-1, 1), got {z_min!r}")
-    u, t = rng.random(2).tolist()
+    lib = math if size is None else np
+    u, t = rng.random(2).tolist() if size is None else rng.random((size, 2)).T
     vz = z_min + (1.0 - z_min) * u
     phi = TWO_PI * t
-    s = math.sqrt(max(0.0, 1.0 - vz * vz))
-    return np.array([s * math.cos(phi), s * math.sin(phi), vz])
+    s = lib.sqrt(1.0 - vz * vz)  # |vz| <= 1 after rounding, so never the root of a negative
+    xyz = (s * lib.cos(phi), s * lib.sin(phi), vz)
+    return np.array(xyz) if size is None else np.column_stack(xyz)
 
 
 def random_amplitudes(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:

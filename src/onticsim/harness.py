@@ -10,11 +10,12 @@ then the kind's extras. This module alone names the columns, in one
 block of row types.
 
 Every run draws from one generator, ``case_rng(seed, 0)``, so results
-are a function of (config, seed) only. The qubit kinds draw v, then w,
-then (for MC) the three binomials, pair after pair, so case i does not
-depend on ``pairs``; the cone region draws v on its cap directly. The
-N-level kinds draw stacks, one array pass each. Replaying one case
-means rerunning its experiment.
+are a function of (config, seed) only. Every per-pair kind is one
+array pass over stacks. The qubit kinds draw all of V, then all of W,
+then (for MC) each of the three binomials for every pair, so case i
+depends on ``pairs``; the cone region draws V on its cap directly. The
+N-level kinds draw their stacks the same way. Replaying one case means
+rerunning its experiment.
 
 Statistical kinds compare Monte Carlo frequencies against exact
 probabilities through the normal z-score
@@ -256,36 +257,38 @@ def _scheme_for(cfg: ExperimentConfig) -> WeightScheme:
     return ground_weighted(cfg.dim, cfg.pole_mass)
 
 
-def _qubit_pairs(cfg: ExperimentConfig):
-    """(index, v, w, inputs, rng) per pair; the caller's draws from rng follow w's."""
+def _qubit_pairs(cfg: ExperimentConfig) -> tuple:
+    """The run's generator, V then W as (pairs, 3) stacks, and each row's input columns."""
     rng = case_rng(cfg.seed, 0)
     cone = cfg.region == "cone"
-    for index in range(cfg.pairs):
-        v = random_bloch(rng, z_min=_CONE_Z_MIN if cone else -1.0)
-        w = random_bloch(rng)
-        inputs = (tuple(v.tolist()), tuple(w.tolist()))
-        if not cone:
-            inputs += (assign_patch(_frame(), v),)
-        yield index, v, w, inputs, rng
+    v = random_bloch(rng, z_min=_CONE_Z_MIN if cone else -1.0, size=cfg.pairs)
+    w = random_bloch(rng, size=cfg.pairs)
+    columns = [map(tuple, v.tolist()), map(tuple, w.tolist())]
+    if not cone:
+        columns.append(assign_patch(_frame(), v).tolist())
+    return rng, v, w, list(zip(*columns))
 
 
 def _run_exact_qubit(cfg: ExperimentConfig) -> tuple:
     row = _ExactConeRow if cfg.region == "cone" else _ExactSphereRow
-    records, errors = [], []
-    for index, v, w, inputs, _ in _qubit_pairs(cfg):
-        if cfg.region == "cone":
-            exact = exact_event_probability(v, w)
-        else:
-            exact = extended_exact_probability(_frame(), v, w)
-        born = born_probability_qubit(v, w)
-        errors.append(abs(exact - born))
-        records.append(row(index, *inputs, exact, born, rejections=0, abs_error=errors[-1]))
+    _, v, w, inputs = _qubit_pairs(cfg)
+    if cfg.region == "cone":
+        exact = exact_event_probability(v, w)
+    else:
+        exact = extended_exact_probability(_frame(), v, w)
+    born = born_probability_qubit(v, w)
+    errors = np.abs(exact - born).tolist()
+    columns = zip(inputs, exact.tolist(), born.tolist(), errors)
+    records = tuple(
+        row(index, *x, e, b, rejections=0, abs_error=a)
+        for index, (x, e, b, a) in enumerate(columns)
+    )
     stats = (
         ("max_abs_error", max(errors)),
         ("mean_abs_error", sum(errors) / len(errors)),
         ("total_rejections", 0),
     )
-    return tuple(records), _summary(stats, (("born_identity", max(errors) <= EXACT_TOLERANCE),))
+    return records, _summary(stats, (("born_identity", max(errors) <= EXACT_TOLERANCE),))
 
 
 def _mc_record(
@@ -315,15 +318,17 @@ def _mc_summary(cfg: ExperimentConfig, records: tuple) -> ExperimentSummary:
 
 def _run_mc_qubit(cfg: ExperimentConfig) -> tuple:
     row = _McConeRow if cfg.region == "cone" else _McSphereRow
-    records = []
-    for index, v, w, inputs, rng in _qubit_pairs(cfg):
-        if cfg.region == "cone":
-            hits = sample_hits(v, w, cfg.samples, rng)
-        else:
-            hits = sample_hits_patched(_frame(), v, w, cfg.samples, rng)
-        born = born_probability_qubit(v, w)
-        records.append(_mc_record(row, index, inputs, born, hits, cfg.samples, 0))
-    return tuple(records), _mc_summary(cfg, records)
+    rng, v, w, inputs = _qubit_pairs(cfg)
+    if cfg.region == "cone":
+        hits = sample_hits(v, w, cfg.samples, rng)
+    else:
+        hits = sample_hits_patched(_frame(), v, w, cfg.samples, rng)
+    columns = zip(inputs, born_probability_qubit(v, w).tolist(), hits.tolist())
+    records = tuple(
+        _mc_record(row, index, x, b, h, cfg.samples, 0)
+        for index, (x, b, h) in enumerate(columns)
+    )
+    return records, _mc_summary(cfg, records)
 
 
 def _ndim_pairs(cfg: ExperimentConfig) -> tuple:

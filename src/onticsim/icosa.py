@@ -23,7 +23,7 @@ from .cone import (
     sample_hits,
     sample_ontic,
 )
-from .geometry import as_bloch
+from .geometry import _bloch_rows, _dot_rows, _scalar
 
 __all__ = [
     "EDGE_LENGTH",
@@ -131,17 +131,20 @@ class PatchedOnticState:
             raise ValueError(f"patch index must lie in 1..12, got {self.k}")
 
 
-def assign_patch(frame: IcosaFrame, v) -> int:
-    """1-based index of the vertex nearest to v (ties go to the lowest)."""
-    arr = as_bloch(v)
-    return int(np.argmax(frame.vertices @ arr)) + 1
+def assign_patch(frame: IcosaFrame, v):
+    """1-based index of the vertex nearest to v (ties go to the lowest); one per row of a stack.
+
+    A stack takes one matrix-vector product per row, as one v does, so its
+    rows break ties as the single calls do; (m, 3) @ (3, 12) rounds otherwise.
+    """
+    dots = np.matmul(frame.vertices, _bloch_rows(v)[..., None])[..., 0]
+    return _scalar(np.argmax(dots, axis=-1) + 1)
 
 
-def _rotate_into_patch(frame: IcosaFrame, k: int, u) -> np.ndarray:
-    """Unit vector u expressed in the frame where vertex k is the pole."""
-    rotated = frame.rotations[k - 1] @ as_bloch(u)
-    rotated /= np.linalg.norm(rotated)
-    return rotated
+def _rotate_into_patch(frame: IcosaFrame, k, u) -> np.ndarray:
+    """Unit vector(s) u in the frame where vertex k (one per row of a stack) is the pole."""
+    rotated = np.matmul(frame.rotations[k - 1], _bloch_rows(u)[..., None])[..., 0]
+    return rotated / np.sqrt(_dot_rows(rotated, rotated))[..., None]
 
 
 def prepare(frame: IcosaFrame, v, rng: np.random.Generator) -> PatchedOnticState:
@@ -161,18 +164,19 @@ def measure_probability(frame: IcosaFrame, w, state: PatchedOnticState) -> float
     return conditional_probability(rotated, QubitOnticState(state.x, state.n))
 
 
-def extended_exact_probability(frame: IcosaFrame, v, w) -> float:
-    """Exact model probability of w for any preparation on the sphere."""
+def extended_exact_probability(frame: IcosaFrame, v, w):
+    """Exact model probability of w for any preparation on the sphere; one per pair of a stack."""
     k = assign_patch(frame, v)
     return exact_event_probability(_rotate_into_patch(frame, k, v), _rotate_into_patch(frame, k, w))
 
 
-def sample_hits_patched(frame: IcosaFrame, v, w, samples: int, rng: np.random.Generator) -> int:
+def sample_hits_patched(frame: IcosaFrame, v, w, samples: int, rng: np.random.Generator):
     """Count the outcomes w among ``samples`` rounds from any preparation v.
 
     Rotates v and w into the patch of v and draws the count there with
     ``cone.sample_hits``: exactly three binomial variates, as for
-    ``prepare`` followed by ``simulate_outcome`` round by round.
+    ``prepare`` followed by ``simulate_outcome`` round by round. Stacks
+    of pairs draw as ``cone.sample_hits`` does, one count per pair.
     """
     k = assign_patch(frame, v)
     return sample_hits(_rotate_into_patch(frame, k, v), _rotate_into_patch(frame, k, w), samples, rng)

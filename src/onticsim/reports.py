@@ -30,7 +30,7 @@ __all__ = [
     "write_report",
 ]
 
-FORMAT_HEADER = "format: onticsim-report 4"
+FORMAT_HEADER = "format: onticsim-report 5"
 
 
 def format_float(x: float) -> str:
@@ -51,7 +51,14 @@ def format_value(value) -> str:
     if isinstance(value, complex):
         return f"{format_float(value.real)}{value.imag:+.17g}j"
     if isinstance(value, tuple):
-        return "(" + ", ".join(format_value(v) for v in value) + ")"
+        # float and complex components (v, w, psi, phi cells) inline, without a call each
+        tokens = [
+            f"{c:.17g}" if type(c) is float
+            else f"{c.real:.17g}{c.imag:+.17g}j" if type(c) is complex
+            else format_value(c)
+            for c in value
+        ]
+        return "(" + ", ".join(tokens) + ")"
     return str(value)
 
 

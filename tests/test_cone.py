@@ -8,17 +8,20 @@ from hypothesis import strategies as st
 from onticsim import (
     THETA0,
     OutOfConeError,
+    PositivityReport,
     QubitOnticState,
     born_probability_qubit,
     conditional_probability,
     conditional_probability_unchecked,
     exact_event_probability,
+    fibonacci_sphere,
     positivity_minimum_n0,
     random_bloch,
     sample_ontic,
     sweep_positivity,
     to_spherical,
 )
+from onticsim import cone
 from onticsim.geometry import from_spherical, SphericalAngles
 
 
@@ -198,6 +201,56 @@ def test_sweep_rejects_bad_events(events):
     # a non-unit event would read as a positivity violation (min -0.5 for (2, 0, 0))
     with pytest.raises(ValueError):
         sweep_positivity(0.01, 1, events=events)
+
+
+def _pinned_sweeps():
+    """(x_step, n_event_points, keywords) of sweeps whose reports are pinned below."""
+    ev = fibonacci_sphere(300)[np.random.default_rng(8).permutation(300)]
+    south_first = np.concatenate([ev[ev[:, 2] < 0.0], ev[ev[:, 2] >= 0.0]])
+    # +z (twice) reads 1 and -z reads 0 at every azimuth: both extremes tie across every block
+    poles = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.0, 0.0, 1.0)]
+    duplicated = np.vstack([fibonacci_sphere(2497), poles])
+    override = (math.pi / 2 - 0.02, 1.7)  # one zenith row lands on the n = 1 guard and is skipped
+    return {
+        "shuffled_south_first": (0.01, 1, dict(events=south_first)),
+        "duplicated_event": (0.02, 1, dict(events=duplicated, x_range_n1=(0.0, 0.5))),
+        "ragged_last_block": (0.013, 300, {}),
+        "n1_range_override": (0.01, 1, dict(events=fibonacci_sphere(64), x_range_n1=override)),
+    }
+
+
+# Reports of the row-by-row scan that the blocked sweep replaced, recorded from it.
+PINNED_SWEEPS = {
+    "shuffled_south_first": PositivityReport(
+        5.284661597215745e-11, 4.18, 0, (0.35401396026970405, 0.6008851843930332, -0.7166666666666666),
+        1.0, 0.0, 0, (0.0815815883368026, 0.0, 0.9966666666666667), 217200,
+    ),
+    "duplicated_event": PositivityReport(
+        0.0, 0.0, 0, (0.0, 0.0, -1.0), 1.0, 0.0, 0, (0.028298423431205894, 0.0, 0.9995995194233079), 855000,
+    ),
+    "ragged_last_block": PositivityReport(
+        2.3886448374810243e-12, 2.028, 0, (0.44123925288070753, -0.8968879092268304, -0.030000000000000027),
+        1.0, 0.0, 0, (0.0815815883368026, 0.0, 0.9966666666666667), 167400,
+    ),
+    "n1_range_override": PositivityReport(
+        -8336.745308657482, 1.5807963267948966, 1, (0.17608480733726006, 0.0, 0.984375),
+        8337.745308657482, 1.5807963267948966, 1, (0.16209996356578596, 0.06877107812860624, -0.984375), 41280,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+def test_blocked_sweep_reproduces_row_scan(name):
+    step, count, keywords = _pinned_sweeps()[name]
+    assert sweep_positivity(step, count, **keywords) == PINNED_SWEEPS[name]
+
+
+def test_pinned_sweeps_span_blocks():
+    # 485 azimuth rows and 73 zenith rows do not fill whole blocks of 300 events,
+    # and the tied extremes of 2500 events recur in each of many blocks
+    rows = max(1, cone._SWEEP_BLOCK_VALUES // 300)
+    assert 1 < rows and 485 % rows and 73 % rows
+    assert math.ceil(2 * math.pi / 0.02) // max(1, cone._SWEEP_BLOCK_VALUES // 2500) >= 10
 
 
 def test_sweep_rejects_bad_step():

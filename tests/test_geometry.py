@@ -101,8 +101,21 @@ def test_born_ndim_values():
 
 def test_random_bloch_statistics():
     rng = np.random.default_rng(11)
-    vz = [random_bloch(rng)[2] for _ in range(10**6)]
+    vz = random_bloch(rng, size=10**6)[:, 2]
     assert abs(float(np.mean(vz))) < 0.005
+
+
+@pytest.mark.parametrize("z_min", [-1.0, 0.6])
+def test_random_bloch_stack_rows_match_single_draws(z_min):
+    # the stack consumes the same variates; numpy's sin and cos may differ from math's in the last bit
+    a = np.random.default_rng(15)
+    b = np.random.default_rng(15)
+    stack = random_bloch(a, z_min=z_min, size=1000)
+    singles = np.array([random_bloch(b, z_min=z_min) for _ in range(1000)])
+    assert stack.shape == (1000, 3) and stack.flags.c_contiguous
+    assert np.abs(stack - singles).max() <= 1e-15
+    assert np.array_equal(stack[:, 2], singles[:, 2])
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_random_bloch_unit_and_deterministic():

@@ -37,47 +37,47 @@ CASES = {
 # (render_structured, render_tabular) SHA-256 per case.
 DIGESTS = {
     "covering": (
-        "7a100329feb2609b5559454c5f953c366c5dbe65392ba81d45dadfae8e8911aa",
+        "9ac772674705e980a9fdc378fd5cecc696d70a86ea3e81ad56d56b78f3a56851",
         "e8e89789b9d8374e5fac00cb480dc1c5723a95ec82dea26b12e34689a0fd8287",
     ),
     "exact-ndim-ground": (
-        "f158f16aa8e564f99f566d7cd183088d71a48de350148921a50c1883e9175a07",
+        "603b1dd7065ead01344570f439e111fb9918bb13ef7983238da95b917dbccb89",
         "d600fbe03f5069572b16b5c6a13959779e6572a1b0b003ef389461a70caa6298",
     ),
     "exact-ndim-uniform": (
-        "3320c34462660d2a6da6f5cd9665a417de68284df0bfbda6243aad15e322817b",
+        "1ed9a063c01f12a7040ba492df5aff7ec77c48c8eb5b565a006a542756ed7fa1",
         "929ead5c5e4d0668b54cac31cf03bc683c442888e288430f6249ee803bee5819",
     ),
     "exact-qubit-cone": (
-        "aa031a473b102a382372d1c054e2966eeb2e6a3017e63685527424176c7fde44",
-        "8709a76dd9dd6d8c1ca1e3c05305c4f7b4538b7d6852ad0c5ae44ebdcd4b0e14",
+        "02aa62c54108803d9110f37d4ab085ad3aaae1cbdcc34e9b1a27a4f5ba69a379",
+        "1580d653b2788391dda072102691b545f504835186178b91e67a88e35534810d",
     ),
     "exact-qubit-sphere": (
-        "c520a50296da1ad39a67e0d52a9ef917bc331903fb1df48edcbd96d54518ad22",
-        "3eb563167f32a80b97530767b0401500a3257f15b88a179cb1221b5f93a58fd6",
+        "0663cf1df44a2d87dea4e84197f6922efdee5c7fc80da8195521ec100cd49080",
+        "a7fbbaf27ba43a88d06b0b78e651880dc0838c900450574c455e79e0739be66f",
     ),
     "mc-ndim-ground": (
-        "a69bcf5be5feddecc5317d0ac87cd88e00e48f56e10689caf2015086d1691af8",
+        "cb217788a0ff946c22a40197f7f83d113ee2dadc5d1ea1206413c053fff1ebc5",
         "9a6bd3ac28141407ec3fee38a69e6404663e37e7ba95d4d069d51457af817e0b",
     ),
     "mc-ndim-uniform": (
-        "eb0fa68946edbf321750ec723d88d45d4f08c7e3c372149b511d7c7bcfded050",
+        "222cbe72b7800426a17213190242e0a6ef8291bbf733364c19053015c128ee0b",
         "f3bb14382a61c12e4edf073da3d8db75232b59063768617789b384f981976263",
     ),
     "mc-qubit-cone": (
-        "57e96492deefc6df6830639730695583b8f065f52596a31544b62a8ff5de3218",
-        "0eee2de0ee1ef77c3695d9131c7510ba4289d51d4722c3005e8c1c67f8fe369a",
+        "4a539d6a504a7544a6b9e8f9721366bc1cf97428578d654dba259fc2100b6ff4",
+        "36b61ec13ccf05832b5345d3b48ab957b5c9610d943c3b957779442b35d73479",
     ),
     "mc-qubit-sphere": (
-        "38ab7d5b0b5afbe7caae4fe69c75025e4c34a0416854da8029c83400bf343f03",
-        "267db825c021d7d987a6b1e50a2f2c9cd72ed12d4c3a093dffb64fc12a3ca45e",
+        "a45964cfee6c3b4ab1082985e2682aa48cd82fb45832f4490d7dcc534f1eea31",
+        "9188d3f8c5f6af25c69602d0c38a5040e2d185f3c6b1dafde1d6a1674c95a1f0",
     ),
     "positivity-sweep": (
-        "def38300c4107bf833c807d43725e27dc69c46f24d16af5216d8720c476de792",
+        "da4938b99e936a91279e79f90a77f8220965d501014a71302f1c300d2940022e",
         "5086f76e5c92945e74d9eab53d42bfa34cfc65195131f00f9beb90c2469bc4d6",
     ),
     "witness": (
-        "cde94dc146892ffd7a04bd9b8088014aa45e0006e0bdd04829b68a0f5e18502c",
+        "e20df78f7a9def1ec19933d12d459dd85ccc846259e79b0cad75b6f609c18ec2",
         "8ba11fb96e6b44015dc448541245c9ef47ebccca0ca4424d74e96e596675755b",
     ),
 }

@@ -8,6 +8,9 @@ theta = THETA0 - eps. Events are fixed directions, the equator with
 w_z = +0.0 and -0.0 (the boundary of the complement fold), and +-v.
 Next to each vertex (1e-4 down to 1e-12 rad off it), w = +-v sits next
 to the patch pole, where ``1 - w_z**2`` would cancel.
+
+The same places, and random pairs, check that (m, 3) stacks give what
+the single-pair calls give, row by row.
 """
 
 import math
@@ -17,12 +20,15 @@ import pytest
 
 from onticsim import (
     THETA0,
+    OutOfConeError,
+    assign_patch,
     born_probability_qubit,
     build_frame,
     exact_event_probability,
     extended_exact_probability,
     fibonacci_sphere,
     from_spherical,
+    random_bloch,
     sample_hits,
     sample_hits_patched,
     to_spherical,
@@ -103,3 +109,58 @@ def test_exact_paths_at_hard_places(frame, place):
     assert cone_pairs > 0
     assert worst_cone <= BOUND
     assert worst_sphere <= BOUND
+
+
+def _stacked_pairs(place):
+    """(v, w) rows: every hard place against each of its events, or random pairs."""
+    if place == "random":
+        rng = np.random.default_rng(6)
+        v = np.vstack((random_bloch(rng, size=300), random_bloch(rng, z_min=0.6, size=300)))
+        return v, random_bloch(rng, size=600)
+    pairs = [(v, w) for v in _places()[place] for w in _events(v)]
+    return np.array([v for v, _ in pairs]), np.array([w for _, w in pairs])
+
+
+def _refused(fn, *args):
+    try:
+        fn(*args)
+    except OutOfConeError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("place", ["poles", "ties", "cone_edge", "near_vertices", "random"])
+def test_stacks_match_single_pairs(frame, place):
+    v, w = _stacked_pairs(place)
+    patches = assign_patch(frame, v)
+    assert patches.tolist() == [assign_patch(frame, u) for u in v]
+    for u, k in zip(v, patches.tolist()):
+        dots = frame.vertices @ u
+        assert k == 1 + int(np.flatnonzero(dots == dots.max())[0])  # ties go to the lowest
+    sphere = extended_exact_probability(frame, v, w)
+    assert sphere.tolist() == [extended_exact_probability(frame, a, b) for a, b in zip(v, w)]
+
+    refused = [i for i, (a, b) in enumerate(zip(v, w)) if _refused(exact_event_probability, a, b)]
+    if refused:
+        with pytest.raises(OutOfConeError) as info:
+            exact_event_probability(v, w)
+        assert info.value.rows == tuple(refused)
+        with pytest.raises(OutOfConeError) as info:
+            sample_hits(v, w, SAMPLES, np.random.default_rng(0))
+        assert info.value.rows == tuple(refused)
+    inside = np.setdiff1d(np.arange(len(v)), refused)
+    assert inside.size > 0
+    cone = exact_event_probability(v[inside], w[inside])
+    assert cone.tolist() == [exact_event_probability(a, b) for a, b in zip(v[inside], w[inside])]
+
+    # a stack of one draws the same counts, and leaves the generator where the pair alone does
+    for i in range(0, len(v), 5):
+        one = np.random.default_rng(i), np.random.default_rng(i)
+        pair = sample_hits_patched(frame, v[i], w[i], SAMPLES, one[0])
+        assert sample_hits_patched(frame, v[i : i + 1], w[i : i + 1], SAMPLES, one[1]).tolist() == [pair]
+        if i in inside:
+            pair = sample_hits(v[i], w[i], SAMPLES, one[0])
+            assert sample_hits(v[i : i + 1], w[i : i + 1], SAMPLES, one[1]).tolist() == [pair]
+        assert one[0].bit_generator.state == one[1].bit_generator.state
+    hits = sample_hits_patched(frame, v, w, SAMPLES, np.random.default_rng(1))
+    assert hits.shape == (len(v),) and 0 <= hits.min() and hits.max() <= SAMPLES

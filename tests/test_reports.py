@@ -31,6 +31,11 @@ def test_format_value_tokens():
     assert format_value(False) == "false"
     assert format_value(3) == "3"
     assert format_value((1.0, 2.0)) == "(1, 2)"
+    assert format_value((0.5 - 0.25j, 1j)) == "(0.5-0.25j, 0+1j)"
+    assert format_value(()) == "()"
+    # tuples of other components still format each one as a value of its own
+    assert format_value((1, None, True, 0.5, 1 + 2j)) == "(1, , true, 0.5, 1+2j)"
+    assert format_value(((1.0,), 2.0)) == "((1), 2)"
     assert float(format_value(0.1)) == 0.1
     token = format_value(0.5 - 0.25j)
     assert complex(token) == 0.5 - 0.25j
@@ -48,7 +53,7 @@ def test_structured_layout():
     cfg = ExperimentConfig(kind="witness", seed=5)
     text = render_structured(run_experiment(cfg))
     lines = text.splitlines()
-    assert lines[0] == "format: onticsim-report 4"
+    assert lines[0] == "format: onticsim-report 5"
     assert "[config]" in lines
     assert "[cases]" in lines
     assert "[summary]" in lines
