@@ -15,6 +15,7 @@ config, 3 any other error (its traceback goes to stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -91,6 +92,7 @@ def _table(command: str) -> dict:
     return {**_COMMON, **_COMMANDS[command][1]}
 
 
+@functools.lru_cache(maxsize=1)  # the help is static and parse_args returns a fresh Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="onticsim",

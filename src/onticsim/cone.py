@@ -94,9 +94,14 @@ class QubitOnticState:
 
 
 def _cone_angles(v) -> tuple[float, float]:
-    """Zenith and azimuth of preparation v, gated by the validity cone."""
+    """Zenith and azimuth of preparation v, gated by the validity cone.
+
+    Refuses v_z <= cos(THETA0) = 3/5, as ``_cone_trig`` does: at v_z = 3/5 the
+    atan2 zenith can round below THETA0. A zenith that rounds to THETA0 or
+    beyond is refused too, so an accepted state always passes the n = 1 gate.
+    """
     theta, phi = to_spherical(v)
-    if theta >= THETA0:
+    if theta >= THETA0 or not v[2] > _COS_THETA0:
         raise OutOfConeError(f"zenith {theta!r} outside validity cone {THETA0!r}")
     return theta, phi
 

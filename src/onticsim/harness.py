@@ -416,15 +416,33 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple:
     return records, _summary(stats, criteria)
 
 
-def _nearest_vertex_angles(frame, vectors: np.ndarray) -> np.ndarray:
-    """Angle from each row of ``vectors`` to its nearest frame vertex."""
-    dots = np.clip(vectors @ frame.vertices.T, -1.0, 1.0)
-    return np.arccos(dots.max(axis=1))
+# Direction rows per block of the covering reduction: 8192 rows x 12 vertices is 786 KB of
+# dot products. The last block takes the remainder, so no block is a single row unless
+# there is one row in all (a one-row product rounds differently from a stacked one).
+_COVERING_BLOCK_ROWS = 8192
+
+
+def _nearest_vertex_angles(frame, n: int, rows) -> np.ndarray:
+    """Angle from each of n unit vectors to its nearest frame vertex.
+
+    ``rows(block)`` gives the vectors of a slice of row indices. Each block's
+    dot products with the vertices, ``rows @ vertices.T``, reduce to their
+    largest at once, so no (n, 12) matrix is built. Clip and arccos then run in
+    place on the n largest: the same as clipping first, since clip is monotone.
+    """
+    best = np.empty(n)
+    blocks = max(1, n // _COVERING_BLOCK_ROWS)
+    for i in range(blocks):
+        stop = n if i == blocks - 1 else (i + 1) * _COVERING_BLOCK_ROWS
+        block = slice(i * _COVERING_BLOCK_ROWS, stop)
+        np.max(rows(block) @ frame.vertices.T, axis=1, out=best[block])
+    return np.arccos(np.clip(best, -1.0, 1.0, out=best), out=best)
 
 
 def covering_check(frame, vectors) -> float:
     """Largest angle from any of the unit vectors to its nearest vertex."""
-    return float(_nearest_vertex_angles(frame, _unit_rows(vectors, "vectors")).max())
+    vectors = _unit_rows(vectors, "vectors")
+    return float(_nearest_vertex_angles(frame, len(vectors), vectors.__getitem__).max())
 
 
 def _run_covering(cfg: ExperimentConfig) -> tuple:
@@ -432,9 +450,14 @@ def _run_covering(cfg: ExperimentConfig) -> tuple:
     rng = case_rng(cfg.seed, 0)
     vz = rng.uniform(-1.0, 1.0, cfg.pairs)
     ph = rng.uniform(0.0, 2.0 * math.pi, cfg.pairs)
-    s = np.sqrt(np.maximum(0.0, 1.0 - vz * vz))
-    vectors = np.column_stack((s * np.cos(ph), s * np.sin(ph), vz))
-    angles = _nearest_vertex_angles(frame, vectors)
+
+    def directions(block: slice) -> np.ndarray:
+        # elementwise, so a block's rows equal those of the whole draw
+        z = vz[block]
+        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        return np.column_stack((s * np.cos(ph[block]), s * np.sin(ph[block]), z))
+
+    angles = _nearest_vertex_angles(frame, cfg.pairs, directions)
     worst = int(np.argmax(angles))
     max_angle = float(angles[worst])
 
@@ -446,7 +469,8 @@ def _run_covering(cfg: ExperimentConfig) -> tuple:
     edge_count = int(edge_mask.sum())
     max_edge_dev = float(np.abs(pairwise[edge_mask] - EDGE_LENGTH).max())
 
-    records = (_CoveringRow(0, tuple(vectors[worst].tolist()), angle_to_nearest_vertex=max_angle),)
+    worst_vector = tuple(directions(slice(worst, worst + 1))[0].tolist())
+    records = (_CoveringRow(0, worst_vector, angle_to_nearest_vertex=max_angle),)
     criteria = (
         ("within_covering_radius", max_angle <= COVERING_RADIUS + 1e-6),
         ("inside_validity_cone", max_angle < THETA0),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import os
 import tempfile
 from pathlib import Path
@@ -70,10 +71,35 @@ def _config_lines(config) -> list[str]:
     return lines
 
 
+def _column_tokens(column: tuple):
+    """Tokens of one column, with one formatter for all of it when its values share a type.
+
+    Float, int and None columns, and tuple columns whose cells have one length
+    and only float or only complex components, take the fast path; the tokens
+    are those of ``format_value``. Any other column goes value by value.
+    """
+    kinds = set(map(type, column))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        return map("%.17g".__mod__, column)
+    if kind is int:
+        return map(str, column)
+    if kind is type(None):
+        return [""] * len(column)
+    if kind is tuple and len(set(map(len, column))) == 1:
+        parts = set(map(type, itertools.chain.from_iterable(column)))
+        width = len(column[0])
+        if parts == {float}:
+            return map(("(" + ", ".join(["%.17g"] * width) + ")").__mod__, column)
+        if parts == {complex}:
+            form = ("(" + ", ".join(["%.17g%+.17gj"] * width) + ")").__mod__
+            return [form(tuple(x for c in cell for x in (c.real, c.imag))) for cell in column]
+    return map(format_value, column)
+
+
 def _token_table(records) -> list[tuple[str, ...]]:
     """Each record's values as tokens, each value formatted once, column by column."""
-    columns = [[format_value(value) for value in column] for column in zip(*records)]
-    return list(zip(*columns))
+    return list(zip(*map(_column_tokens, zip(*records))))
 
 
 def _structured(report, table) -> str:

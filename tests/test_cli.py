@@ -114,6 +114,48 @@ def test_sweep_and_covering_commands(tmp_path):
     assert (sweep_dir / "sweep" / "report.txt").is_file()
 
 
+def test_covering_past_one_block(tmp_path):
+    # 8193 directions: one block of 8192 rows that also takes the last row
+    argv = ["covering", "--directions", "8193", "--seed", "7", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    (run_dir,) = _run_dirs(tmp_path, "covering")
+    header, row = (run_dir / "covering" / "cases.csv").read_text().splitlines()
+    assert header.endswith(",angle_to_nearest_vertex")
+    # the values of the unblocked (directions, 12) reduction
+    assert row == (
+        '0,"(-0.79253273713272376, 0.58086673900697128, -0.18570323661239718)",'
+        ",,,,,,0.64978410894622662"
+    )
+
+
+def test_parser_keeps_nothing_between_parses(tmp_path):
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta = 0.25\n")
+    first = parser.parse_args(
+        ["demo-nonmarkov", "--config", str(cfg), "--phi-a", "0.5", "--seed", "3",
+         "--format", "tabular"]
+    )
+    assert (first.config, first.phi_a, first.seed, first.format) == (str(cfg), 0.5, 3, "tabular")
+    second = parser.parse_args(["demo-nonmarkov"])
+    assert second is not first
+    assert set(vars(second)) == set(vars(first))
+    assert {k for k, v in vars(second).items() if v is not None} == {"command"}
+    # and through main: the second run reads neither the first's flags nor its config file
+    assert main(["demo-nonmarkov", "--config", str(cfg), "--phi-a", "0.5",
+                 "--out-dir", str(tmp_path / "a")]) == 0
+    assert main(["demo-nonmarkov", "--out-dir", str(tmp_path / "b")]) == 0
+    (dir_a,) = _run_dirs(tmp_path / "a", "demo-nonmarkov")
+    (dir_b,) = _run_dirs(tmp_path / "b", "demo-nonmarkov")
+    assert dir_a.name.startswith("demo-nonmarkov-0-")
+    text_a = (dir_a / "witness" / "report.txt").read_text()
+    text_b = (dir_b / "witness" / "report.txt").read_text()
+    assert "theta = 0.25\n" in text_a and "phi_a = 0.5\n" in text_a
+    assert "theta = 0.5\n" in text_b and "phi_a = 0\n" in text_b
+    assert "seed = 0\n" in text_b
+
+
 def test_simulate_protocol_random_pair(tmp_path):
     code = main(
         [

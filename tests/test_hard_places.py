@@ -31,6 +31,7 @@ from onticsim import (
     random_bloch,
     sample_hits,
     sample_hits_patched,
+    sample_ontic,
     to_spherical,
 )
 from onticsim.geometry import POLE_SIN_EPS
@@ -164,3 +165,29 @@ def test_stacks_match_single_pairs(frame, place):
         assert one[0].bit_generator.state == one[1].bit_generator.state
     hits = sample_hits_patched(frame, v, w, SAMPLES, np.random.default_rng(1))
     assert hits.shape == (len(v),) and 0 <= hits.min() and hits.max() <= SAMPLES
+
+
+def test_one_gate_at_the_cone_boundary():
+    # the 81 floats nearest v_z = 3/5, each at 97 azimuths: every single-pair call
+    # refuses exactly the preparations with v_z <= 3/5, and a stack names the same rows
+    heights = [0.6]
+    for _ in range(40):
+        heights = [math.nextafter(heights[0], 0.0), *heights, math.nextafter(heights[-1], 1.0)]
+    v = np.array([
+        (math.sqrt(1.0 - z * z) * math.cos(a), math.sqrt(1.0 - z * z) * math.sin(a), z)
+        for z in heights
+        for a in (2.0 * math.pi * j / 97 for j in range(97))
+    ])
+    w = np.array([0.0, 0.0, 1.0])
+    expected = [i for i, z in enumerate(v[:, 2]) if z <= 0.6]
+    assert len(expected) == 41 * 97
+    rng = np.random.default_rng(0)
+    for fn in (
+        lambda u: sample_ontic(u, rng),
+        lambda u: exact_event_probability(u, w),
+        lambda u: sample_hits(u, w, SAMPLES, rng),
+    ):
+        assert [i for i, u in enumerate(v) if _refused(fn, u)] == expected
+    with pytest.raises(OutOfConeError) as info:
+        exact_event_probability(v, np.tile(w, (len(v), 1)))
+    assert info.value.rows == tuple(expected)

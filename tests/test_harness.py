@@ -21,7 +21,7 @@ from onticsim import (
 )
 from onticsim.cli import main
 from onticsim.cone import _cone_angles
-from onticsim.harness import _CONE_Z_MIN
+from onticsim.harness import _CONE_Z_MIN, _COVERING_BLOCK_ROWS, _nearest_vertex_angles
 from onticsim.reports import render_structured, render_tabular
 
 
@@ -264,6 +264,54 @@ def test_covering_experiment():
 
 def test_covering_check_vertices_are_zero(frame):
     assert covering_check(frame, frame.vertices) < 1e-7
+
+
+def _lone_row_last(frame, rows):
+    """rows, the last one swapped for one whose one-row product max rounds unlike the stacked one.
+
+    A reduction that split off a one-row tail block would then differ on it.
+    Rows stay as they are where no such row turns up.
+    """
+    stacked = (rows[:200] @ frame.vertices.T).max(axis=1)
+    lone = [
+        i for i in range(len(stacked))
+        if (rows[i : i + 1] @ frame.vertices.T).max() != stacked[i]
+    ]
+    if lone:
+        rows = rows.copy()
+        rows[-1] = rows[lone[0]]
+    return rows
+
+
+# Row counts as (whole blocks B, extra rows), and the vertices themselves.
+@pytest.mark.parametrize(
+    "size",
+    [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 1), (0, 10**5), None],
+    ids=["1", "2", "B-1", "B", "B+1", "2B+1", "1e5", "vertices"],
+)
+def test_nearest_vertex_angles_match_the_unblocked_reduction(frame, size):
+    B = _COVERING_BLOCK_ROWS
+    if size is None:
+        rows = frame.vertices
+    else:
+        n = size[0] * B + size[1]
+        rows = random_bloch(np.random.default_rng(n), size=n)
+        if n > 1:
+            rows = _lone_row_last(frame, rows)
+    blocks = []
+
+    def record(block):
+        blocks.append(block)
+        return rows[block]
+
+    angles = _nearest_vertex_angles(frame, len(rows), record)
+    expected = np.arccos(np.clip(rows @ frame.vertices.T, -1.0, 1.0).max(axis=1))
+    assert angles.tobytes() == expected.tobytes()
+    # blocks cover the rows in order; the last takes the remainder, and none is a lone row
+    assert [b.start for b in blocks] == [i * B for i in range(len(blocks))]
+    assert blocks[-1].stop == len(rows)
+    assert all(b.stop == b.start + B for b in blocks[:-1])
+    assert len(rows) == 1 or all(b.stop - b.start > 1 for b in blocks)
 
 
 @pytest.mark.parametrize("vectors", [

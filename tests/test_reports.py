@@ -8,6 +8,7 @@ import pytest
 
 from onticsim import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 from onticsim.reports import (
+    _token_table,
     format_float,
     format_value,
     render_structured,
@@ -153,3 +154,46 @@ def test_write_report_matches_the_renderers(name, tmp_path):
     assert (tmp_path / "cases.csv").read_bytes() == render_tabular(report).encode("utf-8")
     write_report(report, tmp_path / "one", formats=("tabular",))
     assert [p.name for p in (tmp_path / "one").iterdir()] == ["cases.csv"]
+
+
+_NAN = float("nan")
+_INF = float("inf")
+# Columns that each take the one-formatter path, and columns that must go value by value.
+_TOKEN_COLUMNS = {
+    "floats": [0.1, -0.0, 0.0, _INF, -_INF, _NAN, 1e-300, -2.5e300, 5e-324],
+    "ints": [0, -1, 7, 2**70, -(2**63), 3, 4, 5, 6],
+    "nones": [None] * 9,
+    "bools": [True, False] * 4 + [True],
+    "float_triples": [(0.1, -0.0, _NAN), (_INF, -_INF, 1.0)] * 4 + [(0.0, 0.0, 0.0)],
+    "complex_pairs": [
+        (complex(-0.0, -0.0), complex(_NAN, 1.0)),
+        (complex(1.0, _NAN), complex(0.5, -0.0)),
+        (complex(_INF, -_INF), complex(-1e-300, 2.0)),
+    ] * 3,
+    "ragged_floats": [(0.5,), (0.5, -0.0)] * 4 + [()],
+    "empty_tuples": [()] * 9,
+    "mixed_tuples": [(1.0, 2), (1.0, 2.0), (0.5 + 1j, None), (True, -0.0), (_NAN, 1j),
+                     (("x",), 2.0), (1.0, 2.0), (-0.0, _INF), (0.5, 0.5)],
+    "float_and_complex": [(1.0, 2.0), (1j, 2j)] * 4 + [(0.0, 0.0)],
+    "z": [None, 1.5, -0.0, None, _NAN, 2.0, None, -_INF, 0.25],
+    "exact_match": [None, True, False, None, None, True, None, None, False],
+    "ints_and_floats": [1, 1.0, 2, 2.5, -0.0, 0, 3, 4.0, 5],
+    "numpy_floats": [np.float64(0.1), np.float64(-0.0)] * 4 + [np.float64(_NAN)],
+    "strings": ["global_min", "a", "b", "", "x, y", "q", "r", "s", "t"],
+}
+
+
+def test_token_table_matches_format_value():
+    records = list(zip(range(9), *_TOKEN_COLUMNS.values(), strict=True))
+    table = _token_table(records)
+    assert len(table) == len(records)
+    for record, tokens in zip(records, table, strict=True):
+        assert len(tokens) == len(record)
+        for value, token in zip(record, tokens):
+            assert type(token) is str and token == format_value(value), value
+
+
+@pytest.mark.parametrize("name", ROW_CONFIGS)
+def test_token_table_of_each_kind_matches_format_value(name):
+    records = _row_report(name).records
+    assert _token_table(records) == [tuple(map(format_value, r)) for r in records]
