@@ -1,12 +1,13 @@
 """Command-line front end for the verification experiments.
 
 Each subcommand runs one or more harness experiments, or the
-prepare/transmit/measure protocol, and writes its reports into a fresh
-run directory; ``onticsim --help`` lists them. Options come from one
-table (``_COMMON`` and ``_COMMANDS``): defaults, overridden by a
-``--config FILE`` of flat ``key = value`` lines (``#`` comments
-allowed), overridden by explicit flags. Every option is checked before the run directory is
-created, so bad input leaves nothing behind.
+prepare/transmit/measure protocol, in memory; ``onticsim --help`` lists
+them. Options come from one table (``_COMMON`` and ``_COMMANDS``):
+defaults, overridden by a ``--config FILE`` of flat ``key = value``
+lines (``#`` comments allowed), overridden by explicit flags. Every
+option is checked before any run, and ``main`` creates the fresh run
+directory only after every run has returned, then writes the reports
+into it: neither bad input nor a failed run (exit 3) leaves anything behind.
 
 Exit status: 0 all checks passed, 1 a check failed, 2 bad usage or
 config, 3 any other error (its traceback goes to stderr).
@@ -36,7 +37,7 @@ from .icosa import (
     prepare_messages,
     serialize_message,
 )
-from .reports import format_float, format_value, write_bytes_atomic, write_report, write_text_atomic
+from .reports import format_float, format_value, write_bytes_atomic, write_report
 
 __all__ = ["main", "entry"]
 
@@ -180,12 +181,12 @@ def _plan(command: str, opts: dict) -> list:
     return plan
 
 
-def _run_plan(plan: list, opts: dict, run_dir: Path) -> int:
-    formats = ("structured", "tabular") if opts["format"] == "both" else (opts["format"],)
-    passed = True
+def _run_plan(plan: list) -> tuple:
+    """Run every experiment; returns the (label, report) pairs to write and the exit code."""
+    reports = []
     for label, cfg in plan:
         report = run_experiment(cfg)
-        write_report(report, run_dir / label, formats=formats)
+        reports.append((label, report))
         if cfg.kind == "witness":
             stats = dict(report.summary.stats)
             print(f"shared zenith-branch coordinate x = {format_float(stats['shared_ontic_x'])}")
@@ -197,9 +198,7 @@ def _run_plan(plan: list, opts: dict, run_dir: Path) -> int:
         status = "PASS" if report.passed else "FAIL(" + ", ".join(failing) + ")"
         stats = report.summary.stats
         print(f"[{label}] {status} | " + ", ".join(f"{k} = {format_value(v)}" for k, v in stats))
-        passed = passed and report.passed
-    print(f"reports written to {run_dir}")
-    return 0 if passed else 1
+    return reports, 0 if all(report.passed for _, report in reports) else 1
 
 
 def _protocol_pairs(opts: dict) -> list:
@@ -207,8 +206,8 @@ def _protocol_pairs(opts: dict) -> list:
     for name in ("rounds", "pairs", "workers"):
         if opts[name] < 1:
             raise ValueError(f"{name} must be at least 1")
-    if opts["seed"] < 0:
-        raise ValueError("seed cannot be negative")
+    if not 0 <= opts["seed"] < 2**64:  # the rule ExperimentConfig applies to every other command
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
     pairs = []
     for key, value in sorted(opts.get("explicit_pairs", []), key=lambda kv: kv[0]):
         try:
@@ -226,7 +225,8 @@ def _protocol_pairs(opts: dict) -> list:
     return pairs or [None] * opts["pairs"]
 
 
-def _run_protocol(pair_list: list, opts: dict, run_dir: Path) -> int:
+def _run_protocol(pair_list: list, opts: dict) -> tuple:
+    """Run every pair; returns the (file name, bytes) pairs to write and the exit code."""
     rounds = opts["rounds"]
     frame = build_frame()
     transcript = [
@@ -272,12 +272,10 @@ def _run_protocol(pair_list: list, opts: dict, run_dir: Path) -> int:
     transcript.append(f"passed = {'true' if all_ok else 'false'}")
 
     blob_all = b"".join(blobs)
-    write_bytes_atomic(run_dir / "messages.bin", blob_all)
-    write_text_atomic(run_dir / "transcript.txt", "\n".join(transcript) + "\n")
     print(f"{len(pair_list)} pair(s), {rounds} rounds each, "
           f"{len(blob_all)} message bytes written")
-    print(f"transcript and messages in {run_dir}")
-    return 0 if all_ok else 1
+    text = "\n".join(transcript) + "\n"
+    return [("messages.bin", blob_all), ("transcript.txt", text.encode())], 0 if all_ok else 1
 
 
 def _resolve_run_dir(opts: dict, command: str) -> Path:
@@ -307,14 +305,20 @@ def main(argv=None) -> int:
     except ValueError as exc:  # bad flags, config file or option values
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    run_dir = None
+    formats = ("structured", "tabular") if opts["format"] == "both" else (opts["format"],)
     try:
+        outputs, code = _run_protocol(work, opts) if protocol else _run_plan(work)
+        # Every run has returned: only now does the run directory exist.
         run_dir = _resolve_run_dir(opts, args.command)
-        return (_run_protocol if protocol else _run_plan)(work, opts, run_dir)
+        for name, output in outputs:
+            if isinstance(output, bytes):
+                write_bytes_atomic(run_dir / name, output)
+            else:
+                write_report(output, run_dir / name, formats=formats)
+        print(f"reports written to {run_dir}")
+        return code
     except Exception:  # the run itself failed: not a usage error
         traceback.print_exc()
-        if run_dir is not None and not any(run_dir.iterdir()):
-            run_dir.rmdir()
         return 3
 
 

@@ -33,7 +33,6 @@ max(1, pairs // 100) cases land outside |z| <= 5.
 from __future__ import annotations
 
 import collections
-import functools
 import hashlib
 import math
 import numbers
@@ -138,6 +137,8 @@ class ExperimentConfig:
             raise ValueError("pairs must be at least 1")
         if self.samples < 0:
             raise ValueError("samples cannot be negative")
+        if self.samples > 2**63 - 1:  # numpy draws hit counts as int64; no other size bounds samples
+            raise ValueError(f"samples must be at most 2**63 - 1, got {self.samples}")
         if self.kind.startswith("mc-") and self.samples < 1:
             raise ValueError(f"{self.kind} needs samples >= 1")
         if self.dim < 2:
@@ -161,9 +162,9 @@ class ExperimentConfig:
         if self.kind == "witness":
             non_markov_witness(self.theta, self.phi_a, self.phi_b)  # raises on bad angles
         if self.kind.endswith("-ndim"):
-            # feasibility probe on the run's seed: a radius too large for the scheme fails here
+            # the run's own draw: a radius too large for the scheme fails here, not mid-run
             try:
-                make_in_region_pair(self.dim, _scheme_for(self), case_rng(self.seed, 0), radius=self.radius)
+                _ndim_pairs(self)
             except RuntimeError as exc:
                 raise ValueError(f"radius too large for the {self.scheme} scheme: {exc}") from exc
 
@@ -246,11 +247,6 @@ def allowed_z_failures(pairs: int) -> int:
     return max(1, pairs // 100)
 
 
-@functools.lru_cache(maxsize=1)
-def _frame():
-    return build_frame()
-
-
 def _scheme_for(cfg: ExperimentConfig) -> WeightScheme:
     if cfg.scheme == "uniform":
         return uniform_weights(cfg.dim)
@@ -265,7 +261,7 @@ def _qubit_pairs(cfg: ExperimentConfig) -> tuple:
     w = random_bloch(rng, size=cfg.pairs)
     columns = [map(tuple, v.tolist()), map(tuple, w.tolist())]
     if not cone:
-        columns.append(assign_patch(_frame(), v).tolist())
+        columns.append(assign_patch(build_frame(), v).tolist())
     return rng, v, w, list(zip(*columns))
 
 
@@ -275,7 +271,7 @@ def _run_exact_qubit(cfg: ExperimentConfig) -> tuple:
     if cfg.region == "cone":
         exact = exact_event_probability(v, w)
     else:
-        exact = extended_exact_probability(_frame(), v, w)
+        exact = extended_exact_probability(build_frame(), v, w)
     born = born_probability_qubit(v, w)
     errors = np.abs(exact - born).tolist()
     columns = zip(inputs, exact.tolist(), born.tolist(), errors)
@@ -322,7 +318,7 @@ def _run_mc_qubit(cfg: ExperimentConfig) -> tuple:
     if cfg.region == "cone":
         hits = sample_hits(v, w, cfg.samples, rng)
     else:
-        hits = sample_hits_patched(_frame(), v, w, cfg.samples, rng)
+        hits = sample_hits_patched(build_frame(), v, w, cfg.samples, rng)
     columns = zip(inputs, born_probability_qubit(v, w).tolist(), hits.tolist())
     records = tuple(
         _mc_record(row, index, x, b, h, cfg.samples, 0)
@@ -446,7 +442,7 @@ def covering_check(frame, vectors) -> float:
 
 
 def _run_covering(cfg: ExperimentConfig) -> tuple:
-    frame = _frame()
+    frame = build_frame()
     rng = case_rng(cfg.seed, 0)
     vz = rng.uniform(-1.0, 1.0, cfg.pairs)
     ph = rng.uniform(0.0, 2.0 * math.pi, cfg.pairs)

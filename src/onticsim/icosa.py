@@ -9,6 +9,7 @@ number plus a branch bit plus the patch index: 10 bytes on the wire.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -94,6 +95,7 @@ def _rotation_to_pole(n: np.ndarray) -> np.ndarray:
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
+@functools.lru_cache(maxsize=1)  # the frame is frozen and its arrays write-protected
 def build_frame() -> IcosaFrame:
     """Icosahedron in polar orientation: vertex 1 at +z, vertex 12 at -z.
 

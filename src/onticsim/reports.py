@@ -63,14 +63,6 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _config_lines(config) -> list[str]:
-    lines = []
-    for name, value in config.items():
-        lines.append(f"{name} = {format_value(value)}")
-    lines.append(f"digest = {config.digest()}")
-    return lines
-
-
 def _column_tokens(column: tuple):
     """Tokens of one column, with one formatter for all of it when its values share a type.
 
@@ -104,7 +96,9 @@ def _token_table(records) -> list[tuple[str, ...]]:
 
 def _structured(report, table) -> str:
     out = [FORMAT_HEADER, "[config]"]
-    out.extend(_config_lines(report.config))
+    for name, value in report.config.items():
+        out.append(f"{name} = {format_value(value)}")
+    out.append(f"digest = {report.config.digest()}")
     out.append("[cases]")
     names = report.records[0]._fields[1:]
     for record, (index, *tokens) in zip(report.records, table):

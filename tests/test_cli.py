@@ -1,8 +1,13 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import onticsim
 from onticsim import cli, run_experiment
 from onticsim.cli import main
 from onticsim.icosa import MESSAGE_SIZE
@@ -277,6 +282,12 @@ def test_cli_reports_deterministic(tmp_path):
         ["verify-ndim", "--scheme", "ground", "--pole-mass", "1.5"],
         ["verify-ndim", "--dim", "12", "--radius", "10", "--scheme", "ground", "--pole-mass", "0.9",
          "--pairs", "1"],
+        # past numpy's int64 limit, which a hit count must fit
+        ["verify-qubit", "--pairs", "3", "--samples", "10000000000000000000"],
+        # the first pair is in region; the run's draw of 100 pairs is not
+        ["verify-ndim", "--dim", "6", "--scheme", "ground", "--pole-mass", "0.9", "--radius", "0.4",
+         "--pairs", "100"],
+        ["simulate-protocol", "--seed", "18446744073709551616"],
     ],
 )
 def test_bad_input_exits_2_before_any_side_effect(tmp_path, capsys, argv):
@@ -319,4 +330,43 @@ def test_internal_error_exits_3_with_traceback(tmp_path, monkeypatch, capsys):
     assert main(["covering", "--directions", "100", "--out-dir", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "internal fault" in err
-    assert not any(tmp_path.iterdir())  # the empty run directory is removed
+    assert not any(tmp_path.iterdir())  # the run failed before its run directory was created
+
+
+def test_failed_later_run_leaves_no_run_dir(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def third_fails(cfg):
+        calls.append(cfg.kind)
+        if len(calls) == 3:
+            raise RuntimeError("third run fails")
+        return run_experiment(cfg)
+
+    monkeypatch.setattr(cli, "run_experiment", third_fails)
+    out = tmp_path / "out"
+    argv = ["verify-qubit", "--pairs", "20", "--samples", "10", "--out-dir", str(out)]
+    assert main(argv) == 3
+    assert calls == ["exact-qubit", "exact-qubit", "mc-qubit"]
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert "[exact-sphere] PASS" in captured.out and "third run fails" in captured.err
+
+
+def test_failed_protocol_leaves_no_run_dir(tmp_path, monkeypatch, capsys):
+    def broken(frame, w, blob):
+        raise RuntimeError("measurer fault")
+
+    monkeypatch.setattr(cli, "measure_messages", broken)
+    out = tmp_path / "out"
+    assert main(["simulate-protocol", "--rounds", "100", "--out-dir", str(out)]) == 3
+    assert not out.exists()
+    assert "measurer fault" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(onticsim.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "onticsim", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: onticsim")
