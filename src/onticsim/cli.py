@@ -272,8 +272,7 @@ def _run_protocol(pair_list: list, opts: dict) -> tuple:
     transcript.append(f"passed = {'true' if all_ok else 'false'}")
 
     blob_all = b"".join(blobs)
-    print(f"{len(pair_list)} pair(s), {rounds} rounds each, "
-          f"{len(blob_all)} message bytes written")
+    print(f"{len(pair_list)} pair(s), {rounds} rounds each, {len(blob_all)} message bytes")
     text = "\n".join(transcript) + "\n"
     return [("messages.bin", blob_all), ("transcript.txt", text.encode())], 0 if all_ok else 1
 

@@ -294,7 +294,6 @@ def sweep_positivity(
     n_event_points: int,
     *,
     events=None,
-    x_range_n0: tuple[float, float] | None = None,
     x_range_n1: tuple[float, float] | None = None,
 ) -> PositivityReport:
     """Grid-scan both response functions and record their extrema.
@@ -302,8 +301,9 @@ def sweep_positivity(
     The event set defaults to a Fibonacci-sphere grid of
     ``n_event_points`` directions; pass ``events``, unit vectors, to pin
     specific directions instead. Branch n = 0 scans azimuths over
-    [0, 2*pi) and branch n = 1 scans zeniths over [0, THETA0) unless
-    overridden; zeniths where the n = 1 denominator vanishes are skipped.
+    [0, 2*pi); branch n = 1 scans zeniths over [0, THETA0) unless
+    ``x_range_n1`` gives another range, skipping zeniths where its
+    denominator vanishes.
 
     The grid goes through the response kernel in blocks of a few rows:
     (cos x, sin x) of each row from ``math``, as (K, 1) columns against
@@ -325,8 +325,7 @@ def sweep_positivity(
     wx, wy, wz = np.where(flip[:, None], -ev, ev).T.copy()
     event = (wx, wy, wz, np.sqrt(np.maximum(0.0, 1.0 - wz * wz)), flip)
 
-    lo0, hi0 = x_range_n0 if x_range_n0 is not None else (0.0, TWO_PI)
-    lo1, hi1 = x_range_n1 if x_range_n1 is not None else (0.0, THETA0)
+    range_n1 = x_range_n1 if x_range_n1 is not None else (0.0, THETA0)
 
     min_value = math.inf
     max_value = -math.inf
@@ -341,7 +340,7 @@ def sweep_positivity(
 
     m = len(ev)
     rows = max(1, _SWEEP_BLOCK_VALUES // m)
-    for n, (lo, hi) in ((0, (lo0, hi0)), (1, (lo1, hi1))):
+    for n, (lo, hi) in ((0, (0.0, TWO_PI)), (1, range_n1)):
         xs = [x for x in map(float, np.minimum(grid(lo, hi), hi)) if n == 0 or math.sin(x) < _SIN_GUARD]
         cos_x = np.array([[math.cos(x)] for x in xs])
         sin_x = np.array([[math.sin(x)] for x in xs])

@@ -1,13 +1,14 @@
 """Seeded verification experiments over the hidden-variable models.
 
 Each experiment kind turns a typed config into a report of per-case
-rows plus summary criteria. One table, ``_KINDS``, maps every kind to
+columns plus summary criteria. One table, ``_KINDS``, maps every kind to
 the function that runs the whole experiment in the calling process and
-returns (records, summary); its order is ``EXPERIMENT_KINDS``. A row is
-a namedtuple of plain values whose fields are the report's columns, in
-order: ``index``, the kind's inputs, the fixed fields ``_FIXED_FIELDS``,
-then the kind's extras. This module alone names the columns, in one
-block of row types.
+returns (columns, summary); its order is ``EXPERIMENT_KINDS``. The
+columns are ``(name, values)`` pairs in report order: ``index``, the
+kind's inputs, the fixed fields ``_FIXED_FIELDS``, then the kind's
+extras. The per-pair kinds keep the arrays their kernels return as the
+values; a fixed field a kind never sets is None. Only this module names
+the columns.
 
 Every run draws from one generator, ``case_rng(seed, 0)``, so results
 are a function of (config, seed) only. Every per-pair kind is one
@@ -69,7 +70,7 @@ from .ndim import (
     uniform_weights,
     weighted_probability_sum,
 )
-from .reports import format_value
+from .reports import _python_values, format_value
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -183,23 +184,11 @@ class ExperimentConfig:
 _FIXED_FIELDS = ("exact_p", "born_p", "freq", "z", "exact_match", "rejections")
 
 
-def _row_type(name: str, inputs: str, extras: str = ""):
-    """Row type: index, inputs, fixed fields, extras; fields after the inputs default to None."""
-    tail = (*_FIXED_FIELDS, *extras.split())
-    names = ("index", *inputs.split(), *tail)
-    return collections.namedtuple(name, names, defaults=(None,) * len(tail), module=__name__)
-
-
-# The row type of each kind (qubit kinds: per region), bound to its own name so rows pickle.
-_ExactSphereRow = _row_type("_ExactSphereRow", "v w patch", "abs_error")
-_ExactConeRow = _row_type("_ExactConeRow", "v w", "abs_error")
-_McSphereRow = _row_type("_McSphereRow", "v w patch")
-_McConeRow = _row_type("_McConeRow", "v w")
-_ExactNdimRow = _row_type("_ExactNdimRow", "psi phi", "abs_error cond_min cond_max ungated_error")
-_McNdimRow = _row_type("_McNdimRow", "psi phi")
-_SweepRow = _row_type("_SweepRow", "quantity x n event", "value")
-_CoveringRow = _row_type("_CoveringRow", "worst_vector", "angle_to_nearest_vertex")
-_WitnessRow = _row_type("_WitnessRow", "preparation theta phi v", "zenith_rate fd_rate fd_error")
+def _columns(inputs: dict, fixed: dict, **extras) -> tuple:
+    """Report columns: index, inputs, every fixed field (None where not given), extras."""
+    n = len(next(iter(inputs.values())))
+    tail = [(name, fixed.get(name)) for name in _FIXED_FIELDS]
+    return (("index", np.arange(n)), *inputs.items(), *tail, *extras.items())
 
 
 @dataclass(frozen=True)
@@ -217,15 +206,28 @@ def _summary(stats: tuple, criteria: tuple) -> ExperimentSummary:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Everything a run produced, one flat row per case; renderable via the reports module."""
+    """Everything a run produced; renderable via the reports module.
+
+    ``columns`` holds the per-case values as ``(name, values)`` pairs in
+    report order (see the module docstring). ``records`` is a read-only
+    view of them, built when read: one namedtuple of plain Python values
+    per case. Running and writing a report never builds it.
+    """
 
     config: object
-    records: tuple
+    columns: tuple
     summary: ExperimentSummary
 
     @property
     def passed(self) -> bool:
         return self.summary.passed
+
+    @property
+    def records(self) -> tuple:
+        row = collections.namedtuple("Row", [name for name, _ in self.columns])
+        n = len(self.columns[0][1])
+        values = [_python_values(values, n) for _, values in self.columns]
+        return tuple(map(row._make, zip(*values)))
 
 
 def case_rng(seed: int, index: int) -> np.random.Generator:
@@ -254,85 +256,77 @@ def _scheme_for(cfg: ExperimentConfig) -> WeightScheme:
 
 
 def _qubit_pairs(cfg: ExperimentConfig) -> tuple:
-    """The run's generator, V then W as (pairs, 3) stacks, and each row's input columns."""
+    """The run's generator, V then W as (pairs, 3) stacks, and the input columns."""
     rng = case_rng(cfg.seed, 0)
     cone = cfg.region == "cone"
     v = random_bloch(rng, z_min=_CONE_Z_MIN if cone else -1.0, size=cfg.pairs)
     w = random_bloch(rng, size=cfg.pairs)
-    columns = [map(tuple, v.tolist()), map(tuple, w.tolist())]
+    inputs = {"v": v, "w": w}
     if not cone:
-        columns.append(assign_patch(build_frame(), v).tolist())
-    return rng, v, w, list(zip(*columns))
+        inputs["patch"] = assign_patch(build_frame(), v)
+    return rng, v, w, inputs
 
 
 def _run_exact_qubit(cfg: ExperimentConfig) -> tuple:
-    row = _ExactConeRow if cfg.region == "cone" else _ExactSphereRow
     _, v, w, inputs = _qubit_pairs(cfg)
     if cfg.region == "cone":
         exact = exact_event_probability(v, w)
     else:
         exact = extended_exact_probability(build_frame(), v, w)
     born = born_probability_qubit(v, w)
-    errors = np.abs(exact - born).tolist()
-    columns = zip(inputs, exact.tolist(), born.tolist(), errors)
-    records = tuple(
-        row(index, *x, e, b, rejections=0, abs_error=a)
-        for index, (x, e, b, a) in enumerate(columns)
-    )
+    abs_error = np.abs(exact - born)
+    errors = abs_error.tolist()
+    fixed = {"exact_p": exact, "born_p": born, "rejections": np.zeros(cfg.pairs, dtype=np.int64)}
+    # Python's sequential sum, not np.mean: numpy sums pairwise, which changes the last bits
     stats = (
         ("max_abs_error", max(errors)),
         ("mean_abs_error", sum(errors) / len(errors)),
         ("total_rejections", 0),
     )
-    return records, _summary(stats, (("born_identity", max(errors) <= EXACT_TOLERANCE),))
+    summary = _summary(stats, (("born_identity", max(errors) <= EXACT_TOLERANCE),))
+    return _columns(inputs, fixed, abs_error=abs_error), summary
 
 
-def _mc_record(
-    row, index: int, inputs: tuple, born: float, hits: int, samples: int, rejections: int
-) -> tuple:
-    freq = hits / samples
-    z = z_score(freq, born, samples)
-    match = (freq == born) if z is None else None
-    return row(
-        index, *inputs, born_p=born, freq=freq, z=z, exact_match=match, rejections=rejections
-    )
+def _mc_columns(cfg: ExperimentConfig, inputs: dict, born, hits, rejections) -> tuple:
+    """Monte Carlo columns and summary: each case's z, or exact match where p is degenerate.
 
-
-def _mc_summary(cfg: ExperimentConfig, records: tuple) -> ExperimentSummary:
-    z_values = [abs(r.z) for r in records if r.z is not None]
-    failures = sum(not r.exact_match if r.z is None else abs(r.z) > Z_LIMIT for r in records)
+    ``freq`` is the Python quotient of the hit count: numpy would round both
+    counts to float64 first, which differs once samples passes 2**53.
+    """
+    born_p = born.tolist()
+    freq = [h / cfg.samples for h in hits.tolist()]
+    z = [z_score(f, p, cfg.samples) for f, p in zip(freq, born_p)]
+    match = [(f == p) if s is None else None for f, p, s in zip(freq, born_p, z)]
+    z_values = [abs(s) for s in z if s is not None]
+    failures = sum(not m if s is None else abs(s) > Z_LIMIT for s, m in zip(z, match))
     allowed = allowed_z_failures(cfg.pairs)
     stats = (
         ("max_abs_z", max(z_values) if z_values else 0.0),
         ("z_failures", failures),
         ("allowed_failures", allowed),
         ("samples_per_pair", cfg.samples),
-        ("total_rejections", sum(r.rejections for r in records)),
+        ("total_rejections", int(rejections.sum())),
     )
-    return _summary(stats, (("z_within_limit", failures <= allowed),))
+    fixed = {"born_p": born, "freq": np.array(freq), "z": z, "exact_match": match,
+             "rejections": rejections}
+    return _columns(inputs, fixed), _summary(stats, (("z_within_limit", failures <= allowed),))
 
 
 def _run_mc_qubit(cfg: ExperimentConfig) -> tuple:
-    row = _McConeRow if cfg.region == "cone" else _McSphereRow
     rng, v, w, inputs = _qubit_pairs(cfg)
     if cfg.region == "cone":
         hits = sample_hits(v, w, cfg.samples, rng)
     else:
         hits = sample_hits_patched(build_frame(), v, w, cfg.samples, rng)
-    columns = zip(inputs, born_probability_qubit(v, w).tolist(), hits.tolist())
-    records = tuple(
-        _mc_record(row, index, x, b, h, cfg.samples, 0)
-        for index, (x, b, h) in enumerate(columns)
-    )
-    return records, _mc_summary(cfg, records)
+    rejections = np.zeros(cfg.pairs, dtype=np.int64)
+    return _mc_columns(cfg, inputs, born_probability_qubit(v, w), hits, rejections)
 
 
 def _ndim_pairs(cfg: ExperimentConfig) -> tuple:
     rng = case_rng(cfg.seed, 0)
     scheme = _scheme_for(cfg)
     pairs = make_in_region_pair(cfg.dim, scheme, rng, radius=cfg.radius, size=cfg.pairs)
-    rows = zip(pairs.psi.tolist(), pairs.phi.tolist())
-    return rng, scheme, pairs, [(tuple(psi), tuple(phi)) for psi, phi in rows]
+    return rng, scheme, pairs, {"psi": pairs.psi, "phi": pairs.phi}
 
 
 def _run_exact_ndim(cfg: ExperimentConfig) -> tuple:
@@ -349,13 +343,10 @@ def _run_exact_ndim(cfg: ExperimentConfig) -> tuple:
     cond_min = grid.min(axis=(1, 2))
     cond_max = grid.max(axis=(1, 2))
     ungated_error = np.abs(ungated - born_probability_ndim(psi_any, phi_any))
-    arrays = (exact, born, pairs.rejections, abs_error, cond_min, cond_max, ungated_error)
-    columns = zip(inputs, *(a.tolist() for a in arrays))
-    records = tuple(
-        _ExactNdimRow(
-            index, *x, e, b, rejections=r, abs_error=a, cond_min=lo, cond_max=hi, ungated_error=u
-        )
-        for index, (x, e, b, r, a, lo, hi, u) in enumerate(columns)
+    fixed = {"exact_p": exact, "born_p": born, "rejections": pairs.rejections}
+    columns = _columns(
+        inputs, fixed, abs_error=abs_error, cond_min=cond_min, cond_max=cond_max,
+        ungated_error=ungated_error,
     )
     stats = (
         ("max_abs_error", float(abs_error.max())),
@@ -370,19 +361,14 @@ def _run_exact_ndim(cfg: ExperimentConfig) -> tuple:
         ("conditionals_in_unit_interval", value["cond_min"] > 0.0 and value["cond_max"] <= 1.0),
         ("ungated_identity", value["max_ungated_error"] <= EXACT_TOLERANCE),
     )
-    return records, _summary(stats, criteria)
+    return columns, _summary(stats, criteria)
 
 
 def _run_mc_ndim(cfg: ExperimentConfig) -> tuple:
     rng, scheme, pairs, inputs = _ndim_pairs(cfg)
     hits = sample_hits_ndim(pairs.psi, pairs.phi, scheme, cfg.samples, rng)
     born = born_probability_ndim(pairs.psi, pairs.phi)
-    columns = zip(inputs, born.tolist(), hits.tolist(), pairs.rejections.tolist())
-    records = tuple(
-        _mc_record(_McNdimRow, index, x, b, h, cfg.samples, r)
-        for index, (x, b, h, r) in enumerate(columns)
-    )
-    return records, _mc_summary(cfg, records)
+    return _mc_columns(cfg, inputs, born, hits, pairs.rejections)
 
 
 def _run_sweep(cfg: ExperimentConfig) -> tuple:
@@ -390,12 +376,13 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple:
     z_axis = (0.0, 0.0, 1.0)
     boundary = conditional_probability_unchecked(z_axis, QubitOnticState(THETA0, 1))
     beyond = conditional_probability_unchecked(z_axis, QubitOnticState(THETA0 + 0.05, 1))
-    records = (
-        _SweepRow(0, "global_min", scan.min_x, scan.min_n, scan.min_event, value=scan.min_value),
-        _SweepRow(1, "global_max", scan.max_x, scan.max_n, scan.max_event, value=scan.max_value),
-        _SweepRow(2, "boundary_zero", THETA0, 1, z_axis, value=boundary),
-        _SweepRow(3, "beyond_cone", THETA0 + 0.05, 1, z_axis, value=beyond),
-    )
+    inputs = {
+        "quantity": ["global_min", "global_max", "boundary_zero", "beyond_cone"],
+        "x": [scan.min_x, scan.max_x, THETA0, THETA0 + 0.05],
+        "n": [scan.min_n, scan.max_n, 1, 1],
+        "event": [scan.min_event, scan.max_event, z_axis, z_axis],
+    }
+    columns = _columns(inputs, {}, value=[scan.min_value, scan.max_value, boundary, beyond])
     criteria = (
         ("lower_bound", scan.min_value >= -EXACT_TOLERANCE),
         ("upper_bound", scan.max_value <= 1.0 + EXACT_TOLERANCE),
@@ -409,7 +396,7 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple:
         ("boundary_value", boundary),
         ("beyond_value", beyond),
     )
-    return records, _summary(stats, criteria)
+    return columns, _summary(stats, criteria)
 
 
 # Direction rows per block of the covering reduction: 8192 rows x 12 vertices is 786 KB of
@@ -466,7 +453,7 @@ def _run_covering(cfg: ExperimentConfig) -> tuple:
     max_edge_dev = float(np.abs(pairwise[edge_mask] - EDGE_LENGTH).max())
 
     worst_vector = tuple(directions(slice(worst, worst + 1))[0].tolist())
-    records = (_CoveringRow(0, worst_vector, angle_to_nearest_vertex=max_angle),)
+    columns = _columns({"worst_vector": [worst_vector]}, {}, angle_to_nearest_vertex=[max_angle])
     criteria = (
         ("within_covering_radius", max_angle <= COVERING_RADIUS + 1e-6),
         ("inside_validity_cone", max_angle < THETA0),
@@ -480,7 +467,7 @@ def _run_covering(cfg: ExperimentConfig) -> tuple:
         ("max_edge_deviation", max_edge_dev),
         ("directions", cfg.pairs),
     )
-    return records, _summary(stats, criteria)
+    return columns, _summary(stats, criteria)
 
 
 def _fd_zenith_rate(v, dt: float) -> float:
@@ -497,13 +484,15 @@ def _run_witness(cfg: ExperimentConfig) -> tuple:
     fd_b = _fd_zenith_rate(np.array(witness.v_b), dt)
     err_a = abs(fd_a - witness.rate_a)
     err_b = abs(fd_b - witness.rate_b)
-    rows = (
-        ("a", witness.phi_a, witness.v_a, witness.rate_a, fd_a, err_a),
-        ("b", witness.phi_b, witness.v_b, witness.rate_b, fd_b, err_b),
-    )
-    records = tuple(
-        _WitnessRow(i, label, witness.theta, phi, v, zenith_rate=rate, fd_rate=fd, fd_error=err)
-        for i, (label, phi, v, rate, fd, err) in enumerate(rows)
+    inputs = {
+        "preparation": ["a", "b"],
+        "theta": [witness.theta] * 2,
+        "phi": [witness.phi_a, witness.phi_b],
+        "v": [witness.v_a, witness.v_b],
+    }
+    columns = _columns(
+        inputs, {}, zenith_rate=[witness.rate_a, witness.rate_b], fd_rate=[fd_a, fd_b],
+        fd_error=[err_a, err_b],
     )
     criteria = (
         ("distinct_rates", witness.discrepancy > 0.0),
@@ -516,7 +505,7 @@ def _run_witness(cfg: ExperimentConfig) -> tuple:
         ("discrepancy", witness.discrepancy),
         ("max_fd_error", max(err_a, err_b)),
     )
-    return records, _summary(stats, criteria)
+    return columns, _summary(stats, criteria)
 
 
 _KINDS = {

@@ -2,23 +2,25 @@
 
 Two formats are produced from the same report object: a structured
 human-readable summary and a flat CSV of per-case rows. The renderers
-know no experiment column: a report holds at least one record, and each
-record is a namedtuple whose fields are the columns in report order,
-led by the case index. Every value is formatted once into a token table
-that both formats share. Every float is printed with round-trip
-precision and files are written atomically, so a report is a pure
-function of its config and seed; identical runs produce byte-identical
-files.
+know no experiment column: a report's ``columns`` are ``(name, values)``
+pairs in report order, led by the case index. Values are a numpy array
+(formatted at once by dtype and shape), any other sequence (formatted
+value by value), or None for a column no case sets. Each column is
+formatted once into tokens that both formats share. Every float is
+printed with round-trip precision and files are written atomically, so
+a report is a pure function of its config and seed; identical runs
+produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import os
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 __all__ = [
     "FORMAT_HEADER",
@@ -52,46 +54,47 @@ def format_value(value) -> str:
     if isinstance(value, complex):
         return f"{format_float(value.real)}{value.imag:+.17g}j"
     if isinstance(value, tuple):
-        # float and complex components (v, w, psi, phi cells) inline, without a call each
-        tokens = [
-            f"{c:.17g}" if type(c) is float
-            else f"{c.real:.17g}{c.imag:+.17g}j" if type(c) is complex
-            else format_value(c)
-            for c in value
-        ]
-        return "(" + ", ".join(tokens) + ")"
+        return "(" + ", ".join(map(format_value, value)) + ")"
     return str(value)
 
 
-def _column_tokens(column: tuple):
-    """Tokens of one column, with one formatter for all of it when its values share a type.
+def _python_values(values, n: int):
+    """A column's n values as plain Python values, the rows of a 2-D array as tuples."""
+    if values is None:
+        return [None] * n
+    if isinstance(values, np.ndarray):
+        return list(map(tuple, values.tolist())) if values.ndim == 2 else values.tolist()
+    return values
 
-    Float, int and None columns, and tuple columns whose cells have one length
-    and only float or only complex components, take the fast path; the tokens
-    are those of ``format_value``. Any other column goes value by value.
+
+# %-format of one component of a float or complex row
+_ROW_FORMS = {"f": "%.17g", "c": "%.17g%+.17gj"}
+
+
+def _column_tokens(values, n: int):
+    """Tokens of one column of n values; None stands for a None value.
+
+    A numpy column of 1-D floats or ints, or of rows of floats or of complex
+    numbers, takes one formatter for all of it; the tokens are those of
+    ``format_value`` on its ``_python_values``. Any other column goes value by value.
     """
-    kinds = set(map(type, column))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is float:
-        return map("%.17g".__mod__, column)
-    if kind is int:
-        return map(str, column)
-    if kind is type(None):
-        return [""] * len(column)
-    if kind is tuple and len(set(map(len, column))) == 1:
-        parts = set(map(type, itertools.chain.from_iterable(column)))
-        width = len(column[0])
-        if parts == {float}:
-            return map(("(" + ", ".join(["%.17g"] * width) + ")").__mod__, column)
-        if parts == {complex}:
-            form = ("(" + ", ".join(["%.17g%+.17gj"] * width) + ")").__mod__
-            return [form(tuple(x for c in cell for x in (c.real, c.imag))) for cell in column]
-    return map(format_value, column)
+    kind = values.dtype.kind if isinstance(values, np.ndarray) else None
+    if kind in ("i", "u") and values.ndim == 1:
+        return map(str, values.tolist())
+    if kind == "f" and values.ndim == 1:
+        return map("%.17g".__mod__, values.tolist())
+    if kind in _ROW_FORMS and values.ndim == 2:
+        form = ("(" + ", ".join([_ROW_FORMS[kind]] * values.shape[1]) + ")").__mod__
+        if kind == "c":  # each complex value as its (real, imag) pair
+            values = np.ascontiguousarray(values, dtype=complex).view(float)
+        return map(form, map(tuple, values.tolist()))
+    return [None if v is None else format_value(v) for v in _python_values(values, n)]
 
 
-def _token_table(records) -> list[tuple[str, ...]]:
-    """Each record's values as tokens, each value formatted once, column by column."""
-    return list(zip(*map(_column_tokens, zip(*records))))
+def _token_table(report) -> list[tuple]:
+    """Each case's tokens, each column formatted once."""
+    n = len(report.columns[0][1])
+    return list(zip(*(_column_tokens(values, n) for _, values in report.columns)))
 
 
 def _structured(report, table) -> str:
@@ -100,10 +103,10 @@ def _structured(report, table) -> str:
         out.append(f"{name} = {format_value(value)}")
     out.append(f"digest = {report.config.digest()}")
     out.append("[cases]")
-    names = report.records[0]._fields[1:]
-    for record, (index, *tokens) in zip(report.records, table):
+    names = [name for name, _ in report.columns[1:]]
+    for index, *tokens in table:
         # the structured line leaves out values that are None
-        cells = [f"{n} = {t}" for n, v, t in zip(names, record[1:], tokens) if v is not None]
+        cells = [f"{n} = {t}" for n, t in zip(names, tokens) if t is not None]
         out.append(" | ".join([f"case {index}", *cells]))
     out.append("[summary]")
     for name, value in report.summary.stats:
@@ -117,19 +120,19 @@ def _structured(report, table) -> str:
 def _tabular(report, table) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(report.records[0]._fields)
-    writer.writerows(table)
+    writer.writerow([name for name, _ in report.columns])
+    writer.writerows(table)  # a None token is written as an empty cell
     return buf.getvalue()
 
 
 def render_structured(report) -> str:
     """Sectioned text report: config, one line per case, summary."""
-    return _structured(report, _token_table(report.records))
+    return _structured(report, _token_table(report))
 
 
 def render_tabular(report) -> str:
-    """One CSV row per case; the header is the first record's field names."""
-    return _tabular(report, _token_table(report.records))
+    """One CSV row per case; the header is the column names."""
+    return _tabular(report, _token_table(report))
 
 
 def write_bytes_atomic(path, data: bytes) -> Path:
@@ -167,7 +170,7 @@ def write_report(report, directory, *, formats=("structured", "tabular")) -> lis
     unknown = [fmt for fmt in formats if fmt not in _FORMATS]
     if unknown:
         raise ValueError(f"unknown report format: {unknown[0]!r}")
-    table = _token_table(report.records)
+    table = _token_table(report)
     return [
         write_text_atomic(Path(directory) / name, render(report, table))
         for name, render in map(_FORMATS.get, formats)

@@ -363,6 +363,28 @@ def test_failed_protocol_leaves_no_run_dir(tmp_path, monkeypatch, capsys):
     assert "measurer fault" in capsys.readouterr().err
 
 
+def test_failed_protocol_write_claims_no_write(tmp_path, monkeypatch, capsys):
+    def broken(path, data):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_bytes_atomic", broken)
+    assert main(["simulate-protocol", "--rounds", "100", "--out-dir", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert "1 pair(s), 100 rounds each, 1000 message bytes" in captured.out
+    assert "written" not in captured.out  # nothing reached the disk
+    assert "disk full" in captured.err
+
+
+def test_run_and_write_never_build_rows(tmp_path, monkeypatch):
+    def no_rows(report):
+        raise AssertionError("report.records built on the run path")
+
+    monkeypatch.setattr(onticsim.ExperimentReport, "records", property(no_rows), raising=False)
+    argv = ["--seed", "3", "--out-dir", str(tmp_path)]
+    assert main(["verify-qubit", "--samples", "10", *argv]) == 0
+    assert main(["verify-ndim", *argv]) == 0
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(onticsim.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}

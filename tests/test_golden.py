@@ -1,7 +1,9 @@
 """Pinned report bytes: one small seeded run per experiment kind and variant.
 
 Each case renders both report formats and compares their SHA-256 with a
-digest written below. A refactor that keeps results must keep these
+digest written below. Two ``simulate-protocol`` runs, one with fixed
+pairs and one with a random pair, pin ``messages.bin`` and
+``transcript.txt`` the same way. A refactor that keeps results must keep these
 bytes. The digests may change only together with a ``FORMAT_HEADER``
 bump in ``onticsim.reports`` and a CHANGES.md entry that says why.
 
@@ -11,11 +13,16 @@ of the current code, ready to paste below:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
+import io
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from onticsim import ExperimentConfig, run_experiment
+from onticsim.cli import main
 from onticsim.reports import render_structured, render_tabular
 
 SEED = 11
@@ -33,8 +40,16 @@ CASES = {
     "covering": dict(kind="covering", pairs=500),
     "witness": dict(kind="witness", theta=0.3, phi_a=0.2, phi_b=1.9),
 }
+# simulate-protocol config files; pair.N keys fix (v, w), unnormalised on purpose.
+PROTOCOL_CASES = {
+    "protocol-fixed-pairs": (
+        "rounds = 300\npair.0 = 0, 0, 1, 0.6, 0, 0.8\npair.1 = 1, 2, -2, -3, 0, 4\n"
+    ),
+    "protocol-random-pair": "rounds = 400\npairs = 1\n",
+}
 
-# (render_structured, render_tabular) SHA-256 per case.
+# (render_structured, render_tabular) SHA-256 per case; (messages.bin, transcript.txt) per
+# protocol case.
 DIGESTS = {
     "covering": (
         "9ac772674705e980a9fdc378fd5cecc696d70a86ea3e81ad56d56b78f3a56851",
@@ -76,6 +91,14 @@ DIGESTS = {
         "da4938b99e936a91279e79f90a77f8220965d501014a71302f1c300d2940022e",
         "5086f76e5c92945e74d9eab53d42bfa34cfc65195131f00f9beb90c2469bc4d6",
     ),
+    "protocol-fixed-pairs": (
+        "50242066d1eb8e4365396b5da8894cff26e5e24947d39f0ef9519724371ad732",
+        "fdf5f54b2cad4aded11cf02544a7e9c1860e7a3872045f4928265dbdf8f8c2f8",
+    ),
+    "protocol-random-pair": (
+        "723dabfd67f603f02c4c7860fac42b8b89d938ba17fee6e20f88c0a82bb46da4",
+        "9d904bd65d73307c24136575bd923c22622957fdbd75ed43f504210d74ac18ad",
+    ),
     "witness": (
         "e20df78f7a9def1ec19933d12d459dd85ccc846259e79b0cad75b6f609c18ec2",
         "8ba11fb96e6b44015dc448541245c9ef47ebccca0ca4424d74e96e596675755b",
@@ -87,19 +110,34 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _protocol_digests(name: str) -> tuple:
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "protocol.cfg"
+        config.write_text(PROTOCOL_CASES[name])
+        argv = ["simulate-protocol", "--config", str(config), "--seed", str(SEED)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([*argv, "--out-dir", str(Path(tmp) / "out")])
+        assert code == 0, name
+        (run_dir,) = (Path(tmp) / "out").iterdir()
+        files = ("messages.bin", "transcript.txt")
+        return tuple(hashlib.sha256((run_dir / f).read_bytes()).hexdigest() for f in files)
+
+
 def _digests(name: str) -> tuple:
+    if name in PROTOCOL_CASES:
+        return _protocol_digests(name)
     report = run_experiment(ExperimentConfig(seed=SEED, **CASES[name]))
     return _sha(render_structured(report)), _sha(render_tabular(report))
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted([*CASES, *PROTOCOL_CASES]))
 def test_report_bytes_pinned(name):
     assert _digests(name) == DIGESTS[name]
 
 
 if __name__ == "__main__":
     print("DIGESTS = {")
-    for name in sorted(CASES):
+    for name in sorted([*CASES, *PROTOCOL_CASES]):
         structured, tabular = _digests(name)
         print(f'    "{name}": (\n        "{structured}",\n        "{tabular}",\n    ),')
     print("}")

@@ -2,11 +2,13 @@ import csv
 import functools
 import io
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from onticsim import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
+from onticsim import EXPERIMENT_KINDS, ExperimentConfig, ExperimentReport, run_experiment
+from onticsim.harness import _summary
 from onticsim.reports import (
     _token_table,
     format_float,
@@ -120,18 +122,32 @@ def test_row_configs_cover_every_kind():
     assert {cfg["kind"] for cfg in ROW_CONFIGS.values()} == set(EXPERIMENT_KINDS)
 
 
+def _is_plain(value) -> bool:
+    if isinstance(value, tuple):
+        return all(map(_is_plain, value))
+    return type(value) in (int, float, complex, bool, str, type(None))
+
+
 @pytest.mark.parametrize("name", ROW_CONFIGS)
 def test_rows_are_the_report_columns(name):
     report = _row_report(name)
-    fields = report.records[0]._fields
+    records = report.records
+    fields = records[0]._fields
+    assert fields == tuple(column for column, _ in report.columns)
     assert fields[0] == "index"
-    assert all(type(r) is type(report.records[0]) for r in report.records)
-    assert [r.index for r in report.records] == list(range(len(report.records)))
-    assert pickle.loads(pickle.dumps(report)) == report
+    assert len(records) == len(report.columns[0][1])
+    assert [records[i] for i in range(len(records))] == list(records)
+    assert all(type(r) is type(records[0]) for r in records)
+    assert all(_is_plain(value) for r in records for value in r)
+    assert [r.index for r in records] == list(range(len(records)))
+    # columns hold numpy arrays, so == on two reports is ambiguous; compare what they render
+    copy = pickle.loads(pickle.dumps(report))
+    assert render_structured(copy) == render_structured(report)
+    assert render_tabular(copy) == render_tabular(report)
     assert next(csv.reader(io.StringIO(render_tabular(report)))) == list(fields)
     # a structured case line names exactly the fields whose value is not None
     lines = [line for line in render_structured(report).splitlines() if line.startswith("case ")]
-    for record, line in zip(report.records, lines, strict=True):
+    for record, line in zip(records, lines, strict=True):
         names = [cell.split(" = ")[0] for cell in line.split(" | ")[1:]]
         assert names == [f for f, v in zip(fields[1:], record[1:]) if v is not None]
 
@@ -158,9 +174,23 @@ def test_write_report_matches_the_renderers(name, tmp_path):
 
 _NAN = float("nan")
 _INF = float("inf")
-# Columns that each take the one-formatter path, and columns that must go value by value.
+_SPECIAL = [0.1, -0.0, 0.0, _INF, -_INF, _NAN, 1e-300, -2.5e300, 5e-324]
+# Numpy columns, each formatted at once by its dtype and shape.
+_ARRAY_COLUMNS = {
+    "floats": np.array(_SPECIAL),
+    "int64": np.array([0, -1, 7, 2**62, -(2**63), 2**63 - 1, 3, 4, 5], dtype=np.int64),
+    "float_rows": np.array(_SPECIAL)[(np.arange(9)[:, None] + np.arange(3)) % 9],
+    "complex_rows": np.array([
+        [complex(-0.0, -0.0), complex(_NAN, 1.0), complex(0.0, -0.0)],
+        [complex(1.0, _NAN), complex(0.5, -0.0), complex(-_INF, _INF)],
+        [complex(_INF, -_INF), complex(-1e-300, 2.0), complex(5e-324, -2.5e300)],
+    ] * 3),
+    "float_rows_transposed": np.array([_SPECIAL, _SPECIAL[::-1], _SPECIAL[4:] + _SPECIAL[:4]]).T,
+    "complex_rows_of_a_slice": (np.arange(18) * (0.5 - 1.5j)).reshape(9, 2)[:, ::-1],
+}
+# Python columns, which go value by value.
 _TOKEN_COLUMNS = {
-    "floats": [0.1, -0.0, 0.0, _INF, -_INF, _NAN, 1e-300, -2.5e300, 5e-324],
+    "floats": list(_SPECIAL),
     "ints": [0, -1, 7, 2**70, -(2**63), 3, 4, 5, 6],
     "nones": [None] * 9,
     "bools": [True, False] * 4 + [True],
@@ -183,17 +213,49 @@ _TOKEN_COLUMNS = {
 }
 
 
+def _plain_values(values):
+    """What the records view holds for a column: tolist() values, rows as tuples."""
+    if isinstance(values, np.ndarray):
+        return [tuple(v) if isinstance(v, list) else v for v in values.tolist()]
+    return [None] * 9 if values is None else values
+
+
 def test_token_table_matches_format_value():
-    records = list(zip(range(9), *_TOKEN_COLUMNS.values(), strict=True))
-    table = _token_table(records)
-    assert len(table) == len(records)
-    for record, tokens in zip(records, table, strict=True):
-        assert len(tokens) == len(record)
-        for value, token in zip(record, tokens):
-            assert type(token) is str and token == format_value(value), value
+    columns = [("index", np.arange(9)), ("unset", None)]
+    columns += [(f"array_{k}", v) for k, v in _ARRAY_COLUMNS.items()]
+    columns += [(f"list_{k}", v) for k, v in _TOKEN_COLUMNS.items()]
+    table = _token_table(SimpleNamespace(columns=columns))
+    assert len(table) == 9
+    cells = zip(*(_plain_values(values) for _, values in columns), strict=True)
+    for row, tokens in zip(cells, table, strict=True):
+        assert len(tokens) == len(columns)
+        for value, token in zip(row, tokens):
+            # a None value has no token: an empty CSV cell, left out of the structured line
+            assert token is None if value is None else type(token) is str, value
+            assert (token or "") == format_value(value), value
 
 
 @pytest.mark.parametrize("name", ROW_CONFIGS)
 def test_token_table_of_each_kind_matches_format_value(name):
-    records = _row_report(name).records
-    assert _token_table(records) == [tuple(map(format_value, r)) for r in records]
+    report = _row_report(name)
+    expected = [tuple(None if v is None else format_value(v) for v in r) for r in report.records]
+    assert _token_table(report) == expected
+
+
+def test_degenerate_monte_carlo_case_renders_without_z():
+    cfg = ExperimentConfig(kind="mc-qubit", pairs=1, samples=100, region="cone")
+    v = np.array([[0.5, 0.0, 0.75**0.5]])
+    columns = (
+        ("index", np.arange(1)), ("v", v), ("w", v), ("exact_p", None),
+        ("born_p", np.array([1.0])), ("freq", np.array([1.0])), ("z", [None]),
+        ("exact_match", [True]), ("rejections", np.zeros(1, dtype=np.int64)),
+    )
+    report = ExperimentReport(cfg, columns, _summary((), (("z_within_limit", True),)))
+    (line,) = [x for x in render_structured(report).splitlines() if x.startswith("case ")]
+    assert line == ("case 0 | v = (0.5, 0, 0.8660254037844386) | w = (0.5, 0, 0.8660254037844386)"
+                    " | born_p = 1 | freq = 1 | exact_match = true | rejections = 0")
+    header, row = csv.reader(io.StringIO(render_tabular(report)))
+    cells = dict(zip(header, row, strict=True))
+    assert cells["exact_p"] == cells["z"] == ""
+    assert cells["exact_match"] == "true"
+    assert report.records[0].z is None and report.records[0].exact_match is True
