@@ -1,13 +1,13 @@
 """Command-line front end for the verification experiments.
 
-Each subcommand runs one or more harness experiments, or the
-prepare/transmit/measure protocol, in memory; ``onticsim --help`` lists
-them. Options come from one table (``_COMMON`` and ``_COMMANDS``):
-defaults, overridden by a ``--config FILE`` of flat ``key = value``
-lines (``#`` comments allowed), overridden by explicit flags. Every
-option is checked before any run, and ``main`` creates the fresh run
-directory only after every run has returned, then writes the reports
-into it: neither bad input nor a failed run (exit 3) leaves anything behind.
+Each subcommand runs one or more harness experiments in memory;
+``onticsim --help`` lists them. Options come from one table (``_COMMON``
+and ``_COMMANDS``): defaults, overridden by a ``--config FILE`` of flat
+``key = value`` lines (``#`` comments allowed), overridden by explicit
+flags. Every option is checked before any run. ``main`` creates the run
+directory only after every run has returned, then writes each report and
+the files it carries (the protocol's ``messages.bin`` and transcript):
+neither bad input nor a failed run (exit 3) leaves anything behind.
 
 Exit status: 0 all checks passed, 1 a check failed, 2 bad usage or
 config, 3 any other error (its traceback goes to stderr).
@@ -27,25 +27,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import as_bloch, born_probability_qubit, random_bloch
-from .harness import ExperimentConfig, Z_LIMIT, case_rng, run_experiment, z_score
-from .icosa import (
-    MESSAGE_SIZE,
-    build_frame,
-    deserialize_message,
-    measure_messages,
-    prepare_messages,
-    serialize_message,
-)
+from .harness import ExperimentConfig, run_experiment
 from .reports import format_float, format_value, write_bytes_atomic, write_report
 
 __all__ = ["main", "entry"]
 
 # The only list of options: name -> (type or choices, default, help).
 # Flags, --config keys and their merge are all built from it. Each
-# subcommand but simulate-protocol also names the experiments it runs:
-# (label, kind, fixed config fields); mc-* kinds run only when samples
-# is nonzero.
+# subcommand also names the experiments it runs: (label, kind, fixed
+# config fields); mc-* kinds run only when samples is nonzero.
 _COMMON = {
     "seed": (int, 0, "run seed"),
     "workers": (int, 1, "accepted (at least 1) but unused: every run uses one process"),
@@ -79,7 +69,7 @@ _COMMANDS = {
     "simulate-protocol": ("prepare/transmit/measure rounds, 10-byte messages to disk", {
         "rounds": (int, 100000, "rounds per pair"),
         "pairs": (int, 1, "random state/event pairs to run"),
-    }, None),
+    }, [("protocol", "protocol", {})]),
     "demo-nonmarkov": ("print the two-preparation memory witness", {
         "theta": (float, 0.5, "shared zenith"),
         "phi_a": (float, 0.0, "azimuth of preparation a"),
@@ -100,12 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Verification experiments for compressed hidden-variable models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, _, plan) in _COMMANDS.items():
+    for command, (summary, _, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="key = value options file")
         for name, (kind, default, help_text) in _table(command).items():
-            if name == "format" and plan is None:
-                continue  # writes no reports; a shared config file may still set it
             choices = kind if isinstance(kind, tuple) else None
             p.add_argument(
                 "--" + name.replace("_", "-"),
@@ -166,10 +154,15 @@ def _options(args: argparse.Namespace) -> dict:
 
 
 def _plan(command: str, opts: dict) -> list:
-    """The (label, config) pairs a report subcommand runs, all validated."""
+    """The (label, config) pairs a subcommand runs, all validated."""
     base = {k: v for k, v in opts.items() if k in _CONFIG_FIELDS}
     if "directions" in opts:  # covering counts its random directions in pairs
         base["pairs"] = opts["directions"]
+    if "rounds" in opts:  # the protocol counts its rounds in samples; pair.N keys fix its pairs
+        base["samples"] = opts["rounds"]
+        base["fixed_pairs"] = _fixed_pairs(opts.get("explicit_pairs", ()))
+        if base["fixed_pairs"] and opts["pairs"] >= 1:  # a bad pairs value is still refused
+            base["pairs"] = len(base["fixed_pairs"])
     plan = []
     for label, kind, fixed in _COMMANDS[command][2]:
         if kind.startswith("mc-"):
@@ -201,80 +194,22 @@ def _run_plan(plan: list) -> tuple:
     return reports, 0 if all(report.passed for _, report in reports) else 1
 
 
-def _protocol_pairs(opts: dict) -> list:
-    """Fixed (v, w) pairs from the config's pair.N keys, else None per random pair."""
-    for name in ("rounds", "pairs", "workers"):
-        if opts[name] < 1:
-            raise ValueError(f"{name} must be at least 1")
-    if not 0 <= opts["seed"] < 2**64:  # the rule ExperimentConfig applies to every other command
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    pairs = []
-    for key, value in sorted(opts.get("explicit_pairs", []), key=lambda kv: kv[0]):
+def _fixed_pairs(entries) -> tuple:
+    """Unit (v, w) tuples from the config's pair.N keys, in the order of N."""
+    pairs = {}
+    for key, value in entries:
+        n = key[len("pair."):]
+        if not n.isdecimal() or int(n) in pairs:
+            raise ValueError(f"{key}: N must be a whole number that no other pair.N key has")
         try:
-            nums = [float(p) for p in value.split(",")]
+            v, w = np.array([float(p) for p in value.split(",")]).reshape(2, 3)
         except ValueError as exc:
-            raise ValueError(f"{key}: bad float in {value!r}") from exc
-        if len(nums) != 6:
-            raise ValueError(f"{key}: expected 6 comma-separated floats, got {value!r}")
-        v = np.array(nums[:3])
-        w = np.array(nums[3:])
+            raise ValueError(f"{key}: expected 6 comma-separated floats, got {value!r}") from exc
         if np.linalg.norm(v) < 1e-12 or np.linalg.norm(w) < 1e-12:
             raise ValueError(f"{key}: vectors must be nonzero")
-        # as_bloch rejects what does not normalise, e.g. non-finite input
-        pairs.append((as_bloch(v / np.linalg.norm(v)), as_bloch(w / np.linalg.norm(w))))
-    return pairs or [None] * opts["pairs"]
-
-
-def _run_protocol(pair_list: list, opts: dict) -> tuple:
-    """Run every pair; returns the (file name, bytes) pairs to write and the exit code."""
-    rounds = opts["rounds"]
-    frame = build_frame()
-    transcript = [
-        "protocol: patched qubit transmission",
-        f"rounds_per_pair = {rounds}",
-        f"message_bytes = {MESSAGE_SIZE}",
-        f"seed = {opts['seed']}",
-    ]
-    blobs = []
-    all_ok = True
-    for i, fixed in enumerate(pair_list):
-        rng = case_rng(opts["seed"], i)
-        v, w = (random_bloch(rng), random_bloch(rng)) if fixed is None else fixed
-        messages = prepare_messages(frame, v, rounds, rng)
-        blob = messages.tobytes()
-        blobs.append(blob)
-        first = blob[:MESSAGE_SIZE]
-        if serialize_message(deserialize_message(first)) != first:
-            raise RuntimeError(f"pair {i}: wire message {first.hex()} does not round-trip")
-        # The measurer sees only the wire bytes and the event.
-        hits = rng.random(rounds) < measure_messages(frame, w, blob)
-        freq = float(hits.mean())
-        born = born_probability_qubit(v, w)
-        z = z_score(freq, born, rounds)
-        ok = (abs(z) <= Z_LIMIT) if z is not None else (freq == born)
-        all_ok = all_ok and ok
-
-        transcript.append(f"pair {i}")
-        transcript.append(f"  v = {format_value(tuple(float(c) for c in v))}")
-        transcript.append(f"  w = {format_value(tuple(float(c) for c in w))}")
-        transcript.append(f"  patch = {int(messages['k'][0])}")
-        transcript.append(f"  born_p = {format_float(born)}")
-        checkpoint = 10
-        while checkpoint <= rounds:
-            transcript.append(
-                f"  checkpoint {checkpoint} freq = {format_float(float(hits[:checkpoint].mean()))}"
-            )
-            checkpoint *= 10
-        transcript.append(f"  freq = {format_float(freq)}")
-        if z is not None:
-            transcript.append(f"  z = {format_float(z)}")
-        transcript.append(f"  status = {'ok' if ok else 'outside tolerance'}")
-    transcript.append(f"passed = {'true' if all_ok else 'false'}")
-
-    blob_all = b"".join(blobs)
-    print(f"{len(pair_list)} pair(s), {rounds} rounds each, {len(blob_all)} message bytes")
-    text = "\n".join(transcript) + "\n"
-    return [("messages.bin", blob_all), ("transcript.txt", text.encode())], 0 if all_ok else 1
+        # ExperimentConfig rejects what does not normalise, e.g. non-finite input
+        pairs[int(n)] = tuple(tuple((u / np.linalg.norm(u)).tolist()) for u in (v, w))
+    return tuple(pairs[n] for n in sorted(pairs))
 
 
 def _resolve_run_dir(opts: dict, command: str) -> Path:
@@ -297,23 +232,21 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    protocol = args.command == "simulate-protocol"
     try:
         opts = _options(args)
-        work = _protocol_pairs(opts) if protocol else _plan(args.command, opts)
+        plan = _plan(args.command, opts)
     except ValueError as exc:  # bad flags, config file or option values
         print(f"error: {exc}", file=sys.stderr)
         return 2
     formats = ("structured", "tabular") if opts["format"] == "both" else (opts["format"],)
     try:
-        outputs, code = _run_protocol(work, opts) if protocol else _run_plan(work)
+        reports, code = _run_plan(plan)
         # Every run has returned: only now does the run directory exist.
         run_dir = _resolve_run_dir(opts, args.command)
-        for name, output in outputs:
-            if isinstance(output, bytes):
-                write_bytes_atomic(run_dir / name, output)
-            else:
-                write_report(output, run_dir / name, formats=formats)
+        for label, report in reports:
+            write_report(report, run_dir / label, formats=formats)
+            for name, data in report.files:
+                write_bytes_atomic(run_dir / name, data)
         print(f"reports written to {run_dir}")
         return code
     except Exception:  # the run itself failed: not a usage error

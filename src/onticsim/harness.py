@@ -3,12 +3,12 @@
 Each experiment kind turns a typed config into a report of per-case
 columns plus summary criteria. One table, ``_KINDS``, maps every kind to
 the function that runs the whole experiment in the calling process and
-returns (columns, summary); its order is ``EXPERIMENT_KINDS``. The
-columns are ``(name, values)`` pairs in report order: ``index``, the
-kind's inputs, the fixed fields ``_FIXED_FIELDS``, then the kind's
-extras. The per-pair kinds keep the arrays their kernels return as the
-values; a fixed field a kind never sets is None. Only this module names
-the columns.
+returns (columns, summary), and for ``protocol`` the files it leaves at
+the run root; its order is ``EXPERIMENT_KINDS``. The columns are
+``(name, values)`` pairs in report order: ``index``, the kind's inputs,
+the fixed fields ``_FIXED_FIELDS``, then the kind's extras. The per-pair
+kinds keep the arrays their kernels return as the values; a fixed field
+a kind never sets is None. Only this module names the columns.
 
 Every run draws from one generator, ``case_rng(seed, 0)``, so results
 are a function of (config, seed) only. Every per-pair kind is one
@@ -16,7 +16,8 @@ array pass over stacks. The qubit kinds draw all of V, then all of W,
 then (for MC) each of the three binomials for every pair, so case i
 depends on ``pairs``; the cone region draws V on its cap directly. The
 N-level kinds draw their stacks the same way. Replaying one case means
-rerunning its experiment.
+rerunning its experiment. The exception is ``protocol``: pair i draws
+from ``case_rng(seed, i)``, the layout ``messages.bin`` was pinned with.
 
 Statistical kinds compare Monte Carlo frequencies against exact
 probabilities through the normal z-score
@@ -24,11 +25,13 @@ probabilities through the normal z-score
     z = (freq - p) * sqrt(samples) / sqrt(p * (1 - p))
 
 with degenerate probabilities (p = 0 or 1) checked for exact frequency
-match instead. Each case draws its hit count hierarchically through the
-model's own count sampler (``sample_hits``, ``sample_hits_patched``,
-``sample_hits_ndim``): exact in distribution to drawing every round, at
-a cost that does not grow with ``samples``. A run passes when at most
-max(1, pairs // 100) cases land outside |z| <= 5.
+match instead. Each ``mc-*`` case draws its hit count hierarchically
+through the model's own count sampler (``sample_hits``,
+``sample_hits_patched``, ``sample_hits_ndim``): exact in distribution to
+drawing every round, at a cost that does not grow with ``samples``. An
+``mc-*`` run passes when at most max(1, pairs // 100) cases land outside
+|z| <= 5; ``protocol`` draws every round through 10-byte wire messages
+and passes only when every pair does.
 """
 
 from __future__ import annotations
@@ -50,15 +53,20 @@ from .cone import (
     sweep_positivity,
 )
 from .dynamics import evolve_bloch, non_markov_witness
-from .geometry import _unit_rows, born_probability_ndim, born_probability_qubit, random_amplitudes
-from .geometry import random_bloch, to_spherical
+from .geometry import _unit_rows, as_bloch, born_probability_ndim, born_probability_qubit
+from .geometry import random_amplitudes, random_bloch, to_spherical
 from .icosa import (
     COVERING_RADIUS,
     EDGE_LENGTH,
+    MESSAGE_SIZE,
     assign_patch,
     build_frame,
+    deserialize_message,
     extended_exact_probability,
+    measure_messages,
+    prepare_messages,
     sample_hits_patched,
+    serialize_message,
 )
 from .ndim import (
     WeightScheme,
@@ -70,7 +78,7 @@ from .ndim import (
     uniform_weights,
     weighted_probability_sum,
 )
-from .reports import _python_values, format_value
+from .reports import _python_values, format_float, format_value
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -90,6 +98,7 @@ EXACT_TOLERANCE = 1e-12
 Z_LIMIT = 5.0
 
 _SCHEMES = ("uniform", "ground")
+_SAMPLED = ("mc-qubit", "mc-ndim", "protocol")
 _REGIONS = ("sphere", "cone")
 
 # Lowest v_z of the cone region's cap: at cos(THETA0) = 0.6 the cone gate refuses v.
@@ -102,7 +111,9 @@ class ExperimentConfig:
 
     ``workers`` is accepted and checked (at least 1) but selects
     nothing: every run uses one process. It is excluded from the
-    serialized identity, so reports do not depend on it.
+    serialized identity, so reports do not depend on it. ``protocol`` counts
+    rounds in ``samples``; its ``fixed_pairs``, one unit ``(v, w)`` tuple per
+    pair, replace the random pairs and are left out of the identity when empty.
     """
 
     kind: str
@@ -120,13 +131,14 @@ class ExperimentConfig:
     phi_a: float = 0.0
     phi_b: float = math.pi / 2.0
     radius: float | None = None
+    fixed_pairs: tuple = ()
 
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "str" or (value is None and f.type == "float | None"):
+            if f.type in ("str", "tuple") or (value is None and f.type == "float | None"):
                 continue
             # bool is an int subclass; True must not pass as pairs = 1
             number = numbers.Integral if f.type == "int" else numbers.Real
@@ -140,7 +152,7 @@ class ExperimentConfig:
             raise ValueError("samples cannot be negative")
         if self.samples > 2**63 - 1:  # numpy draws hit counts as int64; no other size bounds samples
             raise ValueError(f"samples must be at most 2**63 - 1, got {self.samples}")
-        if self.kind.startswith("mc-") and self.samples < 1:
+        if self.kind in _SAMPLED and self.samples < 1:
             raise ValueError(f"{self.kind} needs samples >= 1")
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
@@ -160,6 +172,10 @@ class ExperimentConfig:
             raise ValueError("events must be at least 1")
         if self.radius is not None and self.radius <= 0.0:
             raise ValueError("radius must be positive when given")
+        if self.fixed_pairs and (self.kind != "protocol" or len(self.fixed_pairs) != self.pairs):
+            raise ValueError("fixed_pairs needs kind protocol and one (v, w) per pair")
+        for v, w in self.fixed_pairs:
+            as_bloch(v), as_bloch(w)  # raises on a vector that is not unit
         if self.kind == "witness":
             non_markov_witness(self.theta, self.phi_a, self.phi_b)  # raises on bad angles
         if self.kind.endswith("-ndim"):
@@ -172,7 +188,7 @@ class ExperimentConfig:
     def items(self):
         """(name, value) pairs identifying the experiment, in field order."""
         for f in fields(self):
-            if f.name == "workers":
+            if f.name == "workers" or (f.name == "fixed_pairs" and not self.fixed_pairs):
                 continue
             yield f.name, getattr(self, f.name)
 
@@ -211,12 +227,14 @@ class ExperimentReport:
     ``columns`` holds the per-case values as ``(name, values)`` pairs in
     report order (see the module docstring). ``records`` is a read-only
     view of them, built when read: one namedtuple of plain Python values
-    per case. Running and writing a report never builds it.
+    per case. Running and writing a report never builds it. ``files``
+    holds the ``(name, bytes)`` pairs a kind leaves at the run root.
     """
 
     config: object
     columns: tuple
     summary: ExperimentSummary
+    files: tuple = ()
 
     @property
     def passed(self) -> bool:
@@ -287,19 +305,24 @@ def _run_exact_qubit(cfg: ExperimentConfig) -> tuple:
     return _columns(inputs, fixed, abs_error=abs_error), summary
 
 
-def _mc_columns(cfg: ExperimentConfig, inputs: dict, born, hits, rejections) -> tuple:
+def _z_failed(z, match) -> list:
+    """Whether each case fails: |z| past Z_LIMIT, or an inexact match where p is degenerate."""
+    return [not m if s is None else abs(s) > Z_LIMIT for s, m in zip(z, match)]
+
+
+def _mc_columns(cfg: ExperimentConfig, inputs: dict, born, hits, rejections, allowed) -> tuple:
     """Monte Carlo columns and summary: each case's z, or exact match where p is degenerate.
 
     ``freq`` is the Python quotient of the hit count: numpy would round both
-    counts to float64 first, which differs once samples passes 2**53.
+    counts to float64 first, which differs once samples passes 2**53. The
+    run passes when at most ``allowed`` cases fail.
     """
     born_p = born.tolist()
     freq = [h / cfg.samples for h in hits.tolist()]
     z = [z_score(f, p, cfg.samples) for f, p in zip(freq, born_p)]
     match = [(f == p) if s is None else None for f, p, s in zip(freq, born_p, z)]
     z_values = [abs(s) for s in z if s is not None]
-    failures = sum(not m if s is None else abs(s) > Z_LIMIT for s, m in zip(z, match))
-    allowed = allowed_z_failures(cfg.pairs)
+    failures = sum(_z_failed(z, match))
     stats = (
         ("max_abs_z", max(z_values) if z_values else 0.0),
         ("z_failures", failures),
@@ -319,7 +342,8 @@ def _run_mc_qubit(cfg: ExperimentConfig) -> tuple:
     else:
         hits = sample_hits_patched(build_frame(), v, w, cfg.samples, rng)
     rejections = np.zeros(cfg.pairs, dtype=np.int64)
-    return _mc_columns(cfg, inputs, born_probability_qubit(v, w), hits, rejections)
+    born = born_probability_qubit(v, w)
+    return _mc_columns(cfg, inputs, born, hits, rejections, allowed_z_failures(cfg.pairs))
 
 
 def _ndim_pairs(cfg: ExperimentConfig) -> tuple:
@@ -368,7 +392,53 @@ def _run_mc_ndim(cfg: ExperimentConfig) -> tuple:
     rng, scheme, pairs, inputs = _ndim_pairs(cfg)
     hits = sample_hits_ndim(pairs.psi, pairs.phi, scheme, cfg.samples, rng)
     born = born_probability_ndim(pairs.psi, pairs.phi)
-    return _mc_columns(cfg, inputs, born, hits, pairs.rejections)
+    return _mc_columns(cfg, inputs, born, hits, pairs.rejections, allowed_z_failures(cfg.pairs))
+
+
+def _run_protocol(cfg: ExperimentConfig) -> tuple:
+    """Each pair's rounds as 10-byte wire messages, measured from the bytes alone.
+
+    Pair i draws v and w (unless fixed), its messages, then its outcomes
+    from ``case_rng(seed, i)``. The files are ``messages.bin`` and a
+    transcript of the same values with running frequencies.
+    """
+    frame = build_frame()
+    runs = []  # per pair: v, w, patch, born_p, wire bytes, outcomes
+    for i in range(cfg.pairs):
+        rng = case_rng(cfg.seed, i)
+        v, w = cfg.fixed_pairs[i] if cfg.fixed_pairs else (random_bloch(rng), random_bloch(rng))
+        messages = prepare_messages(frame, v, cfg.samples, rng)
+        blob = messages.tobytes()
+        first = blob[:MESSAGE_SIZE]
+        if serialize_message(deserialize_message(first)) != first:
+            raise RuntimeError(f"pair {i}: wire message {first.hex()} does not round-trip")
+        # The measurer sees only the wire bytes and the event.
+        outcomes = rng.random(cfg.samples) < measure_messages(frame, w, blob)
+        runs.append((v, w, int(messages["k"][0]), born_probability_qubit(v, w), blob, outcomes))
+    v, w, patch, born, blobs, outcomes = zip(*runs)
+    inputs = {"v": np.array(v, dtype=float), "w": np.array(w, dtype=float),
+              "patch": np.array(patch)}
+    hits = np.array([hit.sum() for hit in outcomes], dtype=np.int64)
+    rejections = np.zeros(cfg.pairs, dtype=np.int64)
+    columns, summary = _mc_columns(cfg, inputs, np.array(born), hits, rejections, 0)
+
+    values = dict(columns)
+    lines = ["protocol: patched qubit transmission", f"rounds_per_pair = {cfg.samples}",
+             f"message_bytes = {MESSAGE_SIZE}", f"seed = {cfg.seed}"]
+    for i, failed in enumerate(_z_failed(values["z"], values["exact_match"])):
+        lines += [f"pair {i}", f"  v = {format_value(tuple(map(float, v[i])))}",
+                  f"  w = {format_value(tuple(map(float, w[i])))}", f"  patch = {patch[i]}",
+                  f"  born_p = {format_float(born[i])}"]
+        for checkpoint in (10**j for j in range(1, len(str(cfg.samples)))):  # 10, 100, ...
+            freq = format_float(float(outcomes[i][:checkpoint].mean()))
+            lines.append(f"  checkpoint {checkpoint} freq = {freq}")
+        lines.append(f"  freq = {format_float(values['freq'][i])}")
+        if values["z"][i] is not None:
+            lines.append(f"  z = {format_float(values['z'][i])}")
+        lines.append(f"  status = {'outside tolerance' if failed else 'ok'}")
+    lines.append(f"passed = {format_value(summary.passed)}")
+    transcript = ("\n".join(lines) + "\n").encode()
+    return columns, summary, (("messages.bin", b"".join(blobs)), ("transcript.txt", transcript))
 
 
 def _run_sweep(cfg: ExperimentConfig) -> tuple:
@@ -516,6 +586,7 @@ _KINDS = {
     "positivity-sweep": _run_sweep,
     "covering": _run_covering,
     "witness": _run_witness,
+    "protocol": _run_protocol,
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
 

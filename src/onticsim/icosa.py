@@ -22,7 +22,6 @@ from .cone import (
     conditional_probability,
     exact_event_probability,
     sample_hits,
-    sample_ontic,
 )
 from .geometry import _bloch_rows, _dot_rows, _scalar
 
@@ -150,10 +149,8 @@ def _rotate_into_patch(frame: IcosaFrame, k, u) -> np.ndarray:
 
 
 def prepare(frame: IcosaFrame, v, rng: np.random.Generator) -> PatchedOnticState:
-    """Rotate v into its patch frame and sample the cone-model ontic state."""
-    k = assign_patch(frame, v)
-    s = sample_ontic(_rotate_into_patch(frame, k, v), rng)
-    return PatchedOnticState(x=s.x, n=s.n, k=k)
+    """One round of ``prepare_messages``, read back from its 10 wire bytes."""
+    return deserialize_message(prepare_messages(frame, v, 1, rng).tobytes())
 
 
 def measure_probability(frame: IcosaFrame, w, state: PatchedOnticState) -> float:
@@ -211,12 +208,10 @@ def deserialize_message(data: bytes) -> PatchedOnticState:
 
 
 def prepare_messages(frame: IcosaFrame, v, rounds: int, rng: np.random.Generator) -> np.ndarray:
-    """Wire messages of ``rounds`` independent ``prepare`` draws from v.
+    """Wire messages (a ``MESSAGE_DTYPE`` array) of ``rounds`` independent draws from v.
 
-    Returns a ``MESSAGE_DTYPE`` array whose bytes equal those of
-    ``serialize_message(prepare(frame, v, rng))`` called ``rounds``
-    times: it consumes the same ``rounds`` uniform variates, one per
-    round, with the patch rotation and branch rule of ``prepare``.
+    Each round applies the branch rule of ``cone.sample_ontic`` in v's patch
+    frame to one uniform variate, so n one-round calls equal one n-round call.
     """
     k = assign_patch(frame, v)
     theta, phi = _cone_angles(_rotate_into_patch(frame, k, v))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import onticsim
-from onticsim import cli, run_experiment
+from onticsim import cli, harness, run_experiment
 from onticsim.cli import main
 from onticsim.icosa import MESSAGE_SIZE
 
@@ -218,6 +218,34 @@ def test_simulate_protocol_bad_pair_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_protocol_pairs_run_in_the_order_of_n(tmp_path):
+    # eleven pairs: sorted as strings, pair.10 would run before pair.2
+    cfg = tmp_path / "pairs.cfg"
+    cfg.write_text("".join(f"pair.{n} = 0,0,1, {n},0,1\n" for n in range(11)))
+    argv = ["simulate-protocol", "--rounds", "10", "--config", str(cfg)]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
+    (run_dir,) = _run_dirs(tmp_path / "out", "simulate-protocol")
+    transcript = (run_dir / "transcript.txt").read_text()
+    ws = [line.split(" = ")[1] for line in transcript.splitlines() if line.startswith("  w = ")]
+    assert len(ws) == 11
+    for n, w in enumerate(ws):
+        x, _, z = (float(c) for c in w.strip("()").split(", "))
+        assert (x, z) == pytest.approx((n / math.hypot(n, 1.0), 1.0 / math.hypot(n, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [("pair.0", "pair.x"), ("pair.0", "pair.1.5"), ("pair.1", "pair.1"), ("pair.1", "pair.01")],
+)
+def test_simulate_protocol_bad_pair_index_exits_2(tmp_path, capsys, keys):
+    cfg = tmp_path / "pairs.cfg"
+    cfg.write_text("".join(f"{key} = 0,0,1, 1,0,0\n" for key in keys))
+    out = tmp_path / "out"
+    assert main(["simulate-protocol", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"error: {keys[1]}: ")
+
+
 def test_out_dir_environment_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("ONTICSIM_OUT_DIR", str(tmp_path / "envout"))
     code = main(["covering", "--directions", "2000"])
@@ -303,6 +331,7 @@ def test_bad_config_values_leave_no_run_dir(tmp_path, capsys):
     for text, command in (
         ("format = yaml\n", "covering"),
         ("pair.0 = nan,0,1, 1,0,0\n", "simulate-protocol"),
+        ("pairs = 0\npair.0 = 0,0,1, 1,0,0\n", "simulate-protocol"),
         ("theta = none\n", "demo-nonmarkov"),
     ):
         cfg.write_text(text)
@@ -356,11 +385,13 @@ def test_failed_protocol_leaves_no_run_dir(tmp_path, monkeypatch, capsys):
     def broken(frame, w, blob):
         raise RuntimeError("measurer fault")
 
-    monkeypatch.setattr(cli, "measure_messages", broken)
+    monkeypatch.setattr(harness, "measure_messages", broken)
     out = tmp_path / "out"
     assert main(["simulate-protocol", "--rounds", "100", "--out-dir", str(out)]) == 3
     assert not out.exists()
-    assert "measurer fault" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "measurer fault" in captured.err
+    assert "written" not in captured.out
 
 
 def test_failed_protocol_write_claims_no_write(tmp_path, monkeypatch, capsys):
@@ -370,7 +401,7 @@ def test_failed_protocol_write_claims_no_write(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "write_bytes_atomic", broken)
     assert main(["simulate-protocol", "--rounds", "100", "--out-dir", str(tmp_path)]) == 3
     captured = capsys.readouterr()
-    assert "1 pair(s), 100 rounds each, 1000 message bytes" in captured.out
+    assert "[protocol] PASS | " in captured.out and "samples_per_pair = 100," in captured.out
     assert "written" not in captured.out  # nothing reached the disk
     assert "disk full" in captured.err
 

@@ -1,10 +1,11 @@
 """Pinned report bytes: one small seeded run per experiment kind and variant.
 
 Each case renders both report formats and compares their SHA-256 with a
-digest written below. Two ``simulate-protocol`` runs, one with fixed
-pairs and one with a random pair, pin ``messages.bin`` and
-``transcript.txt`` the same way. A refactor that keeps results must keep these
-bytes. The digests may change only together with a ``FORMAT_HEADER``
+digest written below; every experiment kind has at least one case. Two
+``simulate-protocol`` runs, one with fixed pairs and one with a random
+pair, pin ``messages.bin`` and ``transcript.txt`` the same way, and must
+write exactly the files of the library run of their ``-report`` case. A
+refactor that keeps results must keep these bytes. The digests may change only together with a ``FORMAT_HEADER``
 bump in ``onticsim.reports`` and a CHANGES.md entry that says why.
 
 Run as a script from the repository root to print the ``DIGESTS`` table
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from onticsim import ExperimentConfig, run_experiment
+from onticsim import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 from onticsim.cli import main
 from onticsim.reports import render_structured, render_tabular
 
@@ -39,6 +40,11 @@ CASES = {
     "positivity-sweep": dict(kind="positivity-sweep", x_step=0.05, events=200),
     "covering": dict(kind="covering", pairs=500),
     "witness": dict(kind="witness", theta=0.3, phi_a=0.2, phi_b=1.9),
+    # the library runs of PROTOCOL_CASES: the pairs below, normalised
+    "protocol-fixed-pairs-report": dict(kind="protocol", pairs=2, samples=300, fixed_pairs=(
+        ((0.0, 0.0, 1.0), (0.6, 0.0, 0.8)), ((1 / 3, 2 / 3, -2 / 3), (-0.6, 0.0, 0.8)),
+    )),
+    "protocol-random-pair-report": dict(kind="protocol", pairs=1, samples=400),
 }
 # simulate-protocol config files; pair.N keys fix (v, w), unnormalised on purpose.
 PROTOCOL_CASES = {
@@ -95,9 +101,17 @@ DIGESTS = {
         "50242066d1eb8e4365396b5da8894cff26e5e24947d39f0ef9519724371ad732",
         "fdf5f54b2cad4aded11cf02544a7e9c1860e7a3872045f4928265dbdf8f8c2f8",
     ),
+    "protocol-fixed-pairs-report": (
+        "2c2ec30538245cc0550bbd3786feaf3c51103b9a62fe1cc453080396455dcf14",
+        "e71f20f35954a3e50aaaa7dafb357f7b1e29e6be52916f8315c1a05aec29b1f7",
+    ),
     "protocol-random-pair": (
         "723dabfd67f603f02c4c7860fac42b8b89d938ba17fee6e20f88c0a82bb46da4",
         "9d904bd65d73307c24136575bd923c22622957fdbd75ed43f504210d74ac18ad",
+    ),
+    "protocol-random-pair-report": (
+        "6925816d4dbcb83cc2c41faf963ec3826831ae71493f724c77ef034bd0a956d9",
+        "c53479e6b3af8e196ffeb3d5d7f2697b366dd3efdd2b96af900a1384c9f43882",
     ),
     "witness": (
         "e20df78f7a9def1ec19933d12d459dd85ccc846259e79b0cad75b6f609c18ec2",
@@ -110,7 +124,8 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _protocol_digests(name: str) -> tuple:
+def _protocol_files(name: str) -> dict:
+    """Bytes of every file the command writes, by path in its run directory."""
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "protocol.cfg"
         config.write_text(PROTOCOL_CASES[name])
@@ -119,13 +134,15 @@ def _protocol_digests(name: str) -> tuple:
             code = main([*argv, "--out-dir", str(Path(tmp) / "out")])
         assert code == 0, name
         (run_dir,) = (Path(tmp) / "out").iterdir()
-        files = ("messages.bin", "transcript.txt")
-        return tuple(hashlib.sha256((run_dir / f).read_bytes()).hexdigest() for f in files)
+        paths = [p for p in run_dir.rglob("*") if p.is_file()]
+        return {p.relative_to(run_dir).as_posix(): p.read_bytes() for p in paths}
 
 
 def _digests(name: str) -> tuple:
     if name in PROTOCOL_CASES:
-        return _protocol_digests(name)
+        files = _protocol_files(name)
+        names = ("messages.bin", "transcript.txt")
+        return tuple(hashlib.sha256(files[name]).hexdigest() for name in names)
     report = run_experiment(ExperimentConfig(seed=SEED, **CASES[name]))
     return _sha(render_structured(report)), _sha(render_tabular(report))
 
@@ -133,6 +150,21 @@ def _digests(name: str) -> tuple:
 @pytest.mark.parametrize("name", sorted([*CASES, *PROTOCOL_CASES]))
 def test_report_bytes_pinned(name):
     assert _digests(name) == DIGESTS[name]
+
+
+def test_every_kind_has_a_golden_case():
+    assert {case["kind"] for case in CASES.values()} == set(EXPERIMENT_KINDS)
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_CASES))
+def test_protocol_command_writes_the_library_run(name):
+    report = run_experiment(ExperimentConfig(seed=SEED, **CASES[f"{name}-report"]))
+    expected = {
+        "protocol/report.txt": render_structured(report).encode("utf-8"),
+        "protocol/cases.csv": render_tabular(report).encode("utf-8"),
+        **dict(report.files),
+    }
+    assert _protocol_files(name) == expected
 
 
 if __name__ == "__main__":

@@ -124,7 +124,7 @@ def test_prepare_deterministic(frame):
 
 
 def test_prepare_messages_matches_per_round_prepare(frame):
-    # per-round prepare + serialize_message is the reference
+    # prepare is one round of prepare_messages: n one-round draws must equal one n-round draw
     tie = frame.vertices[0] + frame.vertices[1]
     fixed = [frame.vertices[0], frame.vertices[11], tie / np.linalg.norm(tie)]
     for seed in range(200):

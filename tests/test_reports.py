@@ -109,8 +109,9 @@ ROW_CONFIGS = {
     "positivity-sweep": dict(kind="positivity-sweep", x_step=0.05, events=50),
     "covering": dict(kind="covering", pairs=100),
     "witness": dict(kind="witness"),
+    "protocol": dict(kind="protocol", pairs=3, samples=100),
 }
-PER_PAIR_KINDS = ("exact-qubit", "mc-qubit", "exact-ndim", "mc-ndim")
+PER_PAIR_KINDS = ("exact-qubit", "mc-qubit", "exact-ndim", "mc-ndim", "protocol")
 
 
 @functools.lru_cache(maxsize=None)
