@@ -58,6 +58,7 @@ from .geometry import random_amplitudes, random_bloch, to_spherical
 from .icosa import (
     COVERING_RADIUS,
     EDGE_LENGTH,
+    MESSAGE_DTYPE,
     MESSAGE_SIZE,
     assign_patch,
     build_frame,
@@ -249,7 +250,7 @@ class ExperimentReport:
 
 
 def case_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent generator ``index`` of a seeded run; every experiment draws from 0."""
+    """Generator ``index`` of a seeded run: 0 for every kind but ``protocol``, i for its pair i."""
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
@@ -398,47 +399,44 @@ def _run_mc_ndim(cfg: ExperimentConfig) -> tuple:
 def _run_protocol(cfg: ExperimentConfig) -> tuple:
     """Each pair's rounds as 10-byte wire messages, measured from the bytes alone.
 
-    Pair i draws v and w (unless fixed), its messages, then its outcomes
-    from ``case_rng(seed, i)``. The files are ``messages.bin`` and a
-    transcript of the same values with running frequencies.
+    Pair i draws v and w (unless fixed), its messages into row i of the one
+    buffer that is ``messages.bin``, then its outcomes from ``case_rng(seed, i)``;
+    these shrink to a hit count and the running frequencies of the transcript.
     """
     frame = build_frame()
-    runs = []  # per pair: v, w, patch, born_p, wire bytes, outcomes
+    size = cfg.samples * MESSAGE_SIZE  # bytes per pair
+    wire = bytearray(cfg.pairs * size)
+    v, w = np.empty((cfg.pairs, 3)), np.empty((cfg.pairs, 3))
+    hits = np.empty(cfg.pairs, dtype=np.int64)
+    checkpoints = [10**j for j in range(1, len(str(cfg.samples)))]  # 10, 100, ...
+    running = []  # per pair, its checkpoint lines of the transcript
     for i in range(cfg.pairs):
         rng = case_rng(cfg.seed, i)
-        v, w = cfg.fixed_pairs[i] if cfg.fixed_pairs else (random_bloch(rng), random_bloch(rng))
-        messages = prepare_messages(frame, v, cfg.samples, rng)
-        blob = messages.tobytes()
-        first = blob[:MESSAGE_SIZE]
+        v[i], w[i] = cfg.fixed_pairs[i] if cfg.fixed_pairs else (random_bloch(rng), random_bloch(rng))
+        row = memoryview(wire)[i * size : (i + 1) * size]
+        # one byte copy: assigning to a MESSAGE_DTYPE row would copy field by field
+        row[:] = prepare_messages(frame, v[i], cfg.samples, rng).view(np.uint8)
+        first = row[:MESSAGE_SIZE].tobytes()
         if serialize_message(deserialize_message(first)) != first:
             raise RuntimeError(f"pair {i}: wire message {first.hex()} does not round-trip")
         # The measurer sees only the wire bytes and the event.
-        outcomes = rng.random(cfg.samples) < measure_messages(frame, w, blob)
-        runs.append((v, w, int(messages["k"][0]), born_probability_qubit(v, w), blob, outcomes))
-    v, w, patch, born, blobs, outcomes = zip(*runs)
-    inputs = {"v": np.array(v, dtype=float), "w": np.array(w, dtype=float),
-              "patch": np.array(patch)}
-    hits = np.array([hit.sum() for hit in outcomes], dtype=np.int64)
+        outcomes = rng.random(cfg.samples) < measure_messages(frame, w[i], row)
+        hits[i] = outcomes.sum()
+        running.append([f"  checkpoint {c} freq = {format_float(float(outcomes[:c].sum() / c))}"
+                        for c in checkpoints])
+    messages = np.frombuffer(wire, dtype=MESSAGE_DTYPE).reshape(cfg.pairs, cfg.samples)
+    inputs = {"v": v, "w": w, "patch": messages["k"][:, 0]}
     rejections = np.zeros(cfg.pairs, dtype=np.int64)
-    columns, summary = _mc_columns(cfg, inputs, np.array(born), hits, rejections, 0)
+    columns, summary = _mc_columns(cfg, inputs, born_probability_qubit(v, w), hits, rejections, 0)
 
     values = dict(columns)
-    lines = ["protocol: patched qubit transmission", f"rounds_per_pair = {cfg.samples}",
-             f"message_bytes = {MESSAGE_SIZE}", f"seed = {cfg.seed}"]
+    lines = [f"rounds_per_pair = {cfg.samples}", f"message_bytes = {MESSAGE_SIZE}",
+             f"seed = {cfg.seed}"]
     for i, failed in enumerate(_z_failed(values["z"], values["exact_match"])):
-        lines += [f"pair {i}", f"  v = {format_value(tuple(map(float, v[i])))}",
-                  f"  w = {format_value(tuple(map(float, w[i])))}", f"  patch = {patch[i]}",
-                  f"  born_p = {format_float(born[i])}"]
-        for checkpoint in (10**j for j in range(1, len(str(cfg.samples)))):  # 10, 100, ...
-            freq = format_float(float(outcomes[i][:checkpoint].mean()))
-            lines.append(f"  checkpoint {checkpoint} freq = {freq}")
-        lines.append(f"  freq = {format_float(values['freq'][i])}")
-        if values["z"][i] is not None:
-            lines.append(f"  z = {format_float(values['z'][i])}")
-        lines.append(f"  status = {'outside tolerance' if failed else 'ok'}")
+        lines += [f"pair {i}", *running[i], f"  status = {'outside tolerance' if failed else 'ok'}"]
     lines.append(f"passed = {format_value(summary.passed)}")
     transcript = ("\n".join(lines) + "\n").encode()
-    return columns, summary, (("messages.bin", b"".join(blobs)), ("transcript.txt", transcript))
+    return columns, summary, (("messages.bin", wire), ("transcript.txt", transcript))
 
 
 def _run_sweep(cfg: ExperimentConfig) -> tuple:

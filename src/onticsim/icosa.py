@@ -224,7 +224,7 @@ def prepare_messages(frame: IcosaFrame, v, rounds: int, rng: np.random.Generator
 
 
 def measure_messages(frame: IcosaFrame, w, data: bytes) -> np.ndarray:
-    """Outcome probability of event w for each 10-byte message in data.
+    """Outcome probability of event w for each 10-byte message in data, any bytes-like buffer.
 
     Each distinct message is decoded by ``deserialize_message`` and
     priced by one ``measure_probability`` call, so a batch from

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import os
@@ -199,7 +200,7 @@ def test_simulate_protocol_explicit_pairs(tmp_path):
     transcript = (run_dir / "transcript.txt").read_text()
     assert "pair 1" in transcript
     # born p for (0,0,1) against (1,0,0) is one half
-    assert "born_p = 0.5" in transcript
+    assert "born_p = 0.5" in (run_dir / "protocol" / "report.txt").read_text()
 
 
 def test_simulate_protocol_bad_pair_exits_2(tmp_path, capsys):
@@ -225,8 +226,8 @@ def test_simulate_protocol_pairs_run_in_the_order_of_n(tmp_path):
     argv = ["simulate-protocol", "--rounds", "10", "--config", str(cfg)]
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
     (run_dir,) = _run_dirs(tmp_path / "out", "simulate-protocol")
-    transcript = (run_dir / "transcript.txt").read_text()
-    ws = [line.split(" = ")[1] for line in transcript.splitlines() if line.startswith("  w = ")]
+    with open(run_dir / "protocol" / "cases.csv", newline="") as handle:
+        ws = [row["w"] for row in csv.DictReader(handle)]
     assert len(ws) == 11
     for n, w in enumerate(ws):
         x, _, z = (float(c) for c in w.strip("()").split(", "))

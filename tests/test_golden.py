@@ -58,63 +58,63 @@ PROTOCOL_CASES = {
 # protocol case.
 DIGESTS = {
     "covering": (
-        "9ac772674705e980a9fdc378fd5cecc696d70a86ea3e81ad56d56b78f3a56851",
+        "6fbc8a60babde6c688056aa67b36d607c41b6f11db743f0a01f6a2e37251e5b7",
         "e8e89789b9d8374e5fac00cb480dc1c5723a95ec82dea26b12e34689a0fd8287",
     ),
     "exact-ndim-ground": (
-        "603b1dd7065ead01344570f439e111fb9918bb13ef7983238da95b917dbccb89",
+        "f5e8906208643fec40abaf144bf36b7948f9d93d48f71218ee6804727cd9aa7c",
         "d600fbe03f5069572b16b5c6a13959779e6572a1b0b003ef389461a70caa6298",
     ),
     "exact-ndim-uniform": (
-        "1ed9a063c01f12a7040ba492df5aff7ec77c48c8eb5b565a006a542756ed7fa1",
+        "924a0f01aa10bb42404dd9754d56196ca73eaeebb614ffead90903ed3a58aecd",
         "929ead5c5e4d0668b54cac31cf03bc683c442888e288430f6249ee803bee5819",
     ),
     "exact-qubit-cone": (
-        "02aa62c54108803d9110f37d4ab085ad3aaae1cbdcc34e9b1a27a4f5ba69a379",
+        "14ba040f5d0b257d68610c46e0ca150da7f4cd8a932258082da0a8dde21869a4",
         "1580d653b2788391dda072102691b545f504835186178b91e67a88e35534810d",
     ),
     "exact-qubit-sphere": (
-        "0663cf1df44a2d87dea4e84197f6922efdee5c7fc80da8195521ec100cd49080",
+        "9b0def75ce5ea1ac233ea047cdd19a5df4e8a4f6289f1a25dec3f422e39c6e37",
         "a7fbbaf27ba43a88d06b0b78e651880dc0838c900450574c455e79e0739be66f",
     ),
     "mc-ndim-ground": (
-        "cb217788a0ff946c22a40197f7f83d113ee2dadc5d1ea1206413c053fff1ebc5",
+        "d674a95974ceb4a61f0fd8897dfa13437968b45a00b819f942b86893caf2a16e",
         "9a6bd3ac28141407ec3fee38a69e6404663e37e7ba95d4d069d51457af817e0b",
     ),
     "mc-ndim-uniform": (
-        "222cbe72b7800426a17213190242e0a6ef8291bbf733364c19053015c128ee0b",
+        "98fd0e1470bdc8fcf2f5740d60c9eb5407e7d1514ca1c236438c384120b0fb8c",
         "f3bb14382a61c12e4edf073da3d8db75232b59063768617789b384f981976263",
     ),
     "mc-qubit-cone": (
-        "4a539d6a504a7544a6b9e8f9721366bc1cf97428578d654dba259fc2100b6ff4",
+        "a75bab79ba03b20bc24dea03ea190c59fcbc8b5a89b158775dd446edf28dccd1",
         "36b61ec13ccf05832b5345d3b48ab957b5c9610d943c3b957779442b35d73479",
     ),
     "mc-qubit-sphere": (
-        "a45964cfee6c3b4ab1082985e2682aa48cd82fb45832f4490d7dcc534f1eea31",
+        "d47b5d660b0e79b62eba1cfa1c6cc2ff21dadf98b9cd51046f887e00ab972155",
         "9188d3f8c5f6af25c69602d0c38a5040e2d185f3c6b1dafde1d6a1674c95a1f0",
     ),
     "positivity-sweep": (
-        "da4938b99e936a91279e79f90a77f8220965d501014a71302f1c300d2940022e",
+        "8fe9c2cb8496c4e24b9ae073750e616331a2b57732dc4eb0064b92f30fca7e2c",
         "5086f76e5c92945e74d9eab53d42bfa34cfc65195131f00f9beb90c2469bc4d6",
     ),
     "protocol-fixed-pairs": (
         "50242066d1eb8e4365396b5da8894cff26e5e24947d39f0ef9519724371ad732",
-        "fdf5f54b2cad4aded11cf02544a7e9c1860e7a3872045f4928265dbdf8f8c2f8",
+        "293102bfe29905ff8ade656bf06c889775fdb51b5a213b170dbe80fe389910b3",
     ),
     "protocol-fixed-pairs-report": (
-        "2c2ec30538245cc0550bbd3786feaf3c51103b9a62fe1cc453080396455dcf14",
+        "3ca8ace1a482bf05a593d532995dddca52b1a61c14d3a97d67ef249c11044b7b",
         "e71f20f35954a3e50aaaa7dafb357f7b1e29e6be52916f8315c1a05aec29b1f7",
     ),
     "protocol-random-pair": (
         "723dabfd67f603f02c4c7860fac42b8b89d938ba17fee6e20f88c0a82bb46da4",
-        "9d904bd65d73307c24136575bd923c22622957fdbd75ed43f504210d74ac18ad",
+        "d7aa14a27562ec8bb202f38bf7882985a0c1e22a49a63cf6fc5aaf6733b84b15",
     ),
     "protocol-random-pair-report": (
-        "6925816d4dbcb83cc2c41faf963ec3826831ae71493f724c77ef034bd0a956d9",
+        "d0eec834aac5837e728ca46564c431dd6f66cfbf26ae56e7e1ef6f6013583b79",
         "c53479e6b3af8e196ffeb3d5d7f2697b366dd3efdd2b96af900a1384c9f43882",
     ),
     "witness": (
-        "e20df78f7a9def1ec19933d12d459dd85ccc846259e79b0cad75b6f609c18ec2",
+        "45bb89899053b44ac843cc07fa90e04b2038d0237b3dabb2cda7740ea784c281",
         "8ba11fb96e6b44015dc448541245c9ef47ebccca0ca4424d74e96e596675755b",
     ),
 }

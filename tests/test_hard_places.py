@@ -10,7 +10,9 @@ Next to each vertex (1e-4 down to 1e-12 rad off it), w = +-v sits next
 to the patch pole, where ``1 - w_z**2`` would cancel.
 
 The same places, and random pairs, check that (m, 3) stacks give what
-the single-pair calls give, row by row.
+the single-pair calls give, row by row. At each place both branch messages
+go through the 10-byte wire format, and their two prices, weighted by the
+branch rule, give the Born probability.
 """
 
 import math
@@ -28,6 +30,8 @@ from onticsim import (
     extended_exact_probability,
     fibonacci_sphere,
     from_spherical,
+    measure_messages,
+    prepare_messages,
     random_bloch,
     sample_hits,
     sample_hits_patched,
@@ -110,6 +114,35 @@ def test_exact_paths_at_hard_places(frame, place):
     assert cone_pairs > 0
     assert worst_cone <= BOUND
     assert worst_sphere <= BOUND
+
+
+class _BothBranches:
+    """Generator stand-in: round 0 draws 0.0, round 1 the largest variate below 1.
+
+    ``prepare_messages`` takes the azimuth branch where the variate is below
+    sin(theta), so round 0 takes it wherever sin(theta) > 0 and round 1 never does.
+    """
+
+    def random(self, n):
+        assert n == 2
+        return np.array([0.0, 1.0 - 2.0**-53])
+
+
+@pytest.mark.parametrize("place", ["poles", "ties", "cone_edge", "near_vertices"])
+def test_wire_messages_at_hard_places(frame, place):
+    # the shipped wire path: patch angles from _cone_angles, each message priced from
+    # its bytes alone through math.cos(x), not the _cone_trig path of the exact kernels
+    worst = 0.0
+    for v in _places()[place]:
+        messages = prepare_messages(frame, v, 2, _BothBranches())
+        sin_theta = math.sin(messages["x"][1])  # the azimuth branch's probability
+        assert messages["n"].tolist() == [0 if sin_theta > 0.0 else 1, 1]
+        for w in _events(v):
+            p = measure_messages(frame, w, messages.tobytes())
+            model = sin_theta * p[0] + (1.0 - sin_theta) * p[1]
+            worst = max(worst, abs(model - born_probability_qubit(v, w)))
+    print(f"{place}: max |wire model - Born| {worst:.2e}")
+    assert worst <= BOUND
 
 
 def _stacked_pairs(place):

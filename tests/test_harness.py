@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import multiprocessing.process
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import stats
 
 from onticsim import (
     COVERING_RADIUS,
+    MESSAGE_SIZE,
     THETA0,
     ExperimentConfig,
     OutOfConeError,
@@ -333,3 +335,18 @@ def test_witness_experiment():
     assert stats_map["rate_a"] == pytest.approx(1.0, abs=1e-12)
     assert stats_map["rate_b"] == pytest.approx(0.0, abs=1e-12)
     assert stats_map["max_fd_error"] <= 1e-7
+
+
+def test_protocol_holds_each_message_once():
+    # 50 pairs x 20000 rounds are 10 MB of messages; keeping each pair's bytes and
+    # joining them into the file as well would peak at over twice that
+    cfg = ExperimentConfig(kind="protocol", pairs=50, samples=20000, seed=5)
+    tracemalloc.start()
+    try:
+        report = run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = cfg.pairs * cfg.samples * MESSAGE_SIZE
+    assert report.passed and len(dict(report.files)["messages.bin"]) == size
+    assert peak < 1.5 * size, f"peak {peak / size:.2f} x the messages"

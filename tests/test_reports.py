@@ -56,7 +56,7 @@ def test_structured_layout():
     cfg = ExperimentConfig(kind="witness", seed=5)
     text = render_structured(run_experiment(cfg))
     lines = text.splitlines()
-    assert lines[0] == "format: onticsim-report 5"
+    assert lines[0] == "format: onticsim-report 6"
     assert "[config]" in lines
     assert "[cases]" in lines
     assert "[summary]" in lines
