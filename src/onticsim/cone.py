@@ -12,9 +12,9 @@ response functions that reproduce the quantum probability exactly:
 for every event w, as long as the preparation lies strictly inside the
 validity cone theta < THETA0 = arccos(3/5).
 
-The response is written once, in ``_response``, over
-(cos x, sin x) of the ontic coordinate, and runs on floats for one pair
-and on arrays for (m, 3) stacks of pairs and for the positivity sweep.
+The response is written once, in ``_response``, over (cos x, sin x) of
+the ontic coordinate, and runs on floats for one pair, on arrays for (m, 3)
+stacks of pairs and on exact rationals; the positivity sweep runs its numerator.
 The exact marginal and the hit-count sampler read sin(theta), cos(theta)
 and the azimuth straight off the preparation's components, so a row of a
 stack equals the single call bit for bit.
@@ -54,10 +54,9 @@ _SIN_GUARD = 1.0 - 1e-12
 # binomial draw; matches the 1e-12 exactness tolerance of the harness.
 _RESPONSE_SLACK = 1e-12
 
-# Values per kernel call in the positivity sweep: two grid rows of 10000 events, 160 KB
-# per array. Blocks past about 240 KB ran 1.5x slower in a fresh process (glibc returns
-# and refetches their pages on every block).
-_SWEEP_BLOCK_VALUES = 20000
+# Values per block of the positivity sweep: four grid rows of 10000 events. Its two
+# (rows, events) numerator buffers, 640 KB together, are allocated once per sweep.
+_SWEEP_BLOCK_VALUES = 40000
 
 
 class OutOfConeError(ValueError):
@@ -178,30 +177,53 @@ def _event(w):
     return wx, wy, wz, _sqrt(wx * wx + wy * wy), flip
 
 
+def _product(a, b, out):
+    """a * b, into ``out`` when a reusable buffer is given."""
+    return a * b if out is None else np.multiply(a, b, out=out)
+
+
+def _numerator(event, cos_x, sin_x, n: int, out=(None, None)):
+    """Numerator of the direct form of branch n; ``out`` takes two buffers for its products."""
+    wx, wy, wz, s, _ = event
+    if n == 0:
+        p = _product(wx, cos_x, out[0])
+        p += _product(wy, sin_x, out[1])
+        p -= s
+    else:
+        p = _product(s - 2, sin_x, out[0])
+        p += 1
+        p += _product(wz, cos_x, out[1])
+    return p
+
+
+def _finish(p, sin_x, n: int):
+    """The last step of the direct form, non-decreasing in p as 2 - 2 sin x > 0; in place on arrays."""
+    if n == 0:
+        p /= 2
+        p += 1
+    else:
+        p /= 2 - 2 * sin_x
+    return p
+
+
+def _fold(p, flip):
+    """The complement rule P(-w | x, n) = 1 - P(w | x, n) where ``flip``; in place on arrays."""
+    if isinstance(p, np.ndarray):
+        return np.subtract(1, p, out=p, where=flip)
+    return 1 - p if flip else p
+
+
 def _response(event, cos_x, sin_x, n: int):
     """The cone response of branch n at ontic coordinate (cos x, sin x) to event(s) ``event``.
 
-    The only place the response is written. The direct form, valid for
-    w_z >= 0, is evaluated at the negated southern events, and the
-    complement rule P(-w | x, n) = 1 - P(w | x, n) maps them back. Floats
-    or arrays that broadcast: the augmented assignments rebind floats and
-    work in place on the one new array, with the same bits either way.
+    The only place the response is written: ``_finish`` of ``_numerator``
+    gives the direct form, valid for w_z >= 0, evaluated at the negated
+    southern events, and ``_fold`` maps those back. Floats, arrays that
+    broadcast, or exact numbers such as ``fractions.Fraction`` (every literal
+    is an integer): the augmented assignments rebind scalars and work in
+    place on the one new array, with the same bits either way.
     """
-    wx, wy, wz, s, flip = event
-    if n == 0:
-        p = wx * cos_x
-        p += wy * sin_x
-        p -= s
-        p *= 0.5
-        p += 1.0
-    else:
-        p = (s - 2.0) * sin_x
-        p += 1.0
-        p += wz * cos_x
-        p /= 2.0 - 2.0 * sin_x
-    if isinstance(p, np.ndarray):
-        return np.subtract(1.0, p, out=p, where=flip)
-    return 1.0 - p if flip else p
+    return _fold(_finish(_numerator(event, cos_x, sin_x, n), sin_x, n), event[4])
 
 
 def _branches(v, w):
@@ -302,62 +324,69 @@ def sweep_positivity(
     ``n_event_points`` directions; pass ``events``, unit vectors, to pin
     specific directions instead. Branch n = 0 scans azimuths over
     [0, 2*pi); branch n = 1 scans zeniths over [0, THETA0) unless
-    ``x_range_n1`` gives another range, skipping zeniths where its
+    ``x_range_n1`` gives another finite range, skipping zeniths where its
     denominator vanishes.
 
-    The grid goes through the response kernel in blocks of a few rows:
-    (cos x, sin x) of each row from ``math``, as (K, 1) columns against
-    the events, at most ``_SWEEP_BLOCK_VALUES`` values per block. Ties
-    keep the first occurrence in (branch, x, event) order.
+    The grid runs in blocks of at most ``_SWEEP_BLOCK_VALUES`` values:
+    (cos x, sin x) of each row from ``math``, as (K, 1) columns against the
+    events. Only the numerators are computed in bulk, into two buffers
+    reused for every block, and reduced to each row's extrema over the
+    northern and over the southern events. The last step and the fold are
+    monotone in the numerator, rounding included, so these map to the row's
+    extreme responses bit for bit. The full response is evaluated only on
+    the first row holding the minimum and the first holding the maximum, so
+    ties keep the first occurrence in (branch, x, event) order.
     """
     from .geometry import fibonacci_sphere
 
-    if x_grid_step <= 0.0:
-        raise ValueError("x_grid_step must be positive")
+    range_n1 = x_range_n1 if x_range_n1 is not None else (0.0, THETA0)
+    if not (0.0 < x_grid_step < math.inf and -math.inf < range_n1[0] <= range_n1[1] < math.inf):
+        raise ValueError(f"x_grid_step must be finite and positive and x_range_n1 a finite (lo, hi) "
+                         f"with lo <= hi, got {x_grid_step!r} and {range_n1!r}")
     if events is None:
         ev = fibonacci_sphere(n_event_points)
     else:
         ev = _unit_rows(events, "events")
 
-    # The events in ``_event``'s form, negated once up front where southern;
+    # The events in ``_event``'s form, northern first, negated once up front where southern;
     # contiguous rows run faster, and s stays sqrt(1 - w_z^2) as it always was here.
-    flip = ev[:, 2] < 0.0
-    wx, wy, wz = np.where(flip[:, None], -ev, ev).T.copy()
+    order = np.argsort(ev[:, 2] < 0.0)
+    flip = ev[order, 2] < 0.0
+    wx, wy, wz = np.where(flip[:, None], -ev[order], ev[order]).T.copy()
     event = (wx, wy, wz, np.sqrt(np.maximum(0.0, 1.0 - wz * wz)), flip)
-
-    range_n1 = x_range_n1 if x_range_n1 is not None else (0.0, THETA0)
-
-    min_value = math.inf
-    max_value = -math.inf
-    min_x = max_x = 0.0
-    min_n = max_n = 0
-    min_idx = max_idx = 0
-    n_evaluations = 0
+    north = int(np.count_nonzero(~flip))
+    halves = [(half, reduce, initial) for half in (slice(None, north), slice(north, None))
+              for reduce, initial in ((np.minimum.reduce, math.inf), (np.maximum.reduce, -math.inf))]
 
     def grid(lo: float, hi: float) -> np.ndarray:
         count = max(1, int(math.ceil((hi - lo) / x_grid_step)))
         return lo + x_grid_step * np.arange(count + 1)
 
     m = len(ev)
-    rows = max(1, _SWEEP_BLOCK_VALUES // m)
+    xs, trig, lows, highs = [], [], [], []
     for n, (lo, hi) in ((0, (0.0, TWO_PI)), (1, range_n1)):
-        xs = [x for x in map(float, np.minimum(grid(lo, hi), hi)) if n == 0 or math.sin(x) < _SIN_GUARD]
-        cos_x = np.array([[math.cos(x)] for x in xs])
-        sin_x = np.array([[math.sin(x)] for x in xs])
-        for start in range(0, len(xs), rows):
+        xs.append([x for x in map(float, np.minimum(grid(lo, hi), hi)) if n == 0 or math.sin(x) < _SIN_GUARD])
+        trig.append(tuple(np.array([f(x) for x in xs[n]]).reshape(-1, 1) for f in (math.cos, math.sin)))
+    rows = max(1, min(_SWEEP_BLOCK_VALUES // m, max(map(len, xs))))
+    buffers = np.empty((2, rows, m))
+    for n, (cos_x, sin_x) in enumerate(trig):
+        ends = np.empty((len(xs[n]), 4))  # per row: northern, then southern numerator min and max
+        for start in range(0, len(xs[n]), rows):
             block = slice(start, start + rows)
-            p = _response(event, cos_x[block], sin_x[block], n)
-            n_evaluations += p.size
-            # flat argmin/argmax keep the first occurrence in (x, event) order, as a row-by-row scan
-            i_min = int(np.argmin(p))
-            i_max = int(np.argmax(p))
-            if p.flat[i_min] < min_value:
-                min_value, min_n = float(p.flat[i_min]), n
-                min_x, min_idx = xs[start + i_min // m], i_min % m
-            if p.flat[i_max] > max_value:
-                max_value, max_n = float(p.flat[i_max]), n
-                max_x, max_idx = xs[start + i_max // m], i_max % m
-    return PositivityReport(
-        min_value, min_x, min_n, tuple(ev[min_idx].tolist()),
-        max_value, max_x, max_n, tuple(ev[max_idx].tolist()), n_evaluations,
-    )
+            p = _numerator(event, cos_x[block], sin_x[block], n, buffers[:, : len(cos_x[block])])
+            for column, (half, reduce, initial) in enumerate(halves):
+                reduce(p[:, half], axis=1, initial=initial, out=ends[block, column])
+        _fold(_finish(ends, sin_x, n)[:, 2:], True)  # the fold swaps the southern min and max
+        lows.append(np.minimum(ends[:, 0], ends[:, 3]))
+        highs.append(np.maximum(ends[:, 1], ends[:, 2]))
+
+    def first(pick, per_row):
+        """Value, x, branch and event of the extreme response, first in (branch, x, event) order."""
+        i = int(pick(np.concatenate(per_row)))
+        n, row = (0, i) if i < len(xs[0]) else (1, i - len(xs[0]))
+        p = np.empty(m)
+        p[order] = _response(event, *(column[row : row + 1] for column in trig[n]), n)[0]  # event order
+        j = int(pick(p))
+        return float(p[j]), xs[n][row], n, tuple(ev[j].tolist())
+
+    return PositivityReport(*first(np.argmin, lows), *first(np.argmax, highs), sum(map(len, xs)) * m)

@@ -256,3 +256,76 @@ def test_pinned_sweeps_span_blocks():
 def test_sweep_rejects_bad_step():
     with pytest.raises(ValueError):
         sweep_positivity(0.0, 10)
+
+
+@pytest.mark.parametrize("step, x_range_n1", [
+    (math.inf, None),  # read as x = 0 + inf * 0 = nan
+    (math.nan, None),
+    (-0.01, None),
+    (0.01, (0.0, math.inf)),
+    (0.01, (math.nan, 0.5)),
+    (0.01, (1.0, 0.0)),  # read as x = 0 twice
+])
+def test_sweep_rejects_bad_grid(step, x_range_n1, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a bad grid reached the response kernel")
+
+    monkeypatch.setattr(cone, "_numerator", fail)
+    with pytest.raises(ValueError, match="x_grid_step|x_range_n1"):
+        sweep_positivity(step, 5, x_range_n1=x_range_n1)
+
+
+def _brute_force_sweep(step, events, x_range_n1):
+    """The sweep's report from the whole (x, event) grid of each branch at once."""
+    ev = np.asarray(events, dtype=float)
+    flip = ev[:, 2] < 0.0
+    wx, wy, wz = np.where(flip[:, None], -ev, ev).T
+    event = (wx, wy, wz, np.sqrt(np.maximum(0.0, 1.0 - wz * wz)), flip)
+    m, total = len(ev), 0
+    low = high = None
+    for n, (lo, hi) in ((0, (0.0, 2 * math.pi)), (1, x_range_n1 or (0.0, THETA0))):
+        count = max(1, math.ceil((hi - lo) / step))
+        xs = [float(x) for x in np.minimum(lo + step * np.arange(count + 1), hi)]
+        xs = [x for x in xs if n == 0 or math.sin(x) < 1.0 - 1e-12]
+        if not xs:
+            continue
+        cos_x = np.array([math.cos(x) for x in xs]).reshape(-1, 1)
+        sin_x = np.array([math.sin(x) for x in xs]).reshape(-1, 1)
+        p = cone._response(event, cos_x, sin_x, n).ravel()
+        i, j = int(np.argmin(p)), int(np.argmax(p))
+        # a later branch takes over only when strictly beyond: ties keep the first occurrence
+        if low is None or p[i] < low[0]:
+            low = (float(p[i]), xs[i // m], n, tuple(ev[i % m].tolist()))
+        if high is None or p[j] > high[0]:
+            high = (float(p[j]), xs[j // m], n, tuple(ev[j % m].tolist()))
+        total += p.size
+    return PositivityReport(*low, *high, total)
+
+
+def _reference_cases():
+    rng = np.random.default_rng(2027)
+    cases = {}
+    for k in range(6):
+        m = int(rng.integers(1, 150))
+        ev = rng.normal(size=(m, 3))
+        ev /= np.linalg.norm(ev, axis=1, keepdims=True)
+        cases[f"random_{k}"] = (float(rng.uniform(0.02, 0.2)), ev, None)
+    poles_equator = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0)]
+    cases["poles_equator"] = (0.05, np.vstack([poles_equator, fibonacci_sphere(40)]), None)
+    base = fibonacci_sphere(60)
+    cases["duplicated"] = (0.03, np.vstack([base, base[::7], poles_equator, poles_equator]), None)
+    cases["all_northern"] = (0.04, base[base[:, 2] >= 0.0], None)
+    cases["all_southern"] = (0.04, base[base[:, 2] < 0.0], None)
+    cases["past_theta0"] = (0.01, base, (THETA0 - 0.05, THETA0 + 0.3))
+    cases["past_the_pole"] = (0.02, base, (0.3, math.pi / 2 + 0.4))
+    return cases
+
+
+@pytest.mark.parametrize("block_values", [1, 7, 500, cone._SWEEP_BLOCK_VALUES])
+@pytest.mark.parametrize("name", sorted(_reference_cases()))
+def test_sweep_matches_brute_force(name, block_values, monkeypatch):
+    step, events, x_range_n1 = _reference_cases()[name]
+    monkeypatch.setattr(cone, "_SWEEP_BLOCK_VALUES", block_values)
+    assert sweep_positivity(step, 1, events=events, x_range_n1=x_range_n1) == _brute_force_sweep(
+        step, events, x_range_n1
+    )
