@@ -131,7 +131,7 @@ def _parse_config_file(path: str, command: str) -> dict:
         value = value.strip()
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        if key.startswith("pair."):  # simulate-protocol pairs; other commands ignore them
+        if key.startswith("pair.") and command == "simulate-protocol":  # its fixed pairs
             options.setdefault("explicit_pairs", []).append((key, value))
         elif key not in table:
             raise ValueError(f"{path}:{lineno}: option {key!r} is not valid for {command}")

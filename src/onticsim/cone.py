@@ -17,7 +17,7 @@ the ontic coordinate, and runs on floats for one pair, on arrays for (m, 3)
 stacks of pairs and on exact rationals; the positivity sweep runs its numerator.
 The exact marginal and the hit-count sampler read sin(theta), cos(theta)
 and the azimuth straight off the preparation's components, so a row of a
-stack equals the single call bit for bit.
+stack equals the single call bit for bit; so does a stack of ``sample_ontic`` rounds.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import POLE_SIN_EPS, TWO_PI, _bloch_rows, _scalar, _unit_rows, to_spherical
+from .geometry import POLE_SIN_EPS, TWO_PI, _bloch_rows, _require_count, _scalar, _unit_rows, to_spherical
 
 __all__ = [
     "THETA0",
@@ -92,29 +92,20 @@ class QubitOnticState:
                 raise ValueError(f"zenith out of [0, pi]: {self.x!r}")
 
 
-def _cone_angles(v) -> tuple[float, float]:
-    """Zenith and azimuth of preparation v, gated by the validity cone.
+def sample_ontic(v, rng: np.random.Generator, size: int | None = None):
+    """Draw the ontic state for preparation v, or (x, n) arrays of ``size`` rounds, n as uint8.
 
-    Refuses v_z <= cos(THETA0) = 3/5, as ``_cone_trig`` does: at v_z = 3/5 the
-    atan2 zenith can round below THETA0. A zenith that rounds to THETA0 or
-    beyond is refused too, so an accepted state always passes the n = 1 gate.
+    One uniform variate per round takes the azimuth branch when below sin(theta),
+    so round i of a stack equals the i-th single call. Refuses v_z <= 3/5, as
+    ``_cone_trig`` does, and a zenith that rounds to THETA0 or beyond.
     """
     theta, phi = to_spherical(v)
     if theta >= THETA0 or not v[2] > _COS_THETA0:
         raise OutOfConeError(f"zenith {theta!r} outside validity cone {THETA0!r}")
-    return theta, phi
-
-
-def sample_ontic(v, rng: np.random.Generator) -> QubitOnticState:
-    """Draw the ontic state for preparation v.
-
-    Consumes exactly one uniform variate: the azimuth branch is taken
-    when it falls below sin(theta).
-    """
-    theta, phi = _cone_angles(v)
-    if rng.random() < math.sin(theta):
-        return QubitOnticState(phi, 0)
-    return QubitOnticState(theta, 1)
+    azimuth = rng.random(size) < math.sin(theta)
+    if size is None:
+        return QubitOnticState(phi, 0) if azimuth else QubitOnticState(theta, 1)
+    return np.where(azimuth, phi, theta), (~azimuth).astype(np.uint8)
 
 
 def _unit_probability(p):
@@ -242,8 +233,9 @@ def sample_hits(v, w, samples: int, rng: np.random.Generator):
     count n0 ~ Bin(samples, sin(theta)), then the hits Bin(n0, P(w | phi, 0))
     and Bin(samples - n0, P(w | theta, 1)). For (m, 3) stacks of v and w
     each of the three is one draw of m variates, and one count per pair
-    is returned.
+    is returned. ``samples`` must be an integer in [0, 2**63).
     """
+    _require_count(samples)
     sin_t, p0, p1 = _branches(v, w)
     p0, p1 = _unit_probability(p0), _unit_probability(p1)
     n0 = rng.binomial(samples, sin_t)

@@ -13,6 +13,7 @@ seeded runs reproduce bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -62,6 +63,13 @@ def as_bloch(v) -> np.ndarray:
 def _scalar(a):
     """A 0-d result as a Python scalar; results over a stack stay arrays."""
     return a.item() if a.ndim == 0 else a
+
+
+def _require_count(samples) -> None:
+    """Refuse, before any draw, a round count that is a bool, not an integer or not in int64."""
+    integral = isinstance(samples, numbers.Integral) and not isinstance(samples, bool)
+    if not (integral and 0 <= samples < 2**63):
+        raise ValueError(f"samples must be an integer in [0, 2**63), got {samples!r}")
 
 
 def _require_unit_norms(norms: np.ndarray, what: str) -> None:

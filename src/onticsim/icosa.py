@@ -18,10 +18,10 @@ import numpy as np
 
 from .cone import (
     QubitOnticState,
-    _cone_angles,
     conditional_probability,
     exact_event_probability,
     sample_hits,
+    sample_ontic,
 )
 from .geometry import _bloch_rows, _dot_rows, _scalar
 
@@ -182,10 +182,10 @@ def sample_hits_patched(frame: IcosaFrame, v, w, samples: int, rng: np.random.Ge
 
 
 def simulate_outcome(
-    frame: IcosaFrame, w, state: PatchedOnticState, rng: np.random.Generator
-) -> int:
-    """Draw the binary outcome: 1 with the conditional probability, else 0."""
-    return int(rng.random() < measure_probability(frame, w, state))
+    frame: IcosaFrame, w, state: PatchedOnticState, rng: np.random.Generator, size: int | None = None
+):
+    """Draw the binary outcome: 1 with the conditional probability, else 0; ``size`` ints if given."""
+    return _scalar(np.asarray(rng.random(size) < measure_probability(frame, w, state), dtype=int))
 
 
 # Wire format: little-endian float64 coordinate, branch byte, patch byte.
@@ -210,15 +210,12 @@ def deserialize_message(data: bytes) -> PatchedOnticState:
 def prepare_messages(frame: IcosaFrame, v, rounds: int, rng: np.random.Generator) -> np.ndarray:
     """Wire messages (a ``MESSAGE_DTYPE`` array) of ``rounds`` independent draws from v.
 
-    Each round applies the branch rule of ``cone.sample_ontic`` in v's patch
-    frame to one uniform variate, so n one-round calls equal one n-round call.
+    The rounds are one ``cone.sample_ontic`` stack in v's patch frame, so
+    n one-round calls equal one n-round call.
     """
     k = assign_patch(frame, v)
-    theta, phi = _cone_angles(_rotate_into_patch(frame, k, v))
-    azimuth = rng.random(rounds) < math.sin(theta)
     messages = np.empty(rounds, dtype=MESSAGE_DTYPE)
-    messages["x"] = np.where(azimuth, phi, theta)
-    messages["n"] = ~azimuth
+    messages["x"], messages["n"] = sample_ontic(_rotate_into_patch(frame, k, v), rng, rounds)
     messages["k"] = k
     return messages
 

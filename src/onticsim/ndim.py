@@ -14,6 +14,7 @@ cell, which confines events to a neighborhood of the preparation.
 
 The pair functions take one pair, with Python scalar results, or stacks
 of shape (..., N) in the same code, with arrays over the leading axes.
+``sample_ndim`` draws one round or a stack of rounds with the same variates.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import _scalar, as_amplitudes, random_amplitudes
+from .geometry import _require_count, _scalar, as_amplitudes, random_amplitudes
 
 __all__ = [
     "WeightScheme",
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 _SUM_ATOL = 1e-12
+_MAX_REJECTIONS = 1000  # failed attempts after which ``make_in_region_pair`` gives up on a row
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,19 +120,21 @@ class NdimOnticState:
             raise ValueError(f"|X| cannot exceed 1, got {abs(self.X)!r}")
 
 
-def sample_ndim(psi, scheme: WeightScheme, rng: np.random.Generator) -> NdimOnticState:
+def sample_ndim(psi, scheme: WeightScheme, rng: np.random.Generator, size: int | None = None):
     """Draw a cell from the weight table and attach X = conj(psi[n]) * psi[m].
 
-    Consumes exactly one uniform variate (inverse-CDF over the row-major
-    cumulative table).
+    One uniform variate per round (inverse-CDF over the row-major cumulative
+    table); with ``size``, (n, m, X) arrays whose round i equals the i-th single call
+    bit for bit, as X is formed from real and imaginary parts (a stacked complex product is not).
     """
     arr = as_amplitudes(psi)
     if arr.shape != (scheme.dim,):
         raise ValueError(f"state has shape {arr.shape}, scheme expects ({scheme.dim},)")
-    flat = int(np.searchsorted(scheme.cumulative, rng.random(), side="right"))
-    flat = min(flat, scheme.dim * scheme.dim - 1)
-    n, m = divmod(flat, scheme.dim)
-    return NdimOnticState(n=n, m=m, X=complex(np.conj(arr[n]) * arr[m]))
+    flat = np.searchsorted(scheme.cumulative, rng.random(size), side="right")
+    n, m = np.divmod(np.minimum(flat, scheme.dim * scheme.dim - 1), scheme.dim)
+    a, b = arr[n], arr[m]
+    X = (a.real * b.real + a.imag * b.imag) + 1j * (a.real * b.imag - a.imag * b.real)
+    return NdimOnticState(n=int(n), m=int(m), X=complex(X)) if size is None else (n, m, X)
 
 
 def conditional_probability_ndim(phi, state: NdimOnticState, scheme: WeightScheme) -> float:
@@ -261,8 +265,9 @@ def sample_hits_ndim(psi, phi, scheme: WeightScheme, samples: int, rng: np.rando
     then one binomial vector of the hits per cell (a stack: every pair's
     multinomial first). Raises ``PositivityError`` for pairs outside the
     positivity region, the same gate as ``exact_event_probability_ndim``;
-    inside it every cell response lies in [0, 1].
+    inside it every cell response lies in [0, 1]. ``samples`` must be an integer in [0, 2**63).
     """
+    _require_count(samples)
     sq = _require_in_region(psi, phi, scheme)
     cells = rng.multinomial(samples, scheme.weights.ravel(), size=sq.shape[:-2])
     hits = rng.binomial(cells, _cell_responses(sq, scheme).reshape(cells.shape))
@@ -283,7 +288,6 @@ def make_in_region_pair(
     rng: np.random.Generator,
     *,
     radius: float | None = None,
-    max_rejections: int = 1000,
     size: int | None = None,
 ) -> InRegionPair:
     """Draw a random pair guaranteed to pass the positivity check.
@@ -293,14 +297,14 @@ def make_in_region_pair(
     and keeps the pair if the strict bound holds. Per attempt the stream
     consumes the Haar draw, then ``dim`` disc radii, then ``dim`` disc
     angles; with ``size``, each attempt draws them for every row still
-    without a pair, and ``rejections`` counts per row.
+    without a pair, and ``rejections`` counts per row. A row that fails
+    ``_MAX_REJECTIONS`` attempts raises ``RuntimeError``.
     """
     if dim != scheme.dim:
         raise ValueError(f"dim {dim} does not match scheme dimension {scheme.dim}")
-    if radius is None:
-        radius = 0.2 / dim
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
+    radius = 0.2 / dim if radius is None else radius
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
 
     def attempt(rows: int):
         psi = random_amplitudes(dim, rng, size=rows)
@@ -315,10 +319,8 @@ def make_in_region_pair(
     todo = (~ok).nonzero()[0]
     while todo.size:
         # every row still to do has failed the same number of attempts
-        if rejections[todo[0]] == max_rejections:
-            raise RuntimeError(
-                f"no in-region pair after {max_rejections} rejections; reduce the radius"
-            )
+        if rejections[todo[0]] == _MAX_REJECTIONS:
+            raise RuntimeError(f"no in-region pair after {_MAX_REJECTIONS} rejections; reduce the radius")
         rejections[todo] += 1
         psi[todo], phi[todo], ok = attempt(todo.size)
         todo = todo[~ok]

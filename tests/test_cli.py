@@ -326,6 +326,17 @@ def test_bad_input_exits_2_before_any_side_effect(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", [c for c in cli._COMMANDS if c != "simulate-protocol"])
+def test_pair_keys_refused_outside_simulate_protocol(tmp_path, capsys, command):
+    # pair.N keys fix the protocol's pairs; any other subcommand lacks them, as it lacks rounds
+    out = tmp_path / "out"
+    cfg = tmp_path / "pairs.cfg"
+    cfg.write_text("pair.0 = 0, 0, 1, 1, 0, 0\n")
+    assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "'pair.0' is not valid for " + command in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_values_leave_no_run_dir(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = tmp_path / "bad.cfg"

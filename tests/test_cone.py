@@ -55,18 +55,34 @@ def test_sample_ontic_branch_frequency():
     # theta = 30 degrees: P(n=0) = sin(theta) = 1/2
     rng = np.random.default_rng(3)
     v = from_spherical(SphericalAngles(math.pi / 6, 1.0))
-    draws = [sample_ontic(v, rng) for _ in range(10**6)]
-    freq = sum(1 for s in draws if s.n == 0) / len(draws)
+    x, n = sample_ontic(v, rng, 10**6)
+    freq = np.count_nonzero(n == 0) / len(n)
     assert abs(freq - 0.5) < 0.0025
-    assert all(s.x == 1.0 for s in draws if s.n == 0)
+    assert np.all(x[n == 0] == 1.0)
     theta = to_spherical(v).theta
-    assert all(s.x == theta for s in draws if s.n == 1)
+    assert np.all(x[n == 1] == theta)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [(0.0, 0.0, 1.0), from_spherical((0.4, 2.0)), from_spherical((THETA0 - 1e-9, 5.0))],
+    ids=["pole", "inside", "cone-edge"],
+)
+def test_sample_ontic_stack_equals_single_calls(v):
+    single, stacked = np.random.default_rng(31), np.random.default_rng(31)
+    draws = [sample_ontic(v, single) for _ in range(2000)]
+    x, n = sample_ontic(v, stacked, 2000)
+    assert np.array([s.x for s in draws]).tobytes() == x.tobytes()
+    assert [s.n for s in draws] == n.tolist()
+    assert single.bit_generator.state == stacked.bit_generator.state
 
 
 def test_sample_ontic_rejects_out_of_cone(rng):
     v = from_spherical(SphericalAngles(THETA0 + 0.01, 0.3))
     with pytest.raises(OutOfConeError):
         sample_ontic(v, rng)
+    with pytest.raises(OutOfConeError):
+        sample_ontic(v, rng, 10)
 
 
 def test_conditional_probability_aligned_cases():

@@ -130,7 +130,7 @@ class _BothBranches:
 
 @pytest.mark.parametrize("place", ["poles", "ties", "cone_edge", "near_vertices"])
 def test_wire_messages_at_hard_places(frame, place):
-    # the shipped wire path: patch angles from _cone_angles, each message priced from
+    # the shipped wire path: patch angles from sample_ontic, each message priced from
     # its bytes alone through math.cos(x), not the _cone_trig path of the exact kernels
     worst = 0.0
     for v in _places()[place]:

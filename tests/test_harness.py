@@ -19,10 +19,10 @@ from onticsim import (
     covering_check,
     random_bloch,
     run_experiment,
+    sample_ontic,
     z_score,
 )
 from onticsim.cli import main
-from onticsim.cone import _cone_angles
 from onticsim.harness import _CONE_Z_MIN, _COVERING_BLOCK_ROWS, _nearest_vertex_angles
 from onticsim.reports import render_structured, render_tabular
 
@@ -110,8 +110,9 @@ def test_exact_qubit_runs_both_regions():
         ExperimentConfig(kind="exact-qubit", pairs=500, region="cone", seed=2)
     )
     assert dict(report.summary.stats)["total_rejections"] == 0
+    rng = np.random.default_rng(0)
     for record in report.records:
-        _cone_angles(record.v)  # raises outside the cone
+        sample_ontic(record.v, rng)  # raises outside the cone
 
 
 def test_cone_cap_draws():
@@ -134,10 +135,11 @@ class _FixedUniforms:
 
 def test_cone_cap_lower_bound_passes_gate():
     # u = 0 puts v_z exactly on the lower bound of the cap
+    rng = np.random.default_rng(0)
     for k in range(8):
-        _cone_angles(random_bloch(_FixedUniforms(0.0, k / 8), z_min=_CONE_Z_MIN))
+        sample_ontic(random_bloch(_FixedUniforms(0.0, k / 8), z_min=_CONE_Z_MIN), rng)
         with pytest.raises(OutOfConeError):
-            _cone_angles(random_bloch(_FixedUniforms(0.0, k / 8), z_min=0.6))
+            sample_ontic(random_bloch(_FixedUniforms(0.0, k / 8), z_min=0.6), rng)
     for bad in (-1.5, 1.0, math.nan):
         with pytest.raises(ValueError, match="z_min"):
             random_bloch(np.random.default_rng(0), z_min=bad)

@@ -4,7 +4,9 @@
 the number of outcomes among N rounds as nested binomials. The
 per-round algorithm below (branch bit or cell first, then the outcome,
 one uniform each per round) is kept as the reference they are checked
-against, together with the exact Bin(N, Born p) law.
+against, together with the exact Bin(N, Born p) law and the library's
+own per-round stacks (``sample_ontic``, ``prepare_messages`` with
+``measure_messages``, and ``sample_ndim``).
 """
 
 import math
@@ -17,19 +19,26 @@ from onticsim import (
     THETA0,
     OutOfConeError,
     PositivityError,
+    NdimOnticState,
     QubitOnticState,
     assign_patch,
     born_probability_ndim,
     born_probability_qubit,
+    conditional_probability,
     conditional_probability_grid,
+    conditional_probability_ndim,
     conditional_probability_unchecked,
     from_spherical,
     ground_weighted,
     make_in_region_pair,
+    measure_messages,
+    prepare_messages,
     random_bloch,
     sample_hits,
     sample_hits_ndim,
     sample_hits_patched,
+    sample_ndim,
+    sample_ontic,
     to_spherical,
     uniform_weights,
 )
@@ -72,6 +81,41 @@ def _per_round_ndim(psi, phi, scheme, rng):
     return (rng.random((REPEATS, ROUNDS)) < cell_p[idx]).sum(axis=1)
 
 
+def _counts(p, rng):
+    """Outcome counts of REPEATS runs of ROUNDS rounds; round j has an outcome with probability p[j]."""
+    return (rng.random(p.size) < p).reshape(REPEATS, ROUNDS).sum(axis=1)
+
+
+def _priced(states, price):
+    """``price(*row)`` for every row of a C-contiguous 2-d states, once per distinct row of bytes."""
+    rows = states.view(f"V{states[0].nbytes}").ravel()
+    _, first, which = np.unique(rows, return_index=True, return_inverse=True)
+    return np.array([price(*row) for row in states[first].tolist()])[which]
+
+
+def _shipped_qubit(v, w, rng):
+    """The library's rounds: one ``sample_ontic`` stack, each state priced by its response."""
+    x, n = sample_ontic(v, rng, REPEATS * ROUNDS)
+    p = _priced(np.column_stack((x, n)), lambda x, n: conditional_probability(w, QubitOnticState(x, int(n))))
+    return _counts(p, rng)
+
+
+def _shipped_patched(frame, v, w, rng):
+    """The library's wire rounds: ``prepare_messages``, priced from the bytes by ``measure_messages``."""
+    messages = prepare_messages(frame, v, REPEATS * ROUNDS, rng)
+    return _counts(measure_messages(frame, w, messages.tobytes()), rng)
+
+
+def _shipped_ndim(psi, phi, scheme, rng):
+    """The library's rounds: one ``sample_ndim`` stack, each cell state priced by its response."""
+    n, m, X = sample_ndim(psi, scheme, rng, REPEATS * ROUNDS)
+
+    def price(n, m, re, im):
+        return conditional_probability_ndim(phi, NdimOnticState(int(n), int(m), complex(re, im)), scheme)
+
+    return _counts(_priced(np.column_stack((n, m, X.real, X.imag)), price), rng)
+
+
 def _groups(expected):
     """Join adjacent outcomes until every group expects at least 5 counts."""
     labels = np.empty(expected.size, dtype=int)
@@ -86,13 +130,13 @@ def _groups(expected):
     return labels
 
 
-def _assert_same_binomial_law(hierarchical, per_round, p):
-    """Both count samples follow Bin(ROUNDS, p) and agree with each other."""
+def _assert_same_binomial_law(p, *samples):
+    """Every count sample follows Bin(ROUNDS, p), and they agree with each other."""
     expected = REPEATS * stats.binom.pmf(np.arange(ROUNDS + 1), ROUNDS, p)
     labels = _groups(expected)
     merged_expected = np.bincount(labels, weights=expected)
     rows = []
-    for counts in (hierarchical, per_round):
+    for counts in samples:
         observed = np.bincount(labels, weights=np.bincount(counts, minlength=ROUNDS + 1))
         scaled = merged_expected * observed.sum() / merged_expected.sum()
         assert stats.chisquare(observed, scaled).pvalue > P_FLOOR
@@ -109,7 +153,8 @@ def test_cone_counts_match_per_round_and_binomial():
     rng = np.random.default_rng(101)
     hierarchical = np.array([sample_hits(v, w, ROUNDS, rng) for _ in range(REPEATS)])
     per_round = _per_round_qubit(v, w, np.random.default_rng(102))
-    _assert_same_binomial_law(hierarchical, per_round, p)
+    shipped = _shipped_qubit(v, w, np.random.default_rng(121))
+    _assert_same_binomial_law(p, hierarchical, per_round, shipped)
 
 
 def test_patched_counts_match_per_round_and_binomial(frame):
@@ -120,7 +165,8 @@ def test_patched_counts_match_per_round_and_binomial(frame):
     rng = np.random.default_rng(103)
     hierarchical = np.array([sample_hits_patched(frame, v, w, ROUNDS, rng) for _ in range(REPEATS)])
     per_round = _per_round_qubit(*_rotated_pair(frame, v, w), np.random.default_rng(104))
-    _assert_same_binomial_law(hierarchical, per_round, p)
+    shipped = _shipped_patched(frame, v, w, np.random.default_rng(122))
+    _assert_same_binomial_law(p, hierarchical, per_round, shipped)
 
 
 def _hand_pair():
@@ -148,7 +194,8 @@ def test_ndim_counts_match_per_round_and_binomial(make_pair, scheme):
     rng = np.random.default_rng(106)
     hierarchical = np.array([sample_hits_ndim(psi, phi, scheme, ROUNDS, rng) for _ in range(REPEATS)])
     per_round = _per_round_ndim(psi, phi, scheme, np.random.default_rng(107))
-    _assert_same_binomial_law(hierarchical, per_round, p)
+    shipped = _shipped_ndim(psi, phi, scheme, np.random.default_rng(123))
+    _assert_same_binomial_law(p, hierarchical, per_round, shipped)
 
 
 def test_unit_probability_clips_rounding_only():
@@ -231,3 +278,43 @@ def test_samplers_reject_bad_input(frame):
         sample_hits_ndim(psi, phi, uniform_weights(2), 10, rng)
     with pytest.raises(ValueError):
         sample_hits_ndim(psi, psi, uniform_weights(2), -1, rng)
+
+
+BAD_SAMPLES = [2.5, 2.0, True, -1, np.float64(3.0), 2**63]
+
+
+@pytest.mark.parametrize("samples", BAD_SAMPLES, ids=repr)
+def test_sample_hits_rejects_bad_samples_before_any_draw(samples):
+    rng = np.random.default_rng(114)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="samples"):
+        sample_hits(from_spherical((0.3, 0.0)), from_spherical((1.0, 1.0)), samples, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("samples", BAD_SAMPLES, ids=repr)
+def test_sample_hits_patched_rejects_bad_samples_before_any_draw(frame, samples):
+    rng = np.random.default_rng(115)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="samples"):
+        sample_hits_patched(frame, from_spherical((2.2, 0.4)), from_spherical((1.2, 1.5)), samples, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("samples", BAD_SAMPLES, ids=repr)
+def test_sample_hits_ndim_rejects_bad_samples_before_any_draw(samples):
+    rng = np.random.default_rng(116)
+    state = rng.bit_generator.state
+    psi, phi = _hand_pair()
+    with pytest.raises(ValueError, match="samples"):
+        sample_hits_ndim(psi, phi, ground_weighted(2, 0.6), samples, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_samplers_take_numpy_integer_samples():
+    v, w = from_spherical((0.3, 0.0)), from_spherical((1.0, 1.0))
+    a, b = np.random.default_rng(117), np.random.default_rng(117)
+    assert sample_hits(v, w, np.int64(50), a) == sample_hits(v, w, 50, b)
+    psi, phi = _hand_pair()
+    scheme = ground_weighted(2, 0.6)
+    assert sample_hits_ndim(psi, phi, scheme, np.int64(50), a) == sample_hits_ndim(psi, phi, scheme, 50, b)

@@ -216,9 +216,22 @@ def test_simulate_outcome_frequency(frame):
     assert born_probability_qubit(v, w) == pytest.approx(0.75, abs=1e-15)
     state = prepare(frame, v, rng)
     runs = 2 * 10**5
-    hits = sum(simulate_outcome(frame, w, state, rng) for _ in range(runs))
+    hits = int(simulate_outcome(frame, w, state, rng, runs).sum())
     freq = hits / runs
     assert abs(freq - 0.75) < 5.0 * math.sqrt(0.75 * 0.25 / runs)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [PatchedOnticState(0.0, 1, 1), PatchedOnticState(THETA0 - 1e-9, 1, 3), PatchedOnticState(2.0, 0, 7)],
+    ids=["pole", "cone-edge", "azimuth"],
+)
+def test_simulate_outcome_stack_equals_single_calls(frame, state):
+    single, stacked = np.random.default_rng(41), np.random.default_rng(41)
+    for w in random_bloch(np.random.default_rng(42), size=5):
+        outcomes = [simulate_outcome(frame, w, state, single) for _ in range(400)]
+        assert outcomes == simulate_outcome(frame, w, state, stacked, 400).tolist()
+    assert single.bit_generator.state == stacked.bit_generator.state
 
 
 def test_simulate_outcome_deterministic(frame):

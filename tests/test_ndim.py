@@ -92,13 +92,23 @@ def test_sample_ndim_cell_frequencies():
     scheme = ground_weighted(2, 0.6)
     psi = random_amplitudes(2, rng)
     draws = 10**6
-    counts = np.zeros((2, 2))
-    for _ in range(draws):
-        s = sample_ndim(psi, scheme, rng)
-        counts[s.n, s.m] += 1
+    n, m, _ = sample_ndim(psi, scheme, rng, draws)
+    counts = np.bincount(2 * n + m, minlength=4).reshape(2, 2)
     freq = counts / draws
     sigma = np.sqrt(scheme.weights * (1.0 - scheme.weights) / draws)
     assert np.all(np.abs(freq - scheme.weights) <= 4.0 * sigma)
+
+
+@pytest.mark.parametrize("scheme", [uniform_weights(3), ground_weighted(3, 0.6), ground_weighted(2, 0.6)],
+                         ids=["uniform-3", "ground-3", "ground-2"])
+def test_sample_ndim_stack_equals_single_calls(scheme):
+    single, stacked = np.random.default_rng(37), np.random.default_rng(37)
+    psi = random_amplitudes(scheme.dim, np.random.default_rng(38))
+    draws = [sample_ndim(psi, scheme, single) for _ in range(2000)]
+    n, m, X = sample_ndim(psi, scheme, stacked, 2000)
+    assert [(s.n, s.m) for s in draws] == list(zip(n.tolist(), m.tolist()))
+    assert np.array([s.X for s in draws]).tobytes() == X.tobytes()
+    assert single.bit_generator.state == stacked.bit_generator.state
 
 
 def test_sample_ndim_deterministic():
@@ -264,13 +274,14 @@ def test_make_in_region_pair_errors(rng):
     scheme = uniform_weights(2)
     with pytest.raises(ValueError):
         make_in_region_pair(3, scheme, rng)
-    with pytest.raises(ValueError):
-        make_in_region_pair(2, scheme, rng, radius=-0.1)
-    # seed chosen so the first oversized perturbation fails positivity
-    with pytest.raises(RuntimeError):
-        make_in_region_pair(
-            2, scheme, np.random.default_rng(4), radius=2.0, max_rejections=0
-        )
+    state = rng.bit_generator.state
+    for radius in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius"):
+            make_in_region_pair(2, scheme, rng, radius=radius)
+    assert rng.bit_generator.state == state  # refused before any draw
+    # at dim 16 a radius of 10 never lands in the region: every attempt is rejected
+    with pytest.raises(RuntimeError, match="1000 rejections"):
+        make_in_region_pair(16, uniform_weights(16), np.random.default_rng(4), radius=10.0)
 
 
 @settings(max_examples=100, deadline=None)
