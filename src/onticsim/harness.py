@@ -11,13 +11,12 @@ kinds keep the arrays their kernels return as the values; a fixed field
 a kind never sets is None. Only this module names the columns.
 
 Every run draws from one generator, ``case_rng(seed, 0)``, so results
-are a function of (config, seed) only. Every per-pair kind is one
-array pass over stacks. The qubit kinds draw all of V, then all of W,
-then (for MC) each of the three binomials for every pair, so case i
-depends on ``pairs``; the cone region draws V on its cap directly. The
-N-level kinds draw their stacks the same way. Replaying one case means
-rerunning its experiment. The exception is ``protocol``: pair i draws
-from ``case_rng(seed, i)``, the layout ``messages.bin`` was pinned with.
+are a function of (config, seed) only. The qubit kinds draw all of V,
+then all of W (or take ``fixed_pairs``), then for MC each of the three
+binomials for every pair, for ``protocol`` per pair its messages and then
+its outcomes; so case i depends on ``pairs``. The cone region draws V on
+its cap. The N-level kinds draw their stacks once per config, when it is
+built. Replaying one case means rerunning its experiment.
 
 Statistical kinds compare Monte Carlo frequencies against exact
 probabilities through the normal z-score
@@ -37,6 +36,7 @@ and passes only when every pair does.
 from __future__ import annotations
 
 import collections
+import functools
 import hashlib
 import math
 import numbers
@@ -58,19 +58,15 @@ from .geometry import random_amplitudes, random_bloch, to_spherical
 from .icosa import (
     COVERING_RADIUS,
     EDGE_LENGTH,
-    MESSAGE_DTYPE,
     MESSAGE_SIZE,
     assign_patch,
     build_frame,
-    deserialize_message,
     extended_exact_probability,
     measure_messages,
     prepare_messages,
     sample_hits_patched,
-    serialize_message,
 )
 from .ndim import (
-    WeightScheme,
     conditional_probability_grid,
     exact_event_probability_ndim,
     ground_weighted,
@@ -106,6 +102,16 @@ _REGIONS = ("sphere", "cone")
 _CONE_Z_MIN = math.nextafter(0.6, 1.0)
 
 
+def _draw_ndim(cfg: ExperimentConfig) -> tuple:
+    """The scheme, the write-protected pair stack and the generator's state after its draw."""
+    rng = case_rng(cfg.seed, 0)
+    scheme = uniform_weights(cfg.dim) if cfg.scheme == "uniform" else ground_weighted(cfg.dim, cfg.pole_mass)
+    pairs = make_in_region_pair(cfg.dim, scheme, rng, radius=cfg.radius, size=cfg.pairs)
+    for column in pairs:
+        column.setflags(write=False)
+    return scheme, pairs, rng.bit_generator.state
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one experiment run.
@@ -115,6 +121,7 @@ class ExperimentConfig:
     serialized identity, so reports do not depend on it. ``protocol`` counts
     rounds in ``samples``; its ``fixed_pairs``, one unit ``(v, w)`` tuple per
     pair, replace the random pairs and are left out of the identity when empty.
+    An N-level config keeps the pair draw that checks its radius, as no field.
     """
 
     kind: str
@@ -182,9 +189,11 @@ class ExperimentConfig:
         if self.kind.endswith("-ndim"):
             # the run's own draw: a radius too large for the scheme fails here, not mid-run
             try:
-                _ndim_pairs(self)
+                self._ndim_draw
             except RuntimeError as exc:
                 raise ValueError(f"radius too large for the {self.scheme} scheme: {exc}") from exc
+
+    _ndim_draw = functools.cached_property(_draw_ndim)  # not a field
 
     def items(self):
         """(name, value) pairs identifying the experiment, in field order."""
@@ -250,7 +259,7 @@ class ExperimentReport:
 
 
 def case_rng(seed: int, index: int) -> np.random.Generator:
-    """Generator ``index`` of a seeded run: 0 for every kind but ``protocol``, i for its pair i."""
+    """Generator ``index`` of a seeded run; every kind draws its whole run from index 0."""
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
@@ -268,26 +277,23 @@ def allowed_z_failures(pairs: int) -> int:
     return max(1, pairs // 100)
 
 
-def _scheme_for(cfg: ExperimentConfig) -> WeightScheme:
-    if cfg.scheme == "uniform":
-        return uniform_weights(cfg.dim)
-    return ground_weighted(cfg.dim, cfg.pole_mass)
-
-
 def _qubit_pairs(cfg: ExperimentConfig) -> tuple:
-    """The run's generator, V then W as (pairs, 3) stacks, and the input columns."""
+    """The run's generator, V then W as (pairs, 3) stacks, the input columns and 0 rejections."""
     rng = case_rng(cfg.seed, 0)
     cone = cfg.region == "cone"
-    v = random_bloch(rng, z_min=_CONE_Z_MIN if cone else -1.0, size=cfg.pairs)
-    w = random_bloch(rng, size=cfg.pairs)
+    if cfg.fixed_pairs:
+        v, w = (np.array(column, dtype=float) for column in zip(*cfg.fixed_pairs))
+    else:
+        v = random_bloch(rng, z_min=_CONE_Z_MIN if cone else -1.0, size=cfg.pairs)
+        w = random_bloch(rng, size=cfg.pairs)
     inputs = {"v": v, "w": w}
     if not cone:
         inputs["patch"] = assign_patch(build_frame(), v)
-    return rng, v, w, inputs
+    return rng, v, w, inputs, np.zeros(cfg.pairs, dtype=np.int64)
 
 
 def _run_exact_qubit(cfg: ExperimentConfig) -> tuple:
-    _, v, w, inputs = _qubit_pairs(cfg)
+    _, v, w, inputs, rejections = _qubit_pairs(cfg)
     if cfg.region == "cone":
         exact = exact_event_probability(v, w)
     else:
@@ -295,7 +301,7 @@ def _run_exact_qubit(cfg: ExperimentConfig) -> tuple:
     born = born_probability_qubit(v, w)
     abs_error = np.abs(exact - born)
     errors = abs_error.tolist()
-    fixed = {"exact_p": exact, "born_p": born, "rejections": np.zeros(cfg.pairs, dtype=np.int64)}
+    fixed = {"exact_p": exact, "born_p": born, "rejections": rejections}
     # Python's sequential sum, not np.mean: numpy sums pairwise, which changes the last bits
     stats = (
         ("max_abs_error", max(errors)),
@@ -337,20 +343,20 @@ def _mc_columns(cfg: ExperimentConfig, inputs: dict, born, hits, rejections, all
 
 
 def _run_mc_qubit(cfg: ExperimentConfig) -> tuple:
-    rng, v, w, inputs = _qubit_pairs(cfg)
+    rng, v, w, inputs, rejections = _qubit_pairs(cfg)
     if cfg.region == "cone":
         hits = sample_hits(v, w, cfg.samples, rng)
     else:
         hits = sample_hits_patched(build_frame(), v, w, cfg.samples, rng)
-    rejections = np.zeros(cfg.pairs, dtype=np.int64)
     born = born_probability_qubit(v, w)
     return _mc_columns(cfg, inputs, born, hits, rejections, allowed_z_failures(cfg.pairs))
 
 
 def _ndim_pairs(cfg: ExperimentConfig) -> tuple:
+    """The run's generator, continued after the config's pair draw, and the input columns."""
+    scheme, pairs, state = cfg._ndim_draw
     rng = case_rng(cfg.seed, 0)
-    scheme = _scheme_for(cfg)
-    pairs = make_in_region_pair(cfg.dim, scheme, rng, radius=cfg.radius, size=cfg.pairs)
+    rng.bit_generator.state = state
     return rng, scheme, pairs, {"psi": pairs.psi, "phi": pairs.phi}
 
 
@@ -399,34 +405,27 @@ def _run_mc_ndim(cfg: ExperimentConfig) -> tuple:
 def _run_protocol(cfg: ExperimentConfig) -> tuple:
     """Each pair's rounds as 10-byte wire messages, measured from the bytes alone.
 
-    Pair i draws v and w (unless fixed), its messages into row i of the one
-    buffer that is ``messages.bin``, then its outcomes from ``case_rng(seed, i)``;
-    these shrink to a hit count and the running frequencies of the transcript.
+    V and W come from ``_qubit_pairs``, as for ``mc-qubit``. Then, pair after
+    pair, the run's generator draws pair i's messages into row i of the one
+    buffer that is ``messages.bin``, then its outcomes; these shrink to a hit
+    count and the running frequencies of the transcript.
     """
+    rng, v, w, inputs, rejections = _qubit_pairs(cfg)
     frame = build_frame()
     size = cfg.samples * MESSAGE_SIZE  # bytes per pair
     wire = bytearray(cfg.pairs * size)
-    v, w = np.empty((cfg.pairs, 3)), np.empty((cfg.pairs, 3))
     hits = np.empty(cfg.pairs, dtype=np.int64)
     checkpoints = [10**j for j in range(1, len(str(cfg.samples)))]  # 10, 100, ...
     running = []  # per pair, its checkpoint lines of the transcript
     for i in range(cfg.pairs):
-        rng = case_rng(cfg.seed, i)
-        v[i], w[i] = cfg.fixed_pairs[i] if cfg.fixed_pairs else (random_bloch(rng), random_bloch(rng))
         row = memoryview(wire)[i * size : (i + 1) * size]
         # one byte copy: assigning to a MESSAGE_DTYPE row would copy field by field
         row[:] = prepare_messages(frame, v[i], cfg.samples, rng).view(np.uint8)
-        first = row[:MESSAGE_SIZE].tobytes()
-        if serialize_message(deserialize_message(first)) != first:
-            raise RuntimeError(f"pair {i}: wire message {first.hex()} does not round-trip")
         # The measurer sees only the wire bytes and the event.
         outcomes = rng.random(cfg.samples) < measure_messages(frame, w[i], row)
         hits[i] = outcomes.sum()
         running.append([f"  checkpoint {c} freq = {format_float(float(outcomes[:c].sum() / c))}"
                         for c in checkpoints])
-    messages = np.frombuffer(wire, dtype=MESSAGE_DTYPE).reshape(cfg.pairs, cfg.samples)
-    inputs = {"v": v, "w": w, "patch": messages["k"][:, 0]}
-    rejections = np.zeros(cfg.pairs, dtype=np.int64)
     columns, summary = _mc_columns(cfg, inputs, born_probability_qubit(v, w), hits, rejections, 0)
 
     values = dict(columns)

@@ -214,9 +214,9 @@ def prepare_messages(frame: IcosaFrame, v, rounds: int, rng: np.random.Generator
     n one-round calls equal one n-round call.
     """
     k = assign_patch(frame, v)
-    messages = np.empty(rounds, dtype=MESSAGE_DTYPE)
-    messages["x"], messages["n"] = sample_ontic(_rotate_into_patch(frame, k, v), rng, rounds)
-    messages["k"] = k
+    x, n = sample_ontic(_rotate_into_patch(frame, k, v), rng, rounds)
+    messages = np.empty(rounds, dtype=MESSAGE_DTYPE)  # after the draw: its transients are freed
+    messages["x"], messages["n"], messages["k"] = x, n, k
     return messages
 
 

@@ -33,7 +33,7 @@ __all__ = [
     "write_report",
 ]
 
-FORMAT_HEADER = "format: onticsim-report 6"
+FORMAT_HEADER = "format: onticsim-report 7"
 
 
 def format_float(x: float) -> str:

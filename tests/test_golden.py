@@ -5,18 +5,24 @@ digest written below; every experiment kind has at least one case. Two
 ``simulate-protocol`` runs, one with fixed pairs and one with a random
 pair, pin ``messages.bin`` and ``transcript.txt`` the same way, and must
 write exactly the files of the library run of their ``-report`` case. A
-refactor that keeps results must keep these bytes. The digests may change only together with a ``FORMAT_HEADER``
-bump in ``onticsim.reports`` and a CHANGES.md entry that says why.
+refactor that keeps results must keep these bytes. The digests may change
+only together with a ``FORMAT_HEADER`` bump in ``onticsim.reports`` and a
+CHANGES.md entry that says why. ``PINNED_FORMAT`` is the header the
+digests were written under, and a test holds it equal to ``FORMAT_HEADER``.
 
-Run as a script from the repository root to print the ``DIGESTS`` table
-of the current code, ready to paste below:
+Run as a script from the repository root to print the ``PINNED_FORMAT`` and
+``DIGESTS`` of the current code, ready to paste below:
 
     PYTHONPATH=src python tests/test_golden.py
+
+While ``FORMAT_HEADER`` equals ``PINNED_FORMAT``, the script refuses (exit
+1) to print a table in which a pinned digest has changed.
 """
 
 import contextlib
 import hashlib
 import io
+import sys
 import tempfile
 from pathlib import Path
 
@@ -24,7 +30,7 @@ import pytest
 
 from onticsim import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 from onticsim.cli import main
-from onticsim.reports import render_structured, render_tabular
+from onticsim.reports import FORMAT_HEADER, render_structured, render_tabular
 
 SEED = 11
 
@@ -54,55 +60,57 @@ PROTOCOL_CASES = {
     "protocol-random-pair": "rounds = 400\npairs = 1\n",
 }
 
+# The FORMAT_HEADER the digests below were written under.
+PINNED_FORMAT = "format: onticsim-report 7"
 # (render_structured, render_tabular) SHA-256 per case; (messages.bin, transcript.txt) per
 # protocol case.
 DIGESTS = {
     "covering": (
-        "6fbc8a60babde6c688056aa67b36d607c41b6f11db743f0a01f6a2e37251e5b7",
+        "be9de377ce04f178601cb83862c4f1c224a658e37b2ba86aed9aed7110801097",
         "e8e89789b9d8374e5fac00cb480dc1c5723a95ec82dea26b12e34689a0fd8287",
     ),
     "exact-ndim-ground": (
-        "f5e8906208643fec40abaf144bf36b7948f9d93d48f71218ee6804727cd9aa7c",
+        "75c187f2c3de402002344331a1709d1ba8a9a18191acd74d19e5bd8e75754b65",
         "d600fbe03f5069572b16b5c6a13959779e6572a1b0b003ef389461a70caa6298",
     ),
     "exact-ndim-uniform": (
-        "924a0f01aa10bb42404dd9754d56196ca73eaeebb614ffead90903ed3a58aecd",
+        "f5ec026895b0c8021c7bbd95d7a9c67c3a2037749e57239c936f528cbab08506",
         "929ead5c5e4d0668b54cac31cf03bc683c442888e288430f6249ee803bee5819",
     ),
     "exact-qubit-cone": (
-        "14ba040f5d0b257d68610c46e0ca150da7f4cd8a932258082da0a8dde21869a4",
+        "0f796d53ff51ecf9c7b593a10f940883bf6fec5ffb6d06f2c55c8f23b60af4b3",
         "1580d653b2788391dda072102691b545f504835186178b91e67a88e35534810d",
     ),
     "exact-qubit-sphere": (
-        "9b0def75ce5ea1ac233ea047cdd19a5df4e8a4f6289f1a25dec3f422e39c6e37",
+        "7c99002d53c67198255e7ce9e10be602cb74987affc21c530908b1a2b98a002b",
         "a7fbbaf27ba43a88d06b0b78e651880dc0838c900450574c455e79e0739be66f",
     ),
     "mc-ndim-ground": (
-        "d674a95974ceb4a61f0fd8897dfa13437968b45a00b819f942b86893caf2a16e",
+        "33c2303cb717269c105f0367294b2ce2f730623fd212479186f666bf49308c0e",
         "9a6bd3ac28141407ec3fee38a69e6404663e37e7ba95d4d069d51457af817e0b",
     ),
     "mc-ndim-uniform": (
-        "98fd0e1470bdc8fcf2f5740d60c9eb5407e7d1514ca1c236438c384120b0fb8c",
+        "58637896fdabaa9409ca0fe5eb36805ad1f934fc92659eb6988f35dcf83b9d06",
         "f3bb14382a61c12e4edf073da3d8db75232b59063768617789b384f981976263",
     ),
     "mc-qubit-cone": (
-        "a75bab79ba03b20bc24dea03ea190c59fcbc8b5a89b158775dd446edf28dccd1",
+        "0785e445353880bbbca2dfc317e3a7034e0aa8f4adbc0b5f3f5a77c1e3ed1eaf",
         "36b61ec13ccf05832b5345d3b48ab957b5c9610d943c3b957779442b35d73479",
     ),
     "mc-qubit-sphere": (
-        "d47b5d660b0e79b62eba1cfa1c6cc2ff21dadf98b9cd51046f887e00ab972155",
+        "5bfdbf5ce74f3eaf0f4335db3a889ff21bce4f6a0916a6d4bd001b956917ac0b",
         "9188d3f8c5f6af25c69602d0c38a5040e2d185f3c6b1dafde1d6a1674c95a1f0",
     ),
     "positivity-sweep": (
-        "8fe9c2cb8496c4e24b9ae073750e616331a2b57732dc4eb0064b92f30fca7e2c",
+        "23a41393c0b61b72db1a5b9ed1917b93c20cd1b83db1c0b5d66e7efa6adfacdf",
         "5086f76e5c92945e74d9eab53d42bfa34cfc65195131f00f9beb90c2469bc4d6",
     ),
     "protocol-fixed-pairs": (
-        "50242066d1eb8e4365396b5da8894cff26e5e24947d39f0ef9519724371ad732",
-        "293102bfe29905ff8ade656bf06c889775fdb51b5a213b170dbe80fe389910b3",
+        "6db92ea78e5c5a3057b6e2b7420ee611390756a9eb26068aa1d4fd99fd0d9e92",
+        "0aa10da55c148215986584eda27812f54611ee727928bc2ff55881fb7f876c75",
     ),
     "protocol-fixed-pairs-report": (
-        "3ca8ace1a482bf05a593d532995dddca52b1a61c14d3a97d67ef249c11044b7b",
+        "f87d14ee95e54092a9f7bf754f357aca1b53913958cb8a6fb8a2205a41619e6e",
         "e71f20f35954a3e50aaaa7dafb357f7b1e29e6be52916f8315c1a05aec29b1f7",
     ),
     "protocol-random-pair": (
@@ -110,11 +118,11 @@ DIGESTS = {
         "d7aa14a27562ec8bb202f38bf7882985a0c1e22a49a63cf6fc5aaf6733b84b15",
     ),
     "protocol-random-pair-report": (
-        "d0eec834aac5837e728ca46564c431dd6f66cfbf26ae56e7e1ef6f6013583b79",
+        "3e122ba75880091dac573c52b9250d6280906055f9fd86c2c548112cbb9fe57f",
         "c53479e6b3af8e196ffeb3d5d7f2697b366dd3efdd2b96af900a1384c9f43882",
     ),
     "witness": (
-        "45bb89899053b44ac843cc07fa90e04b2038d0237b3dabb2cda7740ea784c281",
+        "5c204d67facf9ea7f10dbcdf5572c0912a6096a4afeae451453119222e2e7d99",
         "8ba11fb96e6b44015dc448541245c9ef47ebccca0ca4424d74e96e596675755b",
     ),
 }
@@ -152,6 +160,10 @@ def test_report_bytes_pinned(name):
     assert _digests(name) == DIGESTS[name]
 
 
+def test_digests_pinned_under_the_current_format():
+    assert PINNED_FORMAT == FORMAT_HEADER
+
+
 def test_every_kind_has_a_golden_case():
     assert {case["kind"] for case in CASES.values()} == set(EXPERIMENT_KINDS)
 
@@ -168,8 +180,13 @@ def test_protocol_command_writes_the_library_run(name):
 
 
 if __name__ == "__main__":
+    table = {name: _digests(name) for name in sorted([*CASES, *PROTOCOL_CASES])}
+    changed = [name for name, digests in table.items() if DIGESTS.get(name, digests) != digests]
+    if changed and FORMAT_HEADER == PINNED_FORMAT:
+        sys.exit(f"digests of {', '.join(changed)} changed under {FORMAT_HEADER!r}; "
+                 "bump FORMAT_HEADER in onticsim.reports first")
+    print(f'PINNED_FORMAT = "{FORMAT_HEADER}"')
     print("DIGESTS = {")
-    for name in sorted([*CASES, *PROTOCOL_CASES]):
-        structured, tabular = _digests(name)
+    for name, (structured, tabular) in table.items():
         print(f'    "{name}": (\n        "{structured}",\n        "{tabular}",\n    ),')
     print("}")

@@ -17,6 +17,7 @@ from onticsim import (
     build_frame,
     case_rng,
     covering_check,
+    prepare_messages,
     random_bloch,
     run_experiment,
     sample_ontic,
@@ -79,6 +80,27 @@ def test_case_rng_streams():
     assert case_rng(5, 0).random() == case_rng(5, 0).random()
     assert case_rng(5, 0).random() != case_rng(5, 1).random()
     assert case_rng(5, 0).random() != case_rng(6, 0).random()
+
+
+def test_protocol_draws_the_pairs_of_mc_qubit():
+    runs = [run_experiment(ExperimentConfig(kind=kind, pairs=5, samples=10, seed=4))
+            for kind in ("protocol", "mc-qubit")]
+    protocol, mc = (dict(run.columns) for run in runs)
+    for name in ("v", "w", "patch", "born_p"):
+        assert np.array_equal(protocol[name], mc[name]), name
+
+
+def test_fixed_pairs_draw_messages_then_outcomes_pair_after_pair(frame):
+    v0, v1 = (0.6, 0.0, 0.8), (0.6, 0.0, -0.8)  # off the vertices: both branches drawn
+    fixed = ((v0, (0.0, 0.0, 1.0)), (v1, (1.0, 0.0, 0.0)))
+    cfg = ExperimentConfig(kind="protocol", pairs=2, samples=50, seed=8, fixed_pairs=fixed)
+    wire = bytes(dict(run_experiment(cfg).files)["messages.bin"])
+    # fixed pairs draw nothing: pair 0's messages start the run's generator
+    rng = case_rng(8, 0)
+    first = prepare_messages(frame, np.array(v0), 50, rng).tobytes()
+    rng.random(50)  # pair 0's outcomes
+    second = prepare_messages(frame, np.array(v1), 50, rng).tobytes()
+    assert wire == first + second
 
 
 def test_z_score():

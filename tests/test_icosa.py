@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,21 @@ def test_prepare_messages_matches_per_round_prepare(frame):
         reference = b"".join(serialize_message(prepare(frame, v, reference_rng)) for _ in range(50))
         assert batched == reference
         assert batched_rng.random() == reference_rng.random()
+
+
+def test_prepare_messages_peak_under_twice_the_messages(frame):
+    # the messages are allocated after the draw: x, n and the messages are alive at once,
+    # 19 bytes a round, not the draw's transients as well
+    v, rounds = random_bloch(np.random.default_rng(4)), 10**6
+    prepare_messages(frame, v, 10, np.random.default_rng(0))  # first-call set-up is not the run
+    tracemalloc.start()
+    try:
+        messages = prepare_messages(frame, v, rounds, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert messages.nbytes == rounds * MESSAGE_SIZE
+    assert peak < 2 * messages.nbytes, f"peak {peak / messages.nbytes:.2f} x the messages"
 
 
 def test_measure_messages_prices_each_distinct_message_once(frame, rng, monkeypatch):

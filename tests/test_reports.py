@@ -1,3 +1,4 @@
+import copy
 import csv
 import functools
 import io
@@ -7,7 +8,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from onticsim import EXPERIMENT_KINDS, ExperimentConfig, ExperimentReport, run_experiment
+from onticsim import (
+    EXPERIMENT_KINDS,
+    ExperimentConfig,
+    ExperimentReport,
+    case_rng,
+    harness,
+    run_experiment,
+)
 from onticsim.harness import _summary
 from onticsim.reports import (
     _token_table,
@@ -56,7 +64,7 @@ def test_structured_layout():
     cfg = ExperimentConfig(kind="witness", seed=5)
     text = render_structured(run_experiment(cfg))
     lines = text.splitlines()
-    assert lines[0] == "format: onticsim-report 6"
+    assert lines[0] == "format: onticsim-report 7"
     assert "[config]" in lines
     assert "[cases]" in lines
     assert "[summary]" in lines
@@ -161,6 +169,39 @@ def test_per_pair_rows_carry_rejections(name):
         assert all(type(r.rejections) is int for r in report.records)
     else:
         assert all(r.rejections is None for r in report.records)
+
+
+@pytest.mark.parametrize("name", ROW_CONFIGS)
+def test_run_draws_from_one_generator(name, monkeypatch):
+    cfg = ExperimentConfig(seed=3, **ROW_CONFIGS[name])
+    calls = []
+
+    def counted(seed, index):
+        calls.append((seed, index))
+        return case_rng(seed, index)
+
+    monkeypatch.setattr(harness, "case_rng", counted)
+    run_experiment(cfg)
+    assert calls in ([], [(3, 0)])
+
+
+@pytest.mark.parametrize("name", ["exact-ndim", "mc-ndim"])
+def test_ndim_pairs_drawn_once_per_config(name, monkeypatch):
+    draw, draws = harness.make_in_region_pair, []
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "make_in_region_pair", counted)
+    cfg = ExperimentConfig(seed=6, **ROW_CONFIGS[name])
+    reports = [run_experiment(cfg), run_experiment(cfg), run_experiment(copy.copy(cfg))]
+    assert len(draws) == 1
+    assert len({render_structured(r) + render_tabular(r) for r in reports}) == 1
+    # the kept draw is no field: it stays out of ==, the hash and the identity
+    assert cfg == ExperimentConfig(seed=6, **ROW_CONFIGS[name])
+    assert hash(cfg) == hash(ExperimentConfig(seed=6, **ROW_CONFIGS[name]))
+    assert "_ndim_draw" not in dict(cfg.items())
 
 
 @pytest.mark.parametrize("name", ROW_CONFIGS)
