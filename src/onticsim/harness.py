@@ -40,7 +40,7 @@ import functools
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 
 import numpy as np
 
@@ -102,6 +102,10 @@ _REGIONS = ("sphere", "cone")
 _CONE_Z_MIN = math.nextafter(0.6, 1.0)
 
 
+# The config fields an N-level pair draw depends on.
+_DRAW_FIELDS = ("seed", "dim", "scheme", "pole_mass", "radius", "pairs")
+
+
 def _draw_ndim(cfg: ExperimentConfig) -> tuple:
     """The scheme, the write-protected pair stack and the generator's state after its draw."""
     rng = case_rng(cfg.seed, 0)
@@ -121,7 +125,8 @@ class ExperimentConfig:
     serialized identity, so reports do not depend on it. ``protocol`` counts
     rounds in ``samples``; its ``fixed_pairs``, one unit ``(v, w)`` tuple per
     pair, replace the random pairs and are left out of the identity when empty.
-    An N-level config keeps the pair draw that checks its radius, as no field.
+    An N-level config keeps the pair draw that checks its radius, as no field;
+    ``draw_from``, a drawn config with the same draw fields, lends it its draw.
     """
 
     kind: str
@@ -140,8 +145,9 @@ class ExperimentConfig:
     phi_b: float = math.pi / 2.0
     radius: float | None = None
     fixed_pairs: tuple = ()
+    draw_from: InitVar[ExperimentConfig | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, draw_from) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         for f in fields(self):
@@ -187,6 +193,10 @@ class ExperimentConfig:
         if self.kind == "witness":
             non_markov_witness(self.theta, self.phi_a, self.phi_b)  # raises on bad angles
         if self.kind.endswith("-ndim"):
+            if draw_from is not None and "_ndim_draw" in vars(draw_from) and all(
+                getattr(draw_from, name) == getattr(self, name) for name in _DRAW_FIELDS
+            ):
+                vars(self)["_ndim_draw"] = draw_from._ndim_draw
             # the run's own draw: a radius too large for the scheme fails here, not mid-run
             try:
                 self._ndim_draw

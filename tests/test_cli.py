@@ -12,6 +12,7 @@ import onticsim
 from onticsim import cli, harness, run_experiment
 from onticsim.cli import main
 from onticsim.icosa import MESSAGE_SIZE
+from onticsim.reports import render_tabular
 
 
 def _run_dirs(base, command):
@@ -435,3 +436,24 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: onticsim")
+
+
+def test_verify_ndim_draws_its_pairs_once(tmp_path, monkeypatch):
+    draw, draws = harness.make_in_region_pair, []
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "make_in_region_pair", counted)
+    argv = ["--pairs", "40", "--dim", "3", "--seed", "5", "--out-dir", str(tmp_path)]
+    assert main(["verify-ndim", "--samples", "1000", *argv]) == 0
+    assert len(draws) == 1
+    (run_dir,) = _run_dirs(tmp_path, "verify-ndim")
+    # the mc-ndim run borrows the draw, so its cases equal those of a config that drew its own
+    cfg = onticsim.ExperimentConfig(kind="mc-ndim", pairs=40, dim=3, seed=5, samples=1000)
+    assert render_tabular(run_experiment(cfg)).encode() == (run_dir / "mc-ndim" / "cases.csv").read_bytes()
+    assert len(draws) == 2
+    # a config whose draw fields differ draws its own pairs, whatever it is handed
+    other = onticsim.ExperimentConfig(kind="mc-ndim", pairs=41, dim=3, seed=5, samples=9, draw_from=cfg)
+    assert len(draws) == 3 and len(other._ndim_draw[1].psi) == 41
