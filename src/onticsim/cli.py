@@ -170,9 +170,7 @@ def _plan(command: str, opts: dict) -> list:
             if opts["samples"] == 0:
                 continue
             fixed = {**fixed, "samples": opts["samples"]}
-        # an N-level config borrows the pair draw of the one before it (same draw fields)
-        draw_from = plan[-1][1] if plan else None
-        plan.append((label, ExperimentConfig(kind=kind, **base, **fixed, draw_from=draw_from)))
+        plan.append((label, ExperimentConfig(kind=kind, **base, **fixed)))
     return plan
 
 

@@ -47,6 +47,8 @@ __all__ = [
 # for every measurement event. cos(THETA0) = 3/5 exactly.
 THETA0 = math.acos(0.6)
 _COS_THETA0 = 0.6
+# Lowest v_z of the cone region's cap: at v_z = _COS_THETA0 the cone gate refuses v.
+_CONE_Z_MIN = math.nextafter(_COS_THETA0, 1.0)
 
 _SIN_GUARD = 1.0 - 1e-12
 

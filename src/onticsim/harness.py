@@ -15,8 +15,11 @@ are a function of (config, seed) only. The qubit kinds draw all of V,
 then all of W (or take ``fixed_pairs``), then for MC each of the three
 binomials for every pair, for ``protocol`` per pair its messages and then
 its outcomes; so case i depends on ``pairs``. The cone region draws V on
-its cap. The N-level kinds draw their stacks once per config, when it is
-built. Replaying one case means rerunning its experiment.
+its cap; the sphere draw also rotates V and W into V's patch frame. A
+one-slot memo holds the last pair draw, keyed by its arguments, with the
+generator's state after it, so the runs of one subcommand share a draw.
+An N-level config draws when it is built. Replaying one case means
+rerunning its experiment.
 
 Statistical kinds compare Monte Carlo frequencies against exact
 probabilities through the normal z-score
@@ -25,10 +28,10 @@ probabilities through the normal z-score
 
 with degenerate probabilities (p = 0 or 1) checked for exact frequency
 match instead. Each ``mc-*`` case draws its hit count hierarchically
-through the model's own count sampler (``sample_hits``,
-``sample_hits_patched``, ``sample_hits_ndim``): exact in distribution to
-drawing every round, at a cost that does not grow with ``samples``. An
-``mc-*`` run passes when at most max(1, pairs // 100) cases land outside
+through the model's own count sampler (``sample_hits`` in the patch
+frame, ``sample_hits_ndim``): exact in distribution to drawing every
+round, at a cost that does not grow with ``samples``. An ``mc-*`` run
+passes when at most ``allowed_z_failures(pairs)`` cases land outside
 |z| <= 5; ``protocol`` draws every round through 10-byte wire messages
 and passes only when every pair does.
 """
@@ -36,15 +39,15 @@ and passes only when every pair does.
 from __future__ import annotations
 
 import collections
-import functools
 import hashlib
 import math
 import numbers
-from dataclasses import InitVar, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .cone import (
+    _CONE_Z_MIN,
     THETA0,
     QubitOnticState,
     conditional_probability_unchecked,
@@ -59,12 +62,10 @@ from .icosa import (
     COVERING_RADIUS,
     EDGE_LENGTH,
     MESSAGE_SIZE,
-    assign_patch,
     build_frame,
-    extended_exact_probability,
+    into_patch,
     measure_messages,
     prepare_messages,
-    sample_hits_patched,
 )
 from .ndim import (
     conditional_probability_grid,
@@ -98,23 +99,6 @@ _SCHEMES = ("uniform", "ground")
 _SAMPLED = ("mc-qubit", "mc-ndim", "protocol")
 _REGIONS = ("sphere", "cone")
 
-# Lowest v_z of the cone region's cap: at cos(THETA0) = 0.6 the cone gate refuses v.
-_CONE_Z_MIN = math.nextafter(0.6, 1.0)
-
-
-# The config fields an N-level pair draw depends on.
-_DRAW_FIELDS = ("seed", "dim", "scheme", "pole_mass", "radius", "pairs")
-
-
-def _draw_ndim(cfg: ExperimentConfig) -> tuple:
-    """The scheme, the write-protected pair stack and the generator's state after its draw."""
-    rng = case_rng(cfg.seed, 0)
-    scheme = uniform_weights(cfg.dim) if cfg.scheme == "uniform" else ground_weighted(cfg.dim, cfg.pole_mass)
-    pairs = make_in_region_pair(cfg.dim, scheme, rng, radius=cfg.radius, size=cfg.pairs)
-    for column in pairs:
-        column.setflags(write=False)
-    return scheme, pairs, rng.bit_generator.state
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -125,8 +109,7 @@ class ExperimentConfig:
     serialized identity, so reports do not depend on it. ``protocol`` counts
     rounds in ``samples``; its ``fixed_pairs``, one unit ``(v, w)`` tuple per
     pair, replace the random pairs and are left out of the identity when empty.
-    An N-level config keeps the pair draw that checks its radius, as no field;
-    ``draw_from``, a drawn config with the same draw fields, lends it its draw.
+    An N-level config draws its pairs into the one-slot draw memo when built, to check its radius.
     """
 
     kind: str
@@ -145,9 +128,8 @@ class ExperimentConfig:
     phi_b: float = math.pi / 2.0
     radius: float | None = None
     fixed_pairs: tuple = ()
-    draw_from: InitVar[ExperimentConfig | None] = None
 
-    def __post_init__(self, draw_from) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         for f in fields(self):
@@ -193,17 +175,11 @@ class ExperimentConfig:
         if self.kind == "witness":
             non_markov_witness(self.theta, self.phi_a, self.phi_b)  # raises on bad angles
         if self.kind.endswith("-ndim"):
-            if draw_from is not None and "_ndim_draw" in vars(draw_from) and all(
-                getattr(draw_from, name) == getattr(self, name) for name in _DRAW_FIELDS
-            ):
-                vars(self)["_ndim_draw"] = draw_from._ndim_draw
             # the run's own draw: a radius too large for the scheme fails here, not mid-run
             try:
-                self._ndim_draw
+                _ndim_pairs(self)
             except RuntimeError as exc:
                 raise ValueError(f"radius too large for the {self.scheme} scheme: {exc}") from exc
-
-    _ndim_draw = functools.cached_property(_draw_ndim)  # not a field
 
     def items(self):
         """(name, value) pairs identifying the experiment, in field order."""
@@ -283,31 +259,52 @@ def z_score(freq: float, p: float, samples: int) -> float | None:
 
 
 def allowed_z_failures(pairs: int) -> int:
-    """Budget of cases allowed outside |z| <= Z_LIMIT."""
-    return max(1, pairs // 100)
+    """Budget of cases allowed outside |z| <= Z_LIMIT: one in 100, at least 1, fewer than pairs."""
+    return min(pairs - 1, max(1, pairs // 100))
+
+
+# The one slot of the pair-draw memo, {key: (generator state after the draw, what it drew)}.
+_MEMO: dict = {}
+
+
+def _drawn(draw, seed: int, *args) -> tuple:
+    """The run's one generator, after ``draw(case_rng(seed, 0), *args)``, then what it drew.
+
+    A held draw's generator is set to the state after it: one ``case_rng`` call either way.
+    The key is the arguments' repr, as -0.0 and 0.0 compare equal but print apart in a report.
+    """
+    key, rng = (draw, repr((seed, *args))), case_rng(seed, 0)
+    if key not in _MEMO:
+        _MEMO.clear()  # frees the previous draw before this one is made
+        values = draw(rng, *args)
+        for value in values:
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)  # shared by every run that holds the draw
+        _MEMO[key] = rng.bit_generator.state, values
+    rng.bit_generator.state, values = _MEMO[key]
+    return rng, *values
+
+
+def _draw_qubit(rng, pairs: int, region: str, fixed_pairs: tuple) -> tuple:
+    """V and W as (pairs, 3) stacks, V's patch column (None on the cone), then V and W in its frame."""
+    if fixed_pairs:
+        v, w = (np.array(column, dtype=float) for column in zip(*fixed_pairs))
+    else:
+        v = random_bloch(rng, z_min=_CONE_Z_MIN if region == "cone" else -1.0, size=pairs)
+        w = random_bloch(rng, size=pairs)
+    return (v, w, None, v, w) if region == "cone" else (v, w, *into_patch(build_frame(), v, w))
 
 
 def _qubit_pairs(cfg: ExperimentConfig) -> tuple:
-    """The run's generator, V then W as (pairs, 3) stacks, the input columns and 0 rejections."""
-    rng = case_rng(cfg.seed, 0)
-    cone = cfg.region == "cone"
-    if cfg.fixed_pairs:
-        v, w = (np.array(column, dtype=float) for column in zip(*cfg.fixed_pairs))
-    else:
-        v = random_bloch(rng, z_min=_CONE_Z_MIN if cone else -1.0, size=cfg.pairs)
-        w = random_bloch(rng, size=cfg.pairs)
-    inputs = {"v": v, "w": w}
-    if not cone:
-        inputs["patch"] = assign_patch(build_frame(), v)
-    return rng, v, w, inputs, np.zeros(cfg.pairs, dtype=np.int64)
+    """The run's generator, V and W, both in V's patch frame, the input columns and 0 rejections."""
+    rng, v, w, patch, *framed = _drawn(_draw_qubit, cfg.seed, cfg.pairs, cfg.region, cfg.fixed_pairs)
+    inputs = {"v": v, "w": w} if patch is None else {"v": v, "w": w, "patch": patch}
+    return rng, v, w, framed, inputs, np.zeros(cfg.pairs, dtype=np.int64)
 
 
 def _run_exact_qubit(cfg: ExperimentConfig) -> tuple:
-    _, v, w, inputs, rejections = _qubit_pairs(cfg)
-    if cfg.region == "cone":
-        exact = exact_event_probability(v, w)
-    else:
-        exact = extended_exact_probability(build_frame(), v, w)
+    _, v, w, framed, inputs, rejections = _qubit_pairs(cfg)
+    exact = exact_event_probability(*framed)
     born = born_probability_qubit(v, w)
     abs_error = np.abs(exact - born)
     errors = abs_error.tolist()
@@ -353,28 +350,28 @@ def _mc_columns(cfg: ExperimentConfig, inputs: dict, born, hits, rejections, all
 
 
 def _run_mc_qubit(cfg: ExperimentConfig) -> tuple:
-    rng, v, w, inputs, rejections = _qubit_pairs(cfg)
-    if cfg.region == "cone":
-        hits = sample_hits(v, w, cfg.samples, rng)
-    else:
-        hits = sample_hits_patched(build_frame(), v, w, cfg.samples, rng)
+    rng, v, w, framed, inputs, rejections = _qubit_pairs(cfg)
+    hits = sample_hits(*framed, cfg.samples, rng)
     born = born_probability_qubit(v, w)
     return _mc_columns(cfg, inputs, born, hits, rejections, allowed_z_failures(cfg.pairs))
 
 
+def _draw_ndim(rng, pairs: int, dim: int, scheme: str, pole_mass: float, radius) -> tuple:
+    """The cell weights of the scheme, then an in-region pair stack: psi, phi, rejections."""
+    weights = uniform_weights(dim) if scheme == "uniform" else ground_weighted(dim, pole_mass)
+    return weights, *make_in_region_pair(dim, weights, rng, radius=radius, size=pairs)
+
+
 def _ndim_pairs(cfg: ExperimentConfig) -> tuple:
-    """The run's generator, continued after the config's pair draw, and the input columns."""
-    scheme, pairs, state = cfg._ndim_draw
-    rng = case_rng(cfg.seed, 0)
-    rng.bit_generator.state = state
-    return rng, scheme, pairs, {"psi": pairs.psi, "phi": pairs.phi}
+    """The run's generator after its pair draw, the cell weights, psi, phi and the rejections."""
+    return _drawn(_draw_ndim, cfg.seed, cfg.pairs, cfg.dim, cfg.scheme, cfg.pole_mass, cfg.radius)
 
 
 def _run_exact_ndim(cfg: ExperimentConfig) -> tuple:
-    rng, scheme, pairs, inputs = _ndim_pairs(cfg)
-    exact = exact_event_probability_ndim(pairs.psi, pairs.phi, scheme)
-    born = born_probability_ndim(pairs.psi, pairs.phi)
-    grid = conditional_probability_grid(pairs.psi, pairs.phi, scheme)
+    rng, scheme, psi, phi, rejections = _ndim_pairs(cfg)
+    exact = exact_event_probability_ndim(psi, phi, scheme)
+    born = born_probability_ndim(psi, phi)
+    grid = conditional_probability_grid(psi, phi, scheme)
     # Unconstrained pairs: the weighted sum telescopes to the quantum
     # value even when positivity fails.
     psi_any = random_amplitudes(cfg.dim, rng, size=cfg.pairs)
@@ -384,9 +381,9 @@ def _run_exact_ndim(cfg: ExperimentConfig) -> tuple:
     cond_min = grid.min(axis=(1, 2))
     cond_max = grid.max(axis=(1, 2))
     ungated_error = np.abs(ungated - born_probability_ndim(psi_any, phi_any))
-    fixed = {"exact_p": exact, "born_p": born, "rejections": pairs.rejections}
+    fixed = {"exact_p": exact, "born_p": born, "rejections": rejections}
     columns = _columns(
-        inputs, fixed, abs_error=abs_error, cond_min=cond_min, cond_max=cond_max,
+        {"psi": psi, "phi": phi}, fixed, abs_error=abs_error, cond_min=cond_min, cond_max=cond_max,
         ungated_error=ungated_error,
     )
     stats = (
@@ -394,7 +391,7 @@ def _run_exact_ndim(cfg: ExperimentConfig) -> tuple:
         ("cond_min", float(cond_min.min())),
         ("cond_max", float(cond_max.max())),
         ("max_ungated_error", float(ungated_error.max())),
-        ("total_rejections", int(pairs.rejections.sum())),
+        ("total_rejections", int(rejections.sum())),
     )
     value = dict(stats)
     criteria = (
@@ -406,21 +403,21 @@ def _run_exact_ndim(cfg: ExperimentConfig) -> tuple:
 
 
 def _run_mc_ndim(cfg: ExperimentConfig) -> tuple:
-    rng, scheme, pairs, inputs = _ndim_pairs(cfg)
-    hits = sample_hits_ndim(pairs.psi, pairs.phi, scheme, cfg.samples, rng)
-    born = born_probability_ndim(pairs.psi, pairs.phi)
-    return _mc_columns(cfg, inputs, born, hits, pairs.rejections, allowed_z_failures(cfg.pairs))
+    rng, scheme, psi, phi, rejections = _ndim_pairs(cfg)
+    hits = sample_hits_ndim(psi, phi, scheme, cfg.samples, rng)
+    born = born_probability_ndim(psi, phi)
+    return _mc_columns(cfg, {"psi": psi, "phi": phi}, born, hits, rejections, allowed_z_failures(cfg.pairs))
 
 
 def _run_protocol(cfg: ExperimentConfig) -> tuple:
     """Each pair's rounds as 10-byte wire messages, measured from the bytes alone.
 
-    V and W come from ``_qubit_pairs``, as for ``mc-qubit``. Then, pair after
+    V and W come from ``_qubit_pairs``, as for ``mc-qubit``, unrotated. Then, pair after
     pair, the run's generator draws pair i's messages into row i of the one
     buffer that is ``messages.bin``, then its outcomes; these shrink to a hit
     count and the running frequencies of the transcript.
     """
-    rng, v, w, inputs, rejections = _qubit_pairs(cfg)
+    rng, v, w, _, inputs, rejections = _qubit_pairs(cfg)
     frame = build_frame()
     size = cfg.samples * MESSAGE_SIZE  # bytes per pair
     wire = bytearray(cfg.pairs * size)

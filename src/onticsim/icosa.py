@@ -32,6 +32,7 @@ __all__ = [
     "build_frame",
     "PatchedOnticState",
     "assign_patch",
+    "into_patch",
     "prepare",
     "prepare_messages",
     "measure_probability",
@@ -148,6 +149,12 @@ def _rotate_into_patch(frame: IcosaFrame, k, u) -> np.ndarray:
     return rotated / np.sqrt(_dot_rows(rotated, rotated))[..., None]
 
 
+def into_patch(frame: IcosaFrame, v, w) -> tuple:
+    """The patch k of v, then v and w in the frame where vertex k is the pole; one per pair of a stack."""
+    k = assign_patch(frame, v)
+    return k, _rotate_into_patch(frame, k, v), _rotate_into_patch(frame, k, w)
+
+
 def prepare(frame: IcosaFrame, v, rng: np.random.Generator) -> PatchedOnticState:
     """One round of ``prepare_messages``, read back from its 10 wire bytes."""
     return deserialize_message(prepare_messages(frame, v, 1, rng).tobytes())
@@ -165,20 +172,16 @@ def measure_probability(frame: IcosaFrame, w, state: PatchedOnticState) -> float
 
 def extended_exact_probability(frame: IcosaFrame, v, w):
     """Exact model probability of w for any preparation on the sphere; one per pair of a stack."""
-    k = assign_patch(frame, v)
-    return exact_event_probability(_rotate_into_patch(frame, k, v), _rotate_into_patch(frame, k, w))
+    return exact_event_probability(*into_patch(frame, v, w)[1:])
 
 
 def sample_hits_patched(frame: IcosaFrame, v, w, samples: int, rng: np.random.Generator):
-    """Count the outcomes w among ``samples`` rounds from any preparation v.
+    """Count the outcomes w among ``samples`` rounds from any preparation v; one per pair of a stack.
 
-    Rotates v and w into the patch of v and draws the count there with
-    ``cone.sample_hits``: exactly three binomial variates, as for
-    ``prepare`` followed by ``simulate_outcome`` round by round. Stacks
-    of pairs draw as ``cone.sample_hits`` does, one count per pair.
+    ``cone.sample_hits`` in the patch frame of v: three binomial variates per
+    pair, as for ``prepare`` followed by ``simulate_outcome`` round by round.
     """
-    k = assign_patch(frame, v)
-    return sample_hits(_rotate_into_patch(frame, k, v), _rotate_into_patch(frame, k, w), samples, rng)
+    return sample_hits(*into_patch(frame, v, w)[1:], samples, rng)
 
 
 def simulate_outcome(

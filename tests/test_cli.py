@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import onticsim
-from onticsim import cli, harness, run_experiment
+from onticsim import cli, harness, icosa, run_experiment
 from onticsim.cli import main
 from onticsim.icosa import MESSAGE_SIZE
 from onticsim.reports import render_tabular
@@ -439,6 +439,7 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_verify_ndim_draws_its_pairs_once(tmp_path, monkeypatch):
+    harness._MEMO.clear()  # a draw held from an earlier test would hide this one
     draw, draws = harness.make_in_region_pair, []
 
     def counted(*args, **kwargs):
@@ -450,10 +451,43 @@ def test_verify_ndim_draws_its_pairs_once(tmp_path, monkeypatch):
     assert main(["verify-ndim", "--samples", "1000", *argv]) == 0
     assert len(draws) == 1
     (run_dir,) = _run_dirs(tmp_path, "verify-ndim")
-    # the mc-ndim run borrows the draw, so its cases equal those of a config that drew its own
+    # the mc-ndim run shares the draw, so its cases equal those of a config that drew its own
+    harness._MEMO.clear()
     cfg = onticsim.ExperimentConfig(kind="mc-ndim", pairs=40, dim=3, seed=5, samples=1000)
     assert render_tabular(run_experiment(cfg)).encode() == (run_dir / "mc-ndim" / "cases.csv").read_bytes()
     assert len(draws) == 2
-    # a config whose draw fields differ draws its own pairs, whatever it is handed
-    other = onticsim.ExperimentConfig(kind="mc-ndim", pairs=41, dim=3, seed=5, samples=9, draw_from=cfg)
-    assert len(draws) == 3 and len(other._ndim_draw[1].psi) == 41
+
+
+def test_verify_qubit_draws_each_region_once(tmp_path, monkeypatch):
+    harness._MEMO.clear()  # a draw held from an earlier test would hide this one
+    bloch, patch, z_mins, patched = harness.random_bloch, icosa.assign_patch, [], []
+
+    def counted_bloch(rng, *, z_min=-1.0, size=None):
+        z_mins.append(z_min)
+        return bloch(rng, z_min=z_min, size=size)
+
+    def counted_patch(frame, v):
+        patched.append(len(v))
+        return patch(frame, v)
+
+    monkeypatch.setattr(harness, "random_bloch", counted_bloch)
+    monkeypatch.setattr(icosa, "assign_patch", counted_patch)
+    argv = ["--pairs", "30", "--samples", "1000", "--seed", "5", "--out-dir", str(tmp_path)]
+    assert main(["verify-qubit", *argv]) == 0
+    # cone V on its cap, cone W, then sphere V and W: mc-sphere shares exact-sphere's draw
+    assert z_mins == [harness._CONE_Z_MIN, -1.0, -1.0, -1.0]
+    assert patched == [30]  # the sphere V, once; the cone region is its own frame
+
+
+def test_signed_zero_fixed_pairs_draw_apart():
+    w = (0.6, 0.0, 0.8)
+    signed, unsigned = (onticsim.ExperimentConfig(
+        kind="protocol", pairs=1, samples=50, seed=3, fixed_pairs=(((zero, 0.0, 1.0), w),))
+        for zero in (-0.0, 0.0))
+    # equal configs whose reports differ: the memo must not key on ==
+    assert signed == unsigned and signed.digest() != unsigned.digest()
+    run_experiment(signed)
+    shared = render_tabular(run_experiment(unsigned))
+    harness._MEMO.clear()
+    assert shared == render_tabular(run_experiment(unsigned))
+    assert "(-0, " not in shared

@@ -10,8 +10,11 @@ only together with a ``FORMAT_HEADER`` bump in ``onticsim.reports`` and a
 CHANGES.md entry that says why. ``PINNED_FORMAT`` is the header the
 digests were written under, and a test holds it equal to ``FORMAT_HEADER``.
 
-Run as a script from the repository root to print the ``PINNED_FORMAT`` and
-``DIGESTS`` of the current code, ready to paste below:
+``CLI_CASES`` pin every report file of the subcommands whose runs share one
+pair draw (``verify-qubit`` and ``verify-ndim`` with Monte Carlo), by path.
+
+Run as a script from the repository root to print the ``PINNED_FORMAT``,
+``DIGESTS`` and ``CLI_DIGESTS`` of the current code, ready to paste below:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -58,6 +61,12 @@ PROTOCOL_CASES = {
         "rounds = 300\npair.0 = 0, 0, 1, 0.6, 0, 0.8\npair.1 = 1, 2, -2, -3, 0, 4\n"
     ),
     "protocol-random-pair": "rounds = 400\npairs = 1\n",
+}
+# Subcommands whose runs share one pair draw; every report file they write is pinned in
+# CLI_DIGESTS, by path in the run directory.
+CLI_CASES = {
+    "verify-qubit-samples": ["verify-qubit", "--pairs", "20", "--samples", "1000"],
+    "verify-ndim-samples": ["verify-ndim", "--pairs", "10", "--dim", "3", "--samples", "1000"],
 }
 
 # The FORMAT_HEADER the digests below were written under.
@@ -126,24 +135,50 @@ DIGESTS = {
         "8ba11fb96e6b44015dc448541245c9ef47ebccca0ca4424d74e96e596675755b",
     ),
 }
+# SHA-256 of every file each CLI case writes, by path.
+CLI_DIGESTS = {
+    "verify-ndim-samples": {
+        "exact-ndim/cases.csv": "929ead5c5e4d0668b54cac31cf03bc683c442888e288430f6249ee803bee5819",
+        "exact-ndim/report.txt": "f5ec026895b0c8021c7bbd95d7a9c67c3a2037749e57239c936f528cbab08506",
+        "mc-ndim/cases.csv": "f3bb14382a61c12e4edf073da3d8db75232b59063768617789b384f981976263",
+        "mc-ndim/report.txt": "58637896fdabaa9409ca0fe5eb36805ad1f934fc92659eb6988f35dcf83b9d06",
+    },
+    "verify-qubit-samples": {
+        "exact-cone/cases.csv": "1580d653b2788391dda072102691b545f504835186178b91e67a88e35534810d",
+        "exact-cone/report.txt": "0f796d53ff51ecf9c7b593a10f940883bf6fec5ffb6d06f2c55c8f23b60af4b3",
+        "exact-sphere/cases.csv": "a7fbbaf27ba43a88d06b0b78e651880dc0838c900450574c455e79e0739be66f",
+        "exact-sphere/report.txt": "7c99002d53c67198255e7ce9e10be602cb74987affc21c530908b1a2b98a002b",
+        "mc-sphere/cases.csv": "79c8bd1e831e9fcd9247272dba1bf50de5122342d8e9aee92082deba4d209007",
+        "mc-sphere/report.txt": "1225a2bb19071ce90928bb000b8ca332c951d5e2d9f234dc5e1070a3bad336e3",
+    },
+}
 
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _protocol_files(name: str) -> dict:
-    """Bytes of every file the command writes, by path in its run directory."""
+def _command_files(argv: list) -> dict:
+    """Bytes of every file the command writes at SEED, by path in its run directory."""
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "protocol.cfg"
-        config.write_text(PROTOCOL_CASES[name])
-        argv = ["simulate-protocol", "--config", str(config), "--seed", str(SEED)]
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main([*argv, "--out-dir", str(Path(tmp) / "out")])
-        assert code == 0, name
+            code = main([*argv, "--seed", str(SEED), "--out-dir", str(Path(tmp) / "out")])
+        assert code == 0, argv
         (run_dir,) = (Path(tmp) / "out").iterdir()
         paths = [p for p in run_dir.rglob("*") if p.is_file()]
         return {p.relative_to(run_dir).as_posix(): p.read_bytes() for p in paths}
+
+
+def _protocol_files(name: str) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "protocol.cfg"
+        config.write_text(PROTOCOL_CASES[name])
+        return _command_files(["simulate-protocol", "--config", str(config)])
+
+
+def _cli_digests(name: str) -> dict:
+    files = _command_files(CLI_CASES[name])
+    return {path: hashlib.sha256(files[path]).hexdigest() for path in sorted(files)}
 
 
 def _digests(name: str) -> tuple:
@@ -158,6 +193,11 @@ def _digests(name: str) -> tuple:
 @pytest.mark.parametrize("name", sorted([*CASES, *PROTOCOL_CASES]))
 def test_report_bytes_pinned(name):
     assert _digests(name) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_command_bytes_pinned(name):
+    assert _cli_digests(name) == CLI_DIGESTS[name]
 
 
 def test_digests_pinned_under_the_current_format():
@@ -181,7 +221,9 @@ def test_protocol_command_writes_the_library_run(name):
 
 if __name__ == "__main__":
     table = {name: _digests(name) for name in sorted([*CASES, *PROTOCOL_CASES])}
+    cli_table = {name: _cli_digests(name) for name in sorted(CLI_CASES)}
     changed = [name for name, digests in table.items() if DIGESTS.get(name, digests) != digests]
+    changed += [name for name, digests in cli_table.items() if CLI_DIGESTS.get(name, digests) != digests]
     if changed and FORMAT_HEADER == PINNED_FORMAT:
         sys.exit(f"digests of {', '.join(changed)} changed under {FORMAT_HEADER!r}; "
                  "bump FORMAT_HEADER in onticsim.reports first")
@@ -189,4 +231,11 @@ if __name__ == "__main__":
     print("DIGESTS = {")
     for name, (structured, tabular) in table.items():
         print(f'    "{name}": (\n        "{structured}",\n        "{tabular}",\n    ),')
+    print("}")
+    print("CLI_DIGESTS = {")
+    for name, digests in cli_table.items():
+        print(f'    "{name}": {{')
+        for path, digest in digests.items():
+            print(f'        "{path}": "{digest}",')
+        print("    },")
     print("}")

@@ -23,6 +23,7 @@ from onticsim import (
     sample_ontic,
     z_score,
 )
+from onticsim import harness
 from onticsim.cli import main
 from onticsim.harness import _CONE_Z_MIN, _COVERING_BLOCK_ROWS, _nearest_vertex_angles
 from onticsim.reports import render_structured, render_tabular
@@ -112,10 +113,21 @@ def test_z_score():
 
 
 def test_allowed_z_failures():
-    assert allowed_z_failures(1) == 1
+    assert allowed_z_failures(1) == 0
+    assert allowed_z_failures(2) == 1
     assert allowed_z_failures(100) == 1
     assert allowed_z_failures(199) == 1
     assert allowed_z_failures(1000) == 10
+
+
+def test_one_pair_mc_run_can_fail_its_gate(monkeypatch):
+    cfg = ExperimentConfig(kind="mc-qubit", pairs=1, samples=10000, seed=4)
+    assert run_experiment(cfg).passed
+    monkeypatch.setattr(harness, "sample_hits", lambda v, w, samples, rng: np.zeros(len(v), dtype=np.int64))
+    report = run_experiment(cfg)
+    stats = dict(report.summary.stats)
+    assert (stats["z_failures"], stats["allowed_failures"]) == (1, 0)
+    assert not report.passed
 
 
 def test_exact_qubit_runs_both_regions():

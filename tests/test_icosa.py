@@ -15,6 +15,7 @@ from onticsim import (
     born_probability_qubit,
     deserialize_message,
     extended_exact_probability,
+    into_patch,
     measure_messages,
     measure_probability,
     prepare,
@@ -85,6 +86,19 @@ def test_assign_patch_within_covering_radius(frame, rng):
         k = assign_patch(frame, v)
         angle = math.acos(min(1.0, max(-1.0, float(np.dot(frame.vertices[k - 1], v)))))
         assert angle <= COVERING_RADIUS + 1e-9
+
+
+def test_into_patch_puts_v_in_its_cone(frame, rng):
+    v, w = random_bloch(rng, size=2000), random_bloch(rng, size=2000)
+    k, v_in, w_in = into_patch(frame, v, w)
+    assert np.array_equal(k, assign_patch(frame, v))
+    assert (v_in[:, 2] >= math.cos(COVERING_RADIUS) - 1e-12).all()  # inside the validity cone
+    # one rotation for both: v.w is kept, and each row is the single call's
+    assert np.allclose((v_in * w_in).sum(axis=1), (v * w).sum(axis=1), rtol=0, atol=1e-14)
+    for i in (0, 1, 1999):
+        single = into_patch(frame, v[i], w[i])
+        assert single[0] == k[i]
+        assert np.array_equal(single[1], v_in[i]) and np.array_equal(single[2], w_in[i])
 
 
 def test_prepare_at_vertex(frame, rng):

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import functools
 import io
 import pickle
@@ -188,6 +189,7 @@ def test_run_draws_from_one_generator(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["exact-ndim", "mc-ndim"])
 def test_ndim_pairs_drawn_once_per_config(name, monkeypatch):
+    harness._MEMO.clear()  # a draw held from an earlier test would hide this one
     draw, draws = harness.make_in_region_pair, []
 
     def counted(*args, **kwargs):
@@ -199,10 +201,10 @@ def test_ndim_pairs_drawn_once_per_config(name, monkeypatch):
     reports = [run_experiment(cfg), run_experiment(cfg), run_experiment(copy.copy(cfg))]
     assert len(draws) == 1
     assert len({render_structured(r) + render_tabular(r) for r in reports}) == 1
-    # the kept draw is no field: it stays out of ==, the hash and the identity
+    # the draw is held by the harness, not the config: it stays out of ==, the hash and the identity
     assert cfg == ExperimentConfig(seed=6, **ROW_CONFIGS[name])
     assert hash(cfg) == hash(ExperimentConfig(seed=6, **ROW_CONFIGS[name]))
-    assert "_ndim_draw" not in dict(cfg.items())
+    assert set(vars(cfg)) == {f.name for f in dataclasses.fields(cfg)}
 
 
 @pytest.mark.parametrize("name", ROW_CONFIGS)
