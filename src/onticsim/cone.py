@@ -56,9 +56,14 @@ _SIN_GUARD = 1.0 - 1e-12
 # binomial draw; matches the 1e-12 exactness tolerance of the harness.
 _RESPONSE_SLACK = 1e-12
 
-# Values per block of the positivity sweep: four grid rows of 10000 events. Its two
-# (rows, events) numerator buffers, 640 KB together, are allocated once per sweep.
+# Values per block of the positivity sweep: four zenith rows of 10000 events, or as many
+# azimuth rows as fit for the events the azimuth branch keeps. One buffer for a block's two
+# (rows, events) numerator products, 640 KB, is allocated once per sweep.
 _SWEEP_BLOCK_VALUES = 40000
+
+# Widening of each event's bound on its azimuth-branch numerator over the grid; the float
+# numerator is within about 1e-15 of r cos(x - alpha) - s, far inside this.
+_SWEEP_BOUND_SLACK = 1e-11
 
 
 class OutOfConeError(ValueError):
@@ -305,6 +310,35 @@ class PositivityReport:
     n_evaluations: int
 
 
+def _reach_extremes(event, xs, step: float, cos_x, sin_x) -> np.ndarray:
+    """Mask of the events whose azimuth-branch response could reach or tie an extreme over ``xs``.
+
+    The grid ``xs`` is ``step`` * k up to 2 pi, and (cos x, sin x) its (K, 1) columns. With
+    r = hypot(w_x, w_y) and alpha = atan2(w_y, w_x), the numerator of each row x is
+    r cos(x - alpha) - s to rounding, so its minimum over the grid is at least
+    -r cos d(alpha + pi) - s and its maximum at most r cos d(alpha) - s, with d the distance
+    to the nearest grid azimuth, each widened by ``_SWEEP_BOUND_SLACK``. The numerators of
+    those nearest rows, values the grid holds, bound the extremes from the other side.
+    ``_finish`` and ``_fold`` are monotone, so all four map to bounds on each event's
+    smallest and largest response. An event is kept when its smallest could reach or tie
+    the least value attained, or its largest the greatest.
+    """
+    wx, wy, _, s, flip = event
+    r, alpha = np.hypot(wx, wy), np.arctan2(wy, wx)
+    ends = np.empty((4, len(wx)))  # numerator: min bound, min row, max row, max bound
+    for bound, near, sign, shift in ((0, 1, -1.0, math.pi), (3, 2, 1.0, 0.0)):
+        a = np.mod(alpha + shift, TWO_PI)
+        row = np.minimum(np.rint(a / step).astype(np.intp), len(xs) - 1)  # nearest, up to rounding
+        d = np.abs(a - xs[row])
+        top = np.abs(xs[-1] - a)  # the last azimuth, 2 pi where clipped, may be nearer
+        row[top < d] = len(xs) - 1
+        ends[bound] = sign * (r * np.cos(np.minimum(d, top, out=d)) + _SWEEP_BOUND_SLACK) - s
+        _numerator(event, cos_x[row, 0], sin_x[row, 0], 0, (ends[near], d))
+    _fold(_finish(ends, None, 0), flip)
+    ends[:, flip] = ends[::-1, flip]  # the fold reverses the order
+    return (ends[0] <= ends[1].min()) | (ends[3] >= ends[2].max())
+
+
 def sweep_positivity(
     x_grid_step: float,
     n_event_points: int,
@@ -330,6 +364,17 @@ def sweep_positivity(
     extreme responses bit for bit. The full response is evaluated only on
     the first row holding the minimum and the first holding the maximum, so
     ties keep the first occurrence in (branch, x, event) order.
+
+    Branch n = 0 scans only the events ``_reach_extremes`` keeps. Its
+    numerator is r cos(x - alpha) - s, so each event's extremes over the
+    azimuth grid are bounded in closed form, and an event whose bounds show
+    it can neither reach nor tie the least or greatest response that some
+    event attains on the grid holds no extreme. A row's extremes over the
+    kept events then differ from those over all events only in rows that
+    hold no extreme of the sweep, so the report is unchanged. Branch n = 1
+    scans every event: its last step divides by 2 - 2 sin x, which varies
+    with the row, and ``x_range_n1`` may take the zenith past THETA0, where
+    no bound over the events is known.
     """
     from .geometry import fibonacci_sphere
 
@@ -341,6 +386,8 @@ def sweep_positivity(
         ev = fibonacci_sphere(n_event_points)
     else:
         ev = _unit_rows(events, "events")
+        if not len(ev):
+            raise ValueError("events must hold at least one direction")
 
     # The events in ``_event``'s form, northern first, negated once up front where southern;
     # contiguous rows run faster, and s stays sqrt(1 - w_z^2) as it always was here.
@@ -348,9 +395,6 @@ def sweep_positivity(
     flip = ev[order, 2] < 0.0
     wx, wy, wz = np.where(flip[:, None], -ev[order], ev[order]).T.copy()
     event = (wx, wy, wz, np.sqrt(np.maximum(0.0, 1.0 - wz * wz)), flip)
-    north = int(np.count_nonzero(~flip))
-    halves = [(half, reduce, initial) for half in (slice(None, north), slice(north, None))
-              for reduce, initial in ((np.minimum.reduce, math.inf), (np.maximum.reduce, -math.inf))]
 
     def grid(lo: float, hi: float) -> np.ndarray:
         count = max(1, int(math.ceil((hi - lo) / x_grid_step)))
@@ -361,13 +405,19 @@ def sweep_positivity(
     for n, (lo, hi) in ((0, (0.0, TWO_PI)), (1, range_n1)):
         xs.append([x for x in map(float, np.minimum(grid(lo, hi), hi)) if n == 0 or math.sin(x) < _SIN_GUARD])
         trig.append(tuple(np.array([f(x) for x in xs[n]]).reshape(-1, 1) for f in (math.cos, math.sin)))
-    rows = max(1, min(_SWEEP_BLOCK_VALUES // m, max(map(len, xs))))
-    buffers = np.empty((2, rows, m))
+    kept = _reach_extremes(event, np.array(xs[0]), x_grid_step, *trig[0])
+    scanned = (tuple(column[kept] for column in event), event)  # the events each branch scans
+    rows = [max(1, min(_SWEEP_BLOCK_VALUES // len(e[4]), len(x))) for e, x in zip(scanned, xs)]
+    buffer = np.empty(2 * max(k * len(e[4]) for k, e in zip(rows, scanned)))
     for n, (cos_x, sin_x) in enumerate(trig):
+        north = int(np.count_nonzero(~scanned[n][4]))
+        halves = [(half, reduce, initial) for half in (slice(None, north), slice(north, None))
+                  for reduce, initial in ((np.minimum.reduce, math.inf), (np.maximum.reduce, -math.inf))]
+        buffers = buffer[: 2 * rows[n] * len(scanned[n][4])].reshape(2, rows[n], -1)
         ends = np.empty((len(xs[n]), 4))  # per row: northern, then southern numerator min and max
-        for start in range(0, len(xs[n]), rows):
-            block = slice(start, start + rows)
-            p = _numerator(event, cos_x[block], sin_x[block], n, buffers[:, : len(cos_x[block])])
+        for start in range(0, len(xs[n]), rows[n]):
+            block = slice(start, start + rows[n])
+            p = _numerator(scanned[n], cos_x[block], sin_x[block], n, buffers[:, : len(cos_x[block])])
             for column, (half, reduce, initial) in enumerate(halves):
                 reduce(p[:, half], axis=1, initial=initial, out=ends[block, column])
         _fold(_finish(ends, sin_x, n)[:, 2:], True)  # the fold swaps the southern min and max

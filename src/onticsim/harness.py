@@ -177,7 +177,7 @@ class ExperimentConfig:
         if self.kind.endswith("-ndim"):
             # the run's own draw: a radius too large for the scheme fails here, not mid-run
             try:
-                _ndim_pairs(self)
+                _ndim_pairs(self, generator=False)
             except RuntimeError as exc:
                 raise ValueError(f"radius too large for the {self.scheme} scheme: {exc}") from exc
 
@@ -267,22 +267,26 @@ def allowed_z_failures(pairs: int) -> int:
 _MEMO: dict = {}
 
 
-def _drawn(draw, seed: int, *args) -> tuple:
+def _drawn(draw, seed: int, *args, generator: bool = True) -> tuple:
     """The run's one generator, after ``draw(case_rng(seed, 0), *args)``, then what it drew.
 
-    A held draw's generator is set to the state after it: one ``case_rng`` call either way.
+    A held draw's generator is set to the state after it: one ``case_rng`` call either way,
+    and none for a held draw when ``generator`` is false, whose generator is then None.
     The key is the arguments' repr, as -0.0 and 0.0 compare equal but print apart in a report.
     """
-    key, rng = (draw, repr((seed, *args))), case_rng(seed, 0)
+    key, rng = (draw, repr((seed, *args))), None
     if key not in _MEMO:
         _MEMO.clear()  # frees the previous draw before this one is made
+        rng = case_rng(seed, 0)
         values = draw(rng, *args)
         for value in values:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)  # shared by every run that holds the draw
         _MEMO[key] = rng.bit_generator.state, values
-    rng.bit_generator.state, values = _MEMO[key]
-    return rng, *values
+    elif generator:
+        rng = case_rng(seed, 0)
+        rng.bit_generator.state = _MEMO[key][0]
+    return rng, *_MEMO[key][1]
 
 
 def _draw_qubit(rng, pairs: int, region: str, fixed_pairs: tuple) -> tuple:
@@ -362,9 +366,10 @@ def _draw_ndim(rng, pairs: int, dim: int, scheme: str, pole_mass: float, radius)
     return weights, *make_in_region_pair(dim, weights, rng, radius=radius, size=pairs)
 
 
-def _ndim_pairs(cfg: ExperimentConfig) -> tuple:
+def _ndim_pairs(cfg: ExperimentConfig, generator: bool = True) -> tuple:
     """The run's generator after its pair draw, the cell weights, psi, phi and the rejections."""
-    return _drawn(_draw_ndim, cfg.seed, cfg.pairs, cfg.dim, cfg.scheme, cfg.pole_mass, cfg.radius)
+    args = (cfg.pairs, cfg.dim, cfg.scheme, cfg.pole_mass, cfg.radius)
+    return _drawn(_draw_ndim, cfg.seed, *args, generator=generator)
 
 
 def _run_exact_ndim(cfg: ExperimentConfig) -> tuple:
@@ -479,12 +484,24 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple:
 _COVERING_BLOCK_ROWS = 8192
 
 
+def _row_maxima(block: np.ndarray, out: np.ndarray) -> None:
+    """The largest of each row of a (k, 12) block into ``out``, by ``np.maximum`` over its columns.
+
+    Several times faster than ``np.max`` along the short rows, with the same bits: max is exact.
+    """
+    columns = block.T
+    np.maximum(columns[0], columns[1], out=out)
+    for column in columns[2:]:
+        np.maximum(out, column, out=out)
+
+
 def _nearest_vertex_angles(frame, n: int, rows) -> np.ndarray:
     """Angle from each of n unit vectors to its nearest frame vertex.
 
     ``rows(block)`` gives the vectors of a slice of row indices. Each block's
-    dot products with the vertices, ``rows @ vertices.T``, reduce to their
-    largest at once, so no (n, 12) matrix is built. Clip and arccos then run in
+    dot products with the vertices, ``rows @ vertices.T`` (``vertices @ rows.T``
+    rounds differently), reduce to their largest at once, so no (n, 12) matrix
+    is built, nor two blocks' products held at once. Clip and arccos then run in
     place on the n largest: the same as clipping first, since clip is monotone.
     """
     best = np.empty(n)
@@ -492,7 +509,7 @@ def _nearest_vertex_angles(frame, n: int, rows) -> np.ndarray:
     for i in range(blocks):
         stop = n if i == blocks - 1 else (i + 1) * _COVERING_BLOCK_ROWS
         block = slice(i * _COVERING_BLOCK_ROWS, stop)
-        np.max(rows(block) @ frame.vertices.T, axis=1, out=best[block])
+        _row_maxima(rows(block) @ frame.vertices.T, best[block])
     return np.arccos(np.clip(best, -1.0, 1.0, out=best), out=best)
 
 

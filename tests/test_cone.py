@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -212,6 +213,7 @@ def test_sweep_azimuth_branch_attains_one():
     [(0.0, -math.inf, 0.0)],
     [(0.0, 0.0, 1.0), (0.0, 0.6, 0.6)],
     [(0.0, 0.0, 1.0, 0.0)],
+    np.empty((0, 3)),
 ])
 def test_sweep_rejects_bad_events(events):
     # a non-unit event would read as a positivity violation (min -0.5 for (2, 0, 0))
@@ -291,31 +293,36 @@ def test_sweep_rejects_bad_grid(step, x_range_n1, monkeypatch):
         sweep_positivity(step, 5, x_range_n1=x_range_n1)
 
 
-def _brute_force_sweep(step, events, x_range_n1):
-    """The sweep's report from the whole (x, event) grid of each branch at once."""
+def _brute_force_sweep(step, events, x_range_n1=None):
+    """The sweep's report from every branch, row and event through ``_response``, one row at a time.
+
+    Events keep their given order, and a later row or branch takes over only when strictly
+    beyond, so ties keep the first occurrence in (branch, x, event) order.
+    """
     ev = np.asarray(events, dtype=float)
     flip = ev[:, 2] < 0.0
     wx, wy, wz = np.where(flip[:, None], -ev, ev).T
     event = (wx, wy, wz, np.sqrt(np.maximum(0.0, 1.0 - wz * wz)), flip)
-    m, total = len(ev), 0
     low = high = None
+    total = 0
     for n, (lo, hi) in ((0, (0.0, 2 * math.pi)), (1, x_range_n1 or (0.0, THETA0))):
         count = max(1, math.ceil((hi - lo) / step))
-        xs = [float(x) for x in np.minimum(lo + step * np.arange(count + 1), hi)]
-        xs = [x for x in xs if n == 0 or math.sin(x) < 1.0 - 1e-12]
-        if not xs:
-            continue
-        cos_x = np.array([math.cos(x) for x in xs]).reshape(-1, 1)
-        sin_x = np.array([math.sin(x) for x in xs]).reshape(-1, 1)
-        p = cone._response(event, cos_x, sin_x, n).ravel()
-        i, j = int(np.argmin(p)), int(np.argmax(p))
-        # a later branch takes over only when strictly beyond: ties keep the first occurrence
-        if low is None or p[i] < low[0]:
-            low = (float(p[i]), xs[i // m], n, tuple(ev[i % m].tolist()))
-        if high is None or p[j] > high[0]:
-            high = (float(p[j]), xs[j // m], n, tuple(ev[j % m].tolist()))
-        total += p.size
+        for x in map(float, np.minimum(lo + step * np.arange(count + 1), hi)):
+            if n == 1 and math.sin(x) >= 1.0 - 1e-12:
+                continue
+            p = cone._response(event, math.cos(x), math.sin(x), n)
+            i, j = int(np.argmin(p)), int(np.argmax(p))
+            if low is None or p[i] < low[0]:
+                low = (float(p[i]), x, n, tuple(ev[i].tolist()))
+            if high is None or p[j] > high[0]:
+                high = (float(p[j]), x, n, tuple(ev[j].tolist()))
+            total += len(ev)
     return PositivityReport(*low, *high, total)
+
+
+def _fields(report):
+    """Each field of a report by its repr, so -0.0 and 0.0 differ as they do in a report file."""
+    return {name: repr(value) for name, value in dataclasses.asdict(report).items()}
 
 
 def _reference_cases():
@@ -334,6 +341,12 @@ def _reference_cases():
     cases["all_southern"] = (0.04, base[base[:, 2] < 0.0], None)
     cases["past_theta0"] = (0.01, base, (THETA0 - 0.05, THETA0 + 0.3))
     cases["past_the_pole"] = (0.02, base, (0.3, math.pi / 2 + 0.4))
+    cases["antipodes"] = (0.03, np.vstack([base[::3], -base[::3]]), None)
+    # one event on each grid azimuth, whose opposite is a grid azimuth too: every event
+    # reads 1 in its own row and 0 in the opposite one, so the sweep must scan them all
+    step = 2 * math.pi / 360
+    x = step * np.arange(361)
+    cases["equator_on_grid"] = (step, np.column_stack([np.cos(x), np.sin(x), np.zeros_like(x)]), None)
     return cases
 
 
@@ -342,6 +355,35 @@ def _reference_cases():
 def test_sweep_matches_brute_force(name, block_values, monkeypatch):
     step, events, x_range_n1 = _reference_cases()[name]
     monkeypatch.setattr(cone, "_SWEEP_BLOCK_VALUES", block_values)
-    assert sweep_positivity(step, 1, events=events, x_range_n1=x_range_n1) == _brute_force_sweep(
-        step, events, x_range_n1
+    assert _fields(sweep_positivity(step, 1, events=events, x_range_n1=x_range_n1)) == _fields(
+        _brute_force_sweep(step, events, x_range_n1)
     )
+
+
+def _kept_events(monkeypatch) -> list:
+    """The masks of azimuth-branch events the sweeps that follow keep, one per sweep."""
+    kept, reach = [], cone._reach_extremes
+    monkeypatch.setattr(cone, "_reach_extremes", lambda *args: kept.append(reach(*args)) or kept[-1])
+    return kept
+
+
+def test_sweep_scans_every_event_that_can_reach_an_extreme(monkeypatch):
+    step, events, _ = _reference_cases()["equator_on_grid"]
+    kept = _kept_events(monkeypatch)
+    assert _fields(sweep_positivity(step, 1, events=events)) == _fields(_brute_force_sweep(step, events))
+    assert kept[0].all()
+
+
+@pytest.mark.parametrize("step, count, most_kept", [(0.002, 10**4, 100), (0.05, 200, 10)], ids=["cli", "golden"])
+def test_default_event_sweeps_match_brute_force(step, count, most_kept, monkeypatch):
+    kept = _kept_events(monkeypatch)
+    assert _fields(sweep_positivity(step, count)) == _fields(_brute_force_sweep(step, fibonacci_sphere(count)))
+    assert 0 < kept[0].sum() <= most_kept  # the azimuth branch scans a few events, not all
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-3, 7.0), st.integers(1, 3000), st.integers(0, 2**32 - 1))
+def test_sweep_matches_brute_force_on_drawn_grids(step, count, seed):
+    ev = np.random.default_rng(seed).normal(size=(count, 3))
+    ev /= np.linalg.norm(ev, axis=1, keepdims=True)
+    assert _fields(sweep_positivity(step, 1, events=ev)) == _fields(_brute_force_sweep(step, ev))

@@ -187,6 +187,28 @@ def test_run_draws_from_one_generator(name, monkeypatch):
     assert calls in ([], [(3, 0)])
 
 
+def test_config_built_while_its_draw_is_held_makes_no_generator(monkeypatch):
+    # as in verify-ndim --samples: the mc-ndim config is built after the exact-ndim run drew the pairs
+    harness._MEMO.clear()
+    calls = []
+
+    def counted(seed, index):
+        calls.append((seed, index))
+        return case_rng(seed, index)
+
+    monkeypatch.setattr(harness, "case_rng", counted)
+    exact = ExperimentConfig(seed=4, kind="exact-ndim", pairs=6, dim=3)
+    assert calls == [(4, 0)]  # the draw that checks the radius
+    run_experiment(exact)
+    mc = ExperimentConfig(seed=4, kind="mc-ndim", pairs=6, dim=3, samples=100)
+    assert calls == [(4, 0)] * 2
+    run_experiment(mc)
+    assert calls == [(4, 0)] * 3
+    harness._MEMO.clear()
+    fresh = run_experiment(ExperimentConfig(seed=4, kind="mc-ndim", pairs=6, dim=3, samples=100))
+    assert render_tabular(run_experiment(mc)) == render_tabular(fresh)
+
+
 @pytest.mark.parametrize("name", ["exact-ndim", "mc-ndim"])
 def test_ndim_pairs_drawn_once_per_config(name, monkeypatch):
     harness._MEMO.clear()  # a draw held from an earlier test would hide this one
