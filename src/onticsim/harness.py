@@ -39,6 +39,7 @@ and passes only when every pair does.
 from __future__ import annotations
 
 import collections
+import copy
 import hashlib
 import math
 import numbers
@@ -478,10 +479,18 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple:
     return columns, _summary(stats, criteria)
 
 
-# Direction rows per block of the covering reduction: 8192 rows x 12 vertices is 786 KB of
-# dot products. The last block takes the remainder, so no block is a single row unless
-# there is one row in all (a one-row product rounds differently from a stacked one).
-_COVERING_BLOCK_ROWS = 8192
+# Direction rows per block of the covering reduction: 4096 rows x 12 vertices is 393 KB of
+# dot products, the most a block holds (8192-row blocks put about 1 MB on a run's peak
+# memory and were no faster at 1e5 directions). The last block takes the remainder, so no block is
+# a single row unless there is one row in all (a one-row product rounds differently from a
+# stacked one).
+_COVERING_BLOCK_ROWS = 4096
+
+
+def _covering_blocks(n: int) -> list:
+    """Consecutive slices of range(n), n >= 1, in blocks of ``_COVERING_BLOCK_ROWS`` rows."""
+    size, blocks = _COVERING_BLOCK_ROWS, max(1, n // _COVERING_BLOCK_ROWS)
+    return [slice(i * size, n if i == blocks - 1 else (i + 1) * size) for i in range(blocks)]
 
 
 def _row_maxima(block: np.ndarray, out: np.ndarray) -> None:
@@ -495,45 +504,69 @@ def _row_maxima(block: np.ndarray, out: np.ndarray) -> None:
         np.maximum(out, column, out=out)
 
 
-def _nearest_vertex_angles(frame, n: int, rows) -> np.ndarray:
-    """Angle from each of n unit vectors to its nearest frame vertex.
+def _farthest_from_vertices(frame, blocks) -> tuple:
+    """The largest angle from a unit vector to its nearest frame vertex, and its first index.
 
-    ``rows(block)`` gives the vectors of a slice of row indices. Each block's
-    dot products with the vertices, ``rows @ vertices.T`` (``vertices @ rows.T``
-    rounds differently), reduce to their largest at once, so no (n, 12) matrix
-    is built, nor two blocks' products held at once. Clip and arccos then run in
-    place on the n largest: the same as clipping first, since clip is monotone.
+    ``blocks`` yields the vectors as consecutive (k, 3) row blocks. Each block's dot
+    products with the vertices, ``rows @ vertices.T`` (``vertices @ rows.T`` rounds
+    differently), reduce to each row's largest, then by clip and arccos in place (the
+    same as clipping first, since clip is monotone) to the block's largest angle and its
+    first index; a later block takes over only with a strictly larger angle. So no
+    (n, 12) matrix is built, nor the n angles held.
     """
-    best = np.empty(n)
-    blocks = max(1, n // _COVERING_BLOCK_ROWS)
-    for i in range(blocks):
-        stop = n if i == blocks - 1 else (i + 1) * _COVERING_BLOCK_ROWS
-        block = slice(i * _COVERING_BLOCK_ROWS, stop)
-        _row_maxima(rows(block) @ frame.vertices.T, best[block])
-    return np.arccos(np.clip(best, -1.0, 1.0, out=best), out=best)
+    angle, index, start = -math.inf, 0, 0
+    for rows in blocks:
+        best = np.empty(len(rows))
+        _row_maxima(rows @ frame.vertices.T, best)
+        np.arccos(np.clip(best, -1.0, 1.0, out=best), out=best)
+        i = int(np.argmax(best))
+        if best[i] > angle:
+            angle, index = float(best[i]), start + i
+        start += len(rows)
+    return angle, index
 
 
 def covering_check(frame, vectors) -> float:
     """Largest angle from any of the unit vectors to its nearest vertex."""
     vectors = _unit_rows(vectors, "vectors")
-    return float(_nearest_vertex_angles(frame, len(vectors), vectors.__getitem__).max())
+    if not len(vectors):
+        raise ValueError("vectors must hold at least one direction")
+    blocks = _covering_blocks(len(vectors))
+    return _farthest_from_vertices(frame, (vectors[block] for block in blocks))[0]
+
+
+def _ahead(rng, words: int) -> np.random.Generator:
+    """A copy of ``rng``, ``words`` 64-bit outputs further along its stream."""
+    bit_generator = copy.deepcopy(rng.bit_generator)
+    bit_generator.advance(words)
+    return np.random.Generator(bit_generator)
+
+
+def _covering_draws(rng, n: int, blocks):
+    """Heights z and azimuths of consecutive row blocks of the run's n directions.
+
+    The run draws ``uniform(-1, 1, n)``, then ``uniform(0, 2 pi, n)``; a float64 ``uniform``
+    takes one 64-bit output, so row i's height is output i and its azimuth output n + i.
+    Both are drawn block by block from copies of ``rng`` at the first block's start, so
+    ``rng`` stays as it is and no draw of n values is held.
+    """
+    heights, azimuths = (_ahead(rng, offset + blocks[0].start) for offset in (0, n))
+    for block in blocks:
+        k = block.stop - block.start
+        yield heights.uniform(-1.0, 1.0, k), azimuths.uniform(0.0, 2.0 * math.pi, k)
+
+
+def _directions(z: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
+    """Unit rows at heights z and azimuths; elementwise, so a block's rows are those of the whole draw."""
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack((s * np.cos(azimuth), s * np.sin(azimuth), z))
 
 
 def _run_covering(cfg: ExperimentConfig) -> tuple:
     frame = build_frame()
     rng = case_rng(cfg.seed, 0)
-    vz = rng.uniform(-1.0, 1.0, cfg.pairs)
-    ph = rng.uniform(0.0, 2.0 * math.pi, cfg.pairs)
-
-    def directions(block: slice) -> np.ndarray:
-        # elementwise, so a block's rows equal those of the whole draw
-        z = vz[block]
-        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        return np.column_stack((s * np.cos(ph[block]), s * np.sin(ph[block]), z))
-
-    angles = _nearest_vertex_angles(frame, cfg.pairs, directions)
-    worst = int(np.argmax(angles))
-    max_angle = float(angles[worst])
+    draws = _covering_draws(rng, cfg.pairs, _covering_blocks(cfg.pairs))
+    max_angle, worst = _farthest_from_vertices(frame, (_directions(*draw) for draw in draws))
 
     diff = frame.vertices[:, None, :] - frame.vertices[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
@@ -543,7 +576,8 @@ def _run_covering(cfg: ExperimentConfig) -> tuple:
     edge_count = int(edge_mask.sum())
     max_edge_dev = float(np.abs(pairwise[edge_mask] - EDGE_LENGTH).max())
 
-    worst_vector = tuple(directions(slice(worst, worst + 1))[0].tolist())
+    (worst_row,) = _directions(*next(_covering_draws(rng, cfg.pairs, [slice(worst, worst + 1)])))
+    worst_vector = tuple(worst_row.tolist())
     columns = _columns({"worst_vector": [worst_vector]}, {}, angle_to_nearest_vertex=[max_angle])
     criteria = (
         ("within_covering_radius", max_angle <= COVERING_RADIUS + 1e-6),

@@ -122,7 +122,7 @@ def test_sweep_and_covering_commands(tmp_path):
 
 
 def test_covering_past_one_block(tmp_path):
-    # 8193 directions: one block of 8192 rows that also takes the last row
+    # 8193 directions: two blocks, the second of 4097 rows, as no block is a lone last row
     argv = ["covering", "--directions", "8193", "--seed", "7", "--out-dir", str(tmp_path)]
     assert main(argv) == 0
     (run_dir,) = _run_dirs(tmp_path, "covering")

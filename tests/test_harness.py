@@ -25,7 +25,13 @@ from onticsim import (
 )
 from onticsim import harness
 from onticsim.cli import main
-from onticsim.harness import _CONE_Z_MIN, _COVERING_BLOCK_ROWS, _nearest_vertex_angles
+from onticsim.harness import (
+    _CONE_Z_MIN,
+    _COVERING_BLOCK_ROWS,
+    _covering_blocks,
+    _covering_draws,
+    _farthest_from_vertices,
+)
 from onticsim.reports import render_structured, render_tabular
 
 
@@ -321,13 +327,16 @@ def _lone_row_last(frame, rows):
     return rows
 
 
+# Row counts as (whole blocks B, extra rows).
+_COVERING_SIZES = [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 1)]
+_COVERING_IDS = ["1", "2", "B-1", "B", "B+1", "2B+1"]
+
+
 # Row counts as (whole blocks B, extra rows), and the vertices themselves.
 @pytest.mark.parametrize(
-    "size",
-    [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 1), (0, 10**5), None],
-    ids=["1", "2", "B-1", "B", "B+1", "2B+1", "1e5", "vertices"],
+    "size", [*_COVERING_SIZES, (0, 10**5), None], ids=[*_COVERING_IDS, "1e5", "vertices"]
 )
-def test_nearest_vertex_angles_match_the_unblocked_reduction(frame, size):
+def test_nearest_vertex_angles_match_the_unblocked_reduction(frame, size, monkeypatch):
     B = _COVERING_BLOCK_ROWS
     if size is None:
         rows = frame.vertices
@@ -336,20 +345,50 @@ def test_nearest_vertex_angles_match_the_unblocked_reduction(frame, size):
         rows = random_bloch(np.random.default_rng(n), size=n)
         if n > 1:
             rows = _lone_row_last(frame, rows)
-    blocks = []
+    # each block's row maxima buffer, which the reduction then turns into the block's angles in place
+    buffers, row_maxima = [], harness._row_maxima
 
-    def record(block):
-        blocks.append(block)
-        return rows[block]
+    def record(block, out):
+        buffers.append(out)
+        row_maxima(block, out)
 
-    angles = _nearest_vertex_angles(frame, len(rows), record)
+    monkeypatch.setattr(harness, "_row_maxima", record)
+    blocks = _covering_blocks(len(rows))
+    angle, index = _farthest_from_vertices(frame, (rows[block] for block in blocks))
     expected = np.arccos(np.clip(rows @ frame.vertices.T, -1.0, 1.0).max(axis=1))
-    assert angles.tobytes() == expected.tobytes()
+    assert np.concatenate(buffers).tobytes() == expected.tobytes()
+    assert index == int(np.argmax(expected))  # the first of equal largest angles
+    assert np.float64(angle).tobytes() == expected[index].tobytes()
     # blocks cover the rows in order; the last takes the remainder, and none is a lone row
     assert [b.start for b in blocks] == [i * B for i in range(len(blocks))]
     assert blocks[-1].stop == len(rows)
     assert all(b.stop == b.start + B for b in blocks[:-1])
     assert len(rows) == 1 or all(b.stop - b.start > 1 for b in blocks)
+
+
+def test_farthest_from_vertices_keeps_the_first_of_equal_angles(frame):
+    # the same direction in two blocks, and twice in one: the first index wins
+    rows = np.repeat(random_bloch(np.random.default_rng(3), size=4), 2, axis=0)
+    far = int(np.argmax(np.arccos(np.clip(rows @ frame.vertices.T, -1.0, 1.0).max(axis=1))))
+    assert far % 2 == 0
+    assert _farthest_from_vertices(frame, [rows])[1] == far
+    assert _farthest_from_vertices(frame, [rows[: far + 1], rows[far + 1 :]])[1] == far
+
+
+@pytest.mark.parametrize("size", _COVERING_SIZES, ids=_COVERING_IDS)
+def test_covering_draws_follow_one_stream(size):
+    # the heights and azimuths of every block equal uniform(-1, 1, n), then uniform(0, 2 pi, n)
+    n = size[0] * _COVERING_BLOCK_ROWS + size[1]
+    rng = case_rng(7, 0)
+    state = rng.bit_generator.state
+    z, azimuth = map(np.concatenate, zip(*_covering_draws(rng, n, _covering_blocks(n))))
+    one = case_rng(7, 0)
+    assert z.tobytes() == one.uniform(-1.0, 1.0, n).tobytes()
+    assert azimuth.tobytes() == one.uniform(0.0, 2.0 * math.pi, n).tobytes()
+    assert rng.bit_generator.state == state
+    for i in sorted({0, n // 2, n - 1}):  # one row alone, as the worst direction is redrawn
+        ((zi, ai),) = _covering_draws(rng, n, [slice(i, i + 1)])
+        assert (zi.tolist(), ai.tolist()) == ([z[i]], [azimuth[i]])
 
 
 @pytest.mark.parametrize("vectors", [
@@ -358,9 +397,10 @@ def test_nearest_vertex_angles_match_the_unblocked_reduction(frame, size):
     [(math.nan, 0.0, 1.0)],
     [(0.0, -math.inf, 0.0)],
     [(0.0, 0.0, 1.0), (0.0, 0.6, 0.6)],
+    np.empty((0, 3)),
 ])
 def test_covering_check_rejects_bad_vectors(frame, vectors):
-    with pytest.raises(ValueError, match="unit norm"):
+    with pytest.raises(ValueError, match="unit norm" if len(vectors) else "at least one direction"):
         covering_check(frame, vectors)
 
 

@@ -5,6 +5,7 @@ import functools
 import io
 import pickle
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from onticsim import (
     harness,
     run_experiment,
 )
+from onticsim import reports
 from onticsim.harness import _summary
 from onticsim.reports import (
     format_float,
@@ -239,6 +241,39 @@ def test_write_report_matches_the_renderers(name, tmp_path):
     assert [p.name for p in (tmp_path / "one").iterdir()] == ["cases.csv"]
 
 
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
+@pytest.mark.parametrize("name", ROW_CONFIGS)
+def test_streamed_blocks_never_change_bytes(name, block_rows, tmp_path, monkeypatch):
+    report = _row_report(name)
+    structured, tabular = render_structured(report), render_tabular(report)  # default blocks
+    monkeypatch.setattr(reports, "_WRITE_BLOCK_ROWS", block_rows)
+    write_report(report, tmp_path)
+    assert (tmp_path / "report.txt").read_bytes() == structured.encode("utf-8")
+    assert (tmp_path / "cases.csv").read_bytes() == tabular.encode("utf-8")
+
+
+@pytest.mark.parametrize("earlier", [False, True])
+def test_failure_in_a_later_block_leaves_the_directory_clean(earlier, tmp_path, monkeypatch):
+    report = _row_report("exact-qubit-sphere")  # 6 rows: blocks of 2 rows, 3 blocks
+    if earlier:
+        write_report(_row_report("exact-qubit-cone"), tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    tokens, calls = reports._column_tokens, []
+
+    def second_block_fails(values, n):
+        calls.append(n)
+        if len(calls) > len(report.columns):  # the first column of the second block
+            raise OSError("disk full")
+        return tokens(values, n)
+
+    monkeypatch.setattr(reports, "_WRITE_BLOCK_ROWS", 2)
+    monkeypatch.setattr(reports, "_column_tokens", second_block_fails)
+    with pytest.raises(OSError, match="disk full"):
+        write_report(report, tmp_path)
+    assert calls == [2] * (len(report.columns) + 1)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 _NAN = float("nan")
 _INF = float("inf")
 _SPECIAL = [0.1, -0.0, 0.0, _INF, -_INF, _NAN, 1e-300, -2.5e300, 5e-324]
@@ -333,6 +368,7 @@ _TEXT = st.one_of(st.none(), st.text(',"\n\r a|=', max_size=6), st.text(max_size
 def test_csv_cells_render_as_csv_writer(data):
     n = data.draw(st.integers(1, 4), label="cases")
     width = data.draw(st.integers(0, 3), label="row width")
+    block_rows = data.draw(st.integers(1, 5), label="block rows")
 
     def array(shape, elements):
         return np.array(data.draw(st.lists(elements, min_size=n * width, max_size=n * width))).reshape(shape)
@@ -351,11 +387,12 @@ def test_csv_cells_render_as_csv_writer(data):
         ("text_or_unset", [None] * (n - 1) + ["a,b"]),
     ]
     report = _report(columns)
-    text = render_tabular(report)
-    assert text == _csv_writer_text(report)
-    # csv.writer leaves a lone "\r" unquoted, so only such a cell does not read back
-    reads_back = not any(t and "\r" in t and not set(',"\n') & set(t) for t in columns[1][1])
-    _assert_cells_match_format_value(report, reads_back)
+    with mock.patch.object(reports, "_WRITE_BLOCK_ROWS", block_rows):
+        text = render_tabular(report)
+        assert text == _csv_writer_text(report)
+        # csv.writer leaves a lone "\r" unquoted, so only such a cell does not read back
+        reads_back = not any(t and "\r" in t and not set(',"\n') & set(t) for t in columns[1][1])
+        _assert_cells_match_format_value(report, reads_back)
 
 
 def test_degenerate_monte_carlo_case_renders_without_z():
