@@ -4,13 +4,14 @@ Each subcommand runs one or more harness experiments in memory;
 ``onticsim --help`` lists them. Options come from one table (``_COMMON``
 and ``_COMMANDS``): defaults, overridden by a ``--config FILE`` of flat
 ``key = value`` lines (``#`` comments allowed), overridden by explicit
-flags. Every option is checked before any run. ``main`` creates the run
-directory only after every run has returned, then writes each report and
-the files it carries (the protocol's ``messages.bin`` and transcript):
-neither bad input nor a failed run (exit 3) leaves anything behind.
+flags. Every option is checked before any run, and a radius that admits
+no pair by the run's own draw. ``main`` creates the run directory only
+after every run has returned, then writes each report and the files it
+carries (the protocol's ``messages.bin`` and transcript): neither bad
+input (exit 2) nor a failed run (exit 3) leaves anything behind.
 
-Exit status: 0 all checks passed, 1 a check failed, 2 bad usage or
-config, 3 any other error (its traceback goes to stderr).
+Exit status: 0 all checks passed, 1 a check failed, 2 bad usage, config
+or radius, 3 any other error (its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, RadiusError, run_experiment
 from .reports import format_float, format_value, write_bytes_atomic, write_report
 
 __all__ = ["main", "entry"]
@@ -249,6 +250,9 @@ def main(argv=None) -> int:
                 write_bytes_atomic(run_dir / name, data)
         print(f"reports written to {run_dir}")
         return code
+    except RadiusError as exc:  # found by an N-level run's own draw, before anything is written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception:  # the run itself failed: not a usage error
         traceback.print_exc()
         return 3

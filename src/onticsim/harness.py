@@ -10,16 +10,16 @@ the fixed fields ``_FIXED_FIELDS``, then the kind's extras. The per-pair
 kinds keep the arrays their kernels return as the values; a fixed field
 a kind never sets is None. Only this module names the columns.
 
-Every run draws from one generator, ``case_rng(seed, 0)``, so results
-are a function of (config, seed) only. The qubit kinds draw all of V,
+Results are a function of (config, seed) only. Every per-pair run draws
+from one generator, ``case_rng(seed, 0)``: the qubit kinds all of V,
 then all of W (or take ``fixed_pairs``), then for MC each of the three
 binomials for every pair, for ``protocol`` per pair its messages and then
 its outcomes; so case i depends on ``pairs``. The cone region draws V on
-its cap; the sphere draw also rotates V and W into V's patch frame. A
-one-slot memo holds the last pair draw, keyed by its arguments, with the
-generator's state after it, so the runs of one subcommand share a draw.
-An N-level config draws when it is built. Replaying one case means
-rerunning its experiment.
+its cap; the sphere draw also rotates V and W into V's patch frame.
+``covering`` draws block b of its directions from ``case_rng(seed, b)``.
+A one-slot memo, filled only by runs, holds the last pair draw, keyed by
+its arguments, with the generator's state after it, so the runs of one
+subcommand share a draw. Replaying one case means rerunning its experiment.
 
 Statistical kinds compare Monte Carlo frequencies against exact
 probabilities through the normal z-score
@@ -39,7 +39,6 @@ and passes only when every pair does.
 from __future__ import annotations
 
 import collections
-import copy
 import hashlib
 import math
 import numbers
@@ -86,6 +85,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentSummary",
     "ExperimentReport",
+    "RadiusError",
     "case_rng",
     "z_score",
     "allowed_z_failures",
@@ -110,7 +110,7 @@ class ExperimentConfig:
     serialized identity, so reports do not depend on it. ``protocol`` counts
     rounds in ``samples``; its ``fixed_pairs``, one unit ``(v, w)`` tuple per
     pair, replace the random pairs and are left out of the identity when empty.
-    An N-level config draws its pairs into the one-slot draw memo when built, to check its radius.
+    Building one draws nothing: an N-level run whose ``radius`` admits no pair raises ``RadiusError``.
     """
 
     kind: str
@@ -175,12 +175,6 @@ class ExperimentConfig:
             as_bloch(v), as_bloch(w)  # raises on a vector that is not unit
         if self.kind == "witness":
             non_markov_witness(self.theta, self.phi_a, self.phi_b)  # raises on bad angles
-        if self.kind.endswith("-ndim"):
-            # the run's own draw: a radius too large for the scheme fails here, not mid-run
-            try:
-                _ndim_pairs(self, generator=False)
-            except RuntimeError as exc:
-                raise ValueError(f"radius too large for the {self.scheme} scheme: {exc}") from exc
 
     def items(self):
         """(name, value) pairs identifying the experiment, in field order."""
@@ -245,8 +239,12 @@ class ExperimentReport:
         return tuple(map(row._make, zip(*values)))
 
 
+class RadiusError(ValueError):
+    """An N-level run's radius admits no in-region pair for its scheme: bad input, not a failed run."""
+
+
 def case_rng(seed: int, index: int) -> np.random.Generator:
-    """Generator ``index`` of a seeded run; every kind draws its whole run from index 0."""
+    """Generator ``index`` of a seeded run: per-pair kinds draw from 0, covering block b from b."""
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
@@ -268,24 +266,21 @@ def allowed_z_failures(pairs: int) -> int:
 _MEMO: dict = {}
 
 
-def _drawn(draw, seed: int, *args, generator: bool = True) -> tuple:
+def _drawn(draw, seed: int, *args) -> tuple:
     """The run's one generator, after ``draw(case_rng(seed, 0), *args)``, then what it drew.
 
-    A held draw's generator is set to the state after it: one ``case_rng`` call either way,
-    and none for a held draw when ``generator`` is false, whose generator is then None.
+    A held draw's generator is set to the state after it: one ``case_rng`` call either way.
     The key is the arguments' repr, as -0.0 and 0.0 compare equal but print apart in a report.
     """
-    key, rng = (draw, repr((seed, *args))), None
+    key, rng = (draw, repr((seed, *args))), case_rng(seed, 0)
     if key not in _MEMO:
         _MEMO.clear()  # frees the previous draw before this one is made
-        rng = case_rng(seed, 0)
         values = draw(rng, *args)
         for value in values:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)  # shared by every run that holds the draw
         _MEMO[key] = rng.bit_generator.state, values
-    elif generator:
-        rng = case_rng(seed, 0)
+    else:
         rng.bit_generator.state = _MEMO[key][0]
     return rng, *_MEMO[key][1]
 
@@ -312,15 +307,13 @@ def _run_exact_qubit(cfg: ExperimentConfig) -> tuple:
     exact = exact_event_probability(*framed)
     born = born_probability_qubit(v, w)
     abs_error = np.abs(exact - born)
-    errors = abs_error.tolist()
     fixed = {"exact_p": exact, "born_p": born, "rejections": rejections}
-    # Python's sequential sum, not np.mean: numpy sums pairwise, which changes the last bits
     stats = (
-        ("max_abs_error", max(errors)),
-        ("mean_abs_error", sum(errors) / len(errors)),
+        ("max_abs_error", float(abs_error.max())),
+        ("mean_abs_error", math.fsum(abs_error) / len(abs_error)),
         ("total_rejections", 0),
     )
-    summary = _summary(stats, (("born_identity", max(errors) <= EXACT_TOLERANCE),))
+    summary = _summary(stats, (("born_identity", bool(abs_error.max() <= EXACT_TOLERANCE)),))
     return _columns(inputs, fixed, abs_error=abs_error), summary
 
 
@@ -364,13 +357,16 @@ def _run_mc_qubit(cfg: ExperimentConfig) -> tuple:
 def _draw_ndim(rng, pairs: int, dim: int, scheme: str, pole_mass: float, radius) -> tuple:
     """The cell weights of the scheme, then an in-region pair stack: psi, phi, rejections."""
     weights = uniform_weights(dim) if scheme == "uniform" else ground_weighted(dim, pole_mass)
-    return weights, *make_in_region_pair(dim, weights, rng, radius=radius, size=pairs)
+    try:
+        return weights, *make_in_region_pair(dim, weights, rng, radius=radius, size=pairs)
+    except RuntimeError as exc:  # every attempt at some row fell outside the region
+        raise RadiusError(f"radius {radius} too large for the {scheme} scheme: {exc}") from exc
 
 
-def _ndim_pairs(cfg: ExperimentConfig, generator: bool = True) -> tuple:
+def _ndim_pairs(cfg: ExperimentConfig) -> tuple:
     """The run's generator after its pair draw, the cell weights, psi, phi and the rejections."""
     args = (cfg.pairs, cfg.dim, cfg.scheme, cfg.pole_mass, cfg.radius)
-    return _drawn(_draw_ndim, cfg.seed, *args, generator=generator)
+    return _drawn(_draw_ndim, cfg.seed, *args)
 
 
 def _run_exact_ndim(cfg: ExperimentConfig) -> tuple:
@@ -483,7 +479,7 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple:
 # dot products, the most a block holds (8192-row blocks put about 1 MB on a run's peak
 # memory and were no faster at 1e5 directions). The last block takes the remainder, so no block is
 # a single row unless there is one row in all (a one-row product rounds differently from a
-# stacked one).
+# stacked one). Part of the report format: block b draws its rows from case_rng(seed, b).
 _COVERING_BLOCK_ROWS = 4096
 
 
@@ -505,7 +501,7 @@ def _row_maxima(block: np.ndarray, out: np.ndarray) -> None:
 
 
 def _farthest_from_vertices(frame, blocks) -> tuple:
-    """The largest angle from a unit vector to its nearest frame vertex, and its first index.
+    """The largest angle from a unit vector to its nearest frame vertex, its first index and row.
 
     ``blocks`` yields the vectors as consecutive (k, 3) row blocks. Each block's dot
     products with the vertices, ``rows @ vertices.T`` (``vertices @ rows.T`` rounds
@@ -514,16 +510,16 @@ def _farthest_from_vertices(frame, blocks) -> tuple:
     first index; a later block takes over only with a strictly larger angle. So no
     (n, 12) matrix is built, nor the n angles held.
     """
-    angle, index, start = -math.inf, 0, 0
+    angle, index, row, start = -math.inf, 0, None, 0
     for rows in blocks:
         best = np.empty(len(rows))
         _row_maxima(rows @ frame.vertices.T, best)
         np.arccos(np.clip(best, -1.0, 1.0, out=best), out=best)
         i = int(np.argmax(best))
         if best[i] > angle:
-            angle, index = float(best[i]), start + i
+            angle, index, row = float(best[i]), start + i, tuple(rows[i].tolist())
         start += len(rows)
-    return angle, index
+    return angle, index, row
 
 
 def covering_check(frame, vectors) -> float:
@@ -535,38 +531,20 @@ def covering_check(frame, vectors) -> float:
     return _farthest_from_vertices(frame, (vectors[block] for block in blocks))[0]
 
 
-def _ahead(rng, words: int) -> np.random.Generator:
-    """A copy of ``rng``, ``words`` 64-bit outputs further along its stream."""
-    bit_generator = copy.deepcopy(rng.bit_generator)
-    bit_generator.advance(words)
-    return np.random.Generator(bit_generator)
-
-
-def _covering_draws(rng, n: int, blocks):
-    """Heights z and azimuths of consecutive row blocks of the run's n directions.
-
-    The run draws ``uniform(-1, 1, n)``, then ``uniform(0, 2 pi, n)``; a float64 ``uniform``
-    takes one 64-bit output, so row i's height is output i and its azimuth output n + i.
-    Both are drawn block by block from copies of ``rng`` at the first block's start, so
-    ``rng`` stays as it is and no draw of n values is held.
-    """
-    heights, azimuths = (_ahead(rng, offset + blocks[0].start) for offset in (0, n))
-    for block in blocks:
-        k = block.stop - block.start
-        yield heights.uniform(-1.0, 1.0, k), azimuths.uniform(0.0, 2.0 * math.pi, k)
-
-
-def _directions(z: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
-    """Unit rows at heights z and azimuths; elementwise, so a block's rows are those of the whole draw."""
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack((s * np.cos(azimuth), s * np.sin(azimuth), z))
+def _covering_rows(seed: int, blocks):
+    """Unit rows of each block b: from ``case_rng(seed, b)``, k heights z in [-1, 1), then k azimuths."""
+    for b, block in enumerate(blocks):
+        rng, k = case_rng(seed, b), block.stop - block.start
+        z = rng.uniform(-1.0, 1.0, k)
+        azimuth = rng.uniform(0.0, 2.0 * math.pi, k)
+        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        yield np.column_stack((s * np.cos(azimuth), s * np.sin(azimuth), z))
 
 
 def _run_covering(cfg: ExperimentConfig) -> tuple:
     frame = build_frame()
-    rng = case_rng(cfg.seed, 0)
-    draws = _covering_draws(rng, cfg.pairs, _covering_blocks(cfg.pairs))
-    max_angle, worst = _farthest_from_vertices(frame, (_directions(*draw) for draw in draws))
+    rows = _covering_rows(cfg.seed, _covering_blocks(cfg.pairs))
+    max_angle, _, worst_vector = _farthest_from_vertices(frame, rows)
 
     diff = frame.vertices[:, None, :] - frame.vertices[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
@@ -576,8 +554,6 @@ def _run_covering(cfg: ExperimentConfig) -> tuple:
     edge_count = int(edge_mask.sum())
     max_edge_dev = float(np.abs(pairwise[edge_mask] - EDGE_LENGTH).max())
 
-    (worst_row,) = _directions(*next(_covering_draws(rng, cfg.pairs, [slice(worst, worst + 1)])))
-    worst_vector = tuple(worst_row.tolist())
     columns = _columns({"worst_vector": [worst_vector]}, {}, angle_to_nearest_vertex=[max_angle])
     criteria = (
         ("within_covering_radius", max_angle <= COVERING_RADIUS + 1e-6),

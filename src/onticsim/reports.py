@@ -38,7 +38,7 @@ __all__ = [
     "write_report",
 ]
 
-FORMAT_HEADER = "format: onticsim-report 7"
+FORMAT_HEADER = "format: onticsim-report 8"
 
 # Rows per block in which write_report streams both files: each block's tokens are formatted
 # once, shared by both files and written out before the next block is formatted.

@@ -128,10 +128,10 @@ def test_covering_past_one_block(tmp_path):
     (run_dir,) = _run_dirs(tmp_path, "covering")
     header, row = (run_dir / "covering" / "cases.csv").read_text().splitlines()
     assert header.endswith(",angle_to_nearest_vertex")
-    # the values of the unblocked (directions, 12) reduction
+    # the values of the unblocked (directions, 12) reduction of both blocks' draws; row 5713, block 1
     assert row == (
-        '0,"(-0.79253273713272376, 0.58086673900697128, -0.18570323661239718)",'
-        ",,,,,,0.64978410894622662"
+        '0,"(0.98341687700649427, 0.0016439122728914321, -0.18135198805426112)",'
+        ",,,,,,0.64601071226668949"
     )
 
 

@@ -19,7 +19,11 @@ Run as a script from the repository root to print the ``PINNED_FORMAT``,
     PYTHONPATH=src python tests/test_golden.py
 
 While ``FORMAT_HEADER`` equals ``PINNED_FORMAT``, the script refuses (exit
-1) to print a table in which a pinned digest has changed.
+1) to print a table in which a pinned digest has changed. On stderr it lists
+the files whose bytes changed beyond the header line: each ``report.txt`` is
+hashed again with ``PINNED_FORMAT`` as its first line, every other file as it
+is, and compared with its pinned digest. So after a header bump the list names
+what the new format really changed.
 """
 
 import contextlib
@@ -48,6 +52,7 @@ CASES = {
     "mc-ndim-ground": dict(kind="mc-ndim", pairs=10, samples=1000, dim=4, scheme="ground"),
     "positivity-sweep": dict(kind="positivity-sweep", x_step=0.05, events=200),
     "covering": dict(kind="covering", pairs=500),
+    "covering-two-blocks": dict(kind="covering", pairs=8193),  # blocks of 4096 and 4097 rows
     "witness": dict(kind="witness", theta=0.3, phi_a=0.2, phi_b=1.9),
     # the library runs of PROTOCOL_CASES: the pairs below, normalised
     "protocol-fixed-pairs-report": dict(kind="protocol", pairs=2, samples=300, fixed_pairs=(
@@ -70,48 +75,52 @@ CLI_CASES = {
 }
 
 # The FORMAT_HEADER the digests below were written under.
-PINNED_FORMAT = "format: onticsim-report 7"
+PINNED_FORMAT = "format: onticsim-report 8"
 # (render_structured, render_tabular) SHA-256 per case; (messages.bin, transcript.txt) per
 # protocol case.
 DIGESTS = {
     "covering": (
-        "be9de377ce04f178601cb83862c4f1c224a658e37b2ba86aed9aed7110801097",
+        "6ff3e0af74794a0503930f31c8b138c28da09f56dea8a89c8b02276948079860",
         "e8e89789b9d8374e5fac00cb480dc1c5723a95ec82dea26b12e34689a0fd8287",
     ),
+    "covering-two-blocks": (
+        "7554ae4cb600f197a06e273ff0df2318a737996f9dad58f9516335f0f6f96090",
+        "04e199110a3881e87e37403123aa7451f3f116b32219738770fbb7de32d3eb60",
+    ),
     "exact-ndim-ground": (
-        "75c187f2c3de402002344331a1709d1ba8a9a18191acd74d19e5bd8e75754b65",
+        "3e28eb03c0fe70187a268c62d0dbdb12e763cbc62a95f41f52760873bac12d43",
         "d600fbe03f5069572b16b5c6a13959779e6572a1b0b003ef389461a70caa6298",
     ),
     "exact-ndim-uniform": (
-        "f5ec026895b0c8021c7bbd95d7a9c67c3a2037749e57239c936f528cbab08506",
+        "7834388815ac53368e024880feb57ea15221c3b791d8e29f0a960e0537bc9f6d",
         "929ead5c5e4d0668b54cac31cf03bc683c442888e288430f6249ee803bee5819",
     ),
     "exact-qubit-cone": (
-        "0f796d53ff51ecf9c7b593a10f940883bf6fec5ffb6d06f2c55c8f23b60af4b3",
+        "0f44761b3c1125039d009f3629e10f1cbecb3ea3f5613c94c4d4354177fed1ba",
         "1580d653b2788391dda072102691b545f504835186178b91e67a88e35534810d",
     ),
     "exact-qubit-sphere": (
-        "7c99002d53c67198255e7ce9e10be602cb74987affc21c530908b1a2b98a002b",
+        "0d3264e20f4f112632b07da519acd48383195a37200f427165b771eef6827f02",
         "a7fbbaf27ba43a88d06b0b78e651880dc0838c900450574c455e79e0739be66f",
     ),
     "mc-ndim-ground": (
-        "33c2303cb717269c105f0367294b2ce2f730623fd212479186f666bf49308c0e",
+        "e57624cd814b517b65f4a0563c6c53b5f31175db5149b1d0c31d111d2014087f",
         "9a6bd3ac28141407ec3fee38a69e6404663e37e7ba95d4d069d51457af817e0b",
     ),
     "mc-ndim-uniform": (
-        "58637896fdabaa9409ca0fe5eb36805ad1f934fc92659eb6988f35dcf83b9d06",
+        "19e724ad84524c9ac0a92349d7463d9b2e3f22120db07fc6b1ed7270e329bb5f",
         "f3bb14382a61c12e4edf073da3d8db75232b59063768617789b384f981976263",
     ),
     "mc-qubit-cone": (
-        "0785e445353880bbbca2dfc317e3a7034e0aa8f4adbc0b5f3f5a77c1e3ed1eaf",
+        "3748fcabddb0201e66f1867e84216d95d410f682f7f255649c8941a859f11d6b",
         "36b61ec13ccf05832b5345d3b48ab957b5c9610d943c3b957779442b35d73479",
     ),
     "mc-qubit-sphere": (
-        "5bfdbf5ce74f3eaf0f4335db3a889ff21bce4f6a0916a6d4bd001b956917ac0b",
+        "70ab3d93b5124f8b36b5613c637893c57cafa4aaa221992dcb37565761d4e0dd",
         "9188d3f8c5f6af25c69602d0c38a5040e2d185f3c6b1dafde1d6a1674c95a1f0",
     ),
     "positivity-sweep": (
-        "23a41393c0b61b72db1a5b9ed1917b93c20cd1b83db1c0b5d66e7efa6adfacdf",
+        "2b50e10a75d5835644d82819b9ba55d9b94fccb00c5a42e83faca8f6804885a9",
         "5086f76e5c92945e74d9eab53d42bfa34cfc65195131f00f9beb90c2469bc4d6",
     ),
     "protocol-fixed-pairs": (
@@ -119,7 +128,7 @@ DIGESTS = {
         "0aa10da55c148215986584eda27812f54611ee727928bc2ff55881fb7f876c75",
     ),
     "protocol-fixed-pairs-report": (
-        "f87d14ee95e54092a9f7bf754f357aca1b53913958cb8a6fb8a2205a41619e6e",
+        "61f1b963f71926698b5242d854b81fe8958c451f371e68573c7c8777ac5dbf8d",
         "e71f20f35954a3e50aaaa7dafb357f7b1e29e6be52916f8315c1a05aec29b1f7",
     ),
     "protocol-random-pair": (
@@ -127,11 +136,11 @@ DIGESTS = {
         "d7aa14a27562ec8bb202f38bf7882985a0c1e22a49a63cf6fc5aaf6733b84b15",
     ),
     "protocol-random-pair-report": (
-        "3e122ba75880091dac573c52b9250d6280906055f9fd86c2c548112cbb9fe57f",
+        "ec3371834251d9918716f91fa16a5f4817ee29d07ea21cac1bfe54d2f371bc89",
         "c53479e6b3af8e196ffeb3d5d7f2697b366dd3efdd2b96af900a1384c9f43882",
     ),
     "witness": (
-        "5c204d67facf9ea7f10dbcdf5572c0912a6096a4afeae451453119222e2e7d99",
+        "6fa71e409f2cc0ce6c2d9cd709eefdead7f7950ddc8a3fc4e0aaa205149e2fd7",
         "8ba11fb96e6b44015dc448541245c9ef47ebccca0ca4424d74e96e596675755b",
     ),
 }
@@ -139,23 +148,19 @@ DIGESTS = {
 CLI_DIGESTS = {
     "verify-ndim-samples": {
         "exact-ndim/cases.csv": "929ead5c5e4d0668b54cac31cf03bc683c442888e288430f6249ee803bee5819",
-        "exact-ndim/report.txt": "f5ec026895b0c8021c7bbd95d7a9c67c3a2037749e57239c936f528cbab08506",
+        "exact-ndim/report.txt": "7834388815ac53368e024880feb57ea15221c3b791d8e29f0a960e0537bc9f6d",
         "mc-ndim/cases.csv": "f3bb14382a61c12e4edf073da3d8db75232b59063768617789b384f981976263",
-        "mc-ndim/report.txt": "58637896fdabaa9409ca0fe5eb36805ad1f934fc92659eb6988f35dcf83b9d06",
+        "mc-ndim/report.txt": "19e724ad84524c9ac0a92349d7463d9b2e3f22120db07fc6b1ed7270e329bb5f",
     },
     "verify-qubit-samples": {
         "exact-cone/cases.csv": "1580d653b2788391dda072102691b545f504835186178b91e67a88e35534810d",
-        "exact-cone/report.txt": "0f796d53ff51ecf9c7b593a10f940883bf6fec5ffb6d06f2c55c8f23b60af4b3",
+        "exact-cone/report.txt": "0f44761b3c1125039d009f3629e10f1cbecb3ea3f5613c94c4d4354177fed1ba",
         "exact-sphere/cases.csv": "a7fbbaf27ba43a88d06b0b78e651880dc0838c900450574c455e79e0739be66f",
-        "exact-sphere/report.txt": "7c99002d53c67198255e7ce9e10be602cb74987affc21c530908b1a2b98a002b",
+        "exact-sphere/report.txt": "0d3264e20f4f112632b07da519acd48383195a37200f427165b771eef6827f02",
         "mc-sphere/cases.csv": "79c8bd1e831e9fcd9247272dba1bf50de5122342d8e9aee92082deba4d209007",
-        "mc-sphere/report.txt": "1225a2bb19071ce90928bb000b8ca332c951d5e2d9f234dc5e1070a3bad336e3",
+        "mc-sphere/report.txt": "9fc22ecdfec6c7e101c79b2d56df64712ba2e6c1b9592d7e275b139ec8153ae8",
     },
 }
-
-
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _command_files(argv: list) -> dict:
@@ -176,28 +181,58 @@ def _protocol_files(name: str) -> dict:
         return _command_files(["simulate-protocol", "--config", str(config)])
 
 
-def _cli_digests(name: str) -> dict:
-    files = _command_files(CLI_CASES[name])
+def _outputs(name: str) -> dict:
+    """The bytes of a case's pinned files by name, in the order of its DIGESTS entry."""
+    if name in PROTOCOL_CASES:
+        files = _protocol_files(name)
+        return {name: files[name] for name in ("messages.bin", "transcript.txt")}
+    report = run_experiment(ExperimentConfig(seed=SEED, **CASES[name]))
+    return {"report.txt": render_structured(report).encode(), "cases.csv": render_tabular(report).encode()}
+
+
+def _digests(outputs: dict) -> tuple:
+    """SHA-256 of a case's files, in the order of its DIGESTS entry."""
+    return tuple(hashlib.sha256(data).hexdigest() for data in outputs.values())
+
+
+def _cli_digests(files: dict) -> dict:
+    """SHA-256 of a command's files, by path in path order."""
     return {path: hashlib.sha256(files[path]).hexdigest() for path in sorted(files)}
 
 
-def _digests(name: str) -> tuple:
-    if name in PROTOCOL_CASES:
-        files = _protocol_files(name)
-        names = ("messages.bin", "transcript.txt")
-        return tuple(hashlib.sha256(files[name]).hexdigest() for name in names)
-    report = run_experiment(ExperimentConfig(seed=SEED, **CASES[name]))
-    return _sha(render_structured(report)), _sha(render_tabular(report))
+def _under_pinned_format(path: str, data: bytes) -> str:
+    """The digest of a file with a ``report.txt``'s first line, its header, put back to PINNED_FORMAT."""
+    if path.endswith("report.txt"):
+        data = PINNED_FORMAT.encode() + b"\n" + data.split(b"\n", 1)[1]
+    return hashlib.sha256(data).hexdigest()
+
+
+def _changed_beyond_header(files: dict, pinned: dict) -> list:
+    """``case path`` of every file that differs from its pinned digest other than in its header."""
+    return [f"{case} {path}" for case, by_path in files.items() for path, data in by_path.items()
+            if case in pinned and _under_pinned_format(path, data) != pinned[case].get(path)]
 
 
 @pytest.mark.parametrize("name", sorted([*CASES, *PROTOCOL_CASES]))
 def test_report_bytes_pinned(name):
-    assert _digests(name) == DIGESTS[name]
+    assert _digests(_outputs(name)) == DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_command_bytes_pinned(name):
-    assert _cli_digests(name) == CLI_DIGESTS[name]
+    assert _cli_digests(_command_files(CLI_CASES[name])) == CLI_DIGESTS[name]
+
+
+def test_listing_skips_only_a_report_header():
+    report, csv = PINNED_FORMAT.encode() + b"\nbody\n", b"a\n"
+    pinned = {"case": {"report.txt": hashlib.sha256(report).hexdigest(),
+                       "cases.csv": hashlib.sha256(csv).hexdigest()}}
+    header_only = {"case": {"report.txt": b"format: next\nbody\n", "cases.csv": b"a\n"}}
+    assert _changed_beyond_header(header_only, pinned) == []
+    # a CSV's first line is data, and a report's body counts
+    changed = {"case": {"report.txt": b"format: next\nother\n", "cases.csv": b"b\n"}}
+    assert _changed_beyond_header(changed, pinned) == ["case report.txt", "case cases.csv"]
+    assert _changed_beyond_header({"new": header_only["case"]}, pinned) == []
 
 
 def test_digests_pinned_under_the_current_format():
@@ -220,17 +255,27 @@ def test_protocol_command_writes_the_library_run(name):
 
 
 if __name__ == "__main__":
-    table = {name: _digests(name) for name in sorted([*CASES, *PROTOCOL_CASES])}
-    cli_table = {name: _cli_digests(name) for name in sorted(CLI_CASES)}
+    outputs = {name: _outputs(name) for name in sorted([*CASES, *PROTOCOL_CASES])}
+    cli_files = {name: _command_files(CLI_CASES[name]) for name in sorted(CLI_CASES)}
+    table = {name: _digests(files) for name, files in outputs.items()}
+    cli_table = {name: _cli_digests(files) for name, files in cli_files.items()}
     changed = [name for name, digests in table.items() if DIGESTS.get(name, digests) != digests]
     changed += [name for name, digests in cli_table.items() if CLI_DIGESTS.get(name, digests) != digests]
     if changed and FORMAT_HEADER == PINNED_FORMAT:
         sys.exit(f"digests of {', '.join(changed)} changed under {FORMAT_HEADER!r}; "
                  "bump FORMAT_HEADER in onticsim.reports first")
+    # On stderr, so the tables below stay ready to paste: the files whose bytes changed
+    # beyond the header line, and the cases no digest pins yet.
+    pinned = {name: dict(zip(outputs[name], DIGESTS[name])) for name in DIGESTS if name in outputs}
+    beyond = _changed_beyond_header(outputs, pinned) + _changed_beyond_header(cli_files, CLI_DIGESTS)
+    print(f"changed beyond the header line since {PINNED_FORMAT!r}: {', '.join(beyond) or 'none'}",
+          file=sys.stderr)
+    new = [name for name in [*table, *cli_table] if name not in DIGESTS and name not in CLI_DIGESTS]
+    print(f"not pinned before: {', '.join(new) or 'none'}", file=sys.stderr)
     print(f'PINNED_FORMAT = "{FORMAT_HEADER}"')
     print("DIGESTS = {")
-    for name, (structured, tabular) in table.items():
-        print(f'    "{name}": (\n        "{structured}",\n        "{tabular}",\n    ),')
+    for name, (first, second) in table.items():
+        print(f'    "{name}": (\n        "{first}",\n        "{second}",\n    ),')
     print("}")
     print("CLI_DIGESTS = {")
     for name, digests in cli_table.items():

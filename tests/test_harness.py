@@ -13,6 +13,7 @@ from onticsim import (
     THETA0,
     ExperimentConfig,
     OutOfConeError,
+    RadiusError,
     allowed_z_failures,
     build_frame,
     case_rng,
@@ -29,7 +30,7 @@ from onticsim.harness import (
     _CONE_Z_MIN,
     _COVERING_BLOCK_ROWS,
     _covering_blocks,
-    _covering_draws,
+    _covering_rows,
     _farthest_from_vertices,
 )
 from onticsim.reports import render_structured, render_tabular
@@ -55,9 +56,10 @@ def test_config_validation():
         run_experiment(ExperimentConfig(kind="mc-qubit", samples=0))
     with pytest.raises(ValueError, match="mc-ndim needs samples"):
         ExperimentConfig(kind="mc-ndim", samples=0)
-    # a radius too large for the scheme fails when the config is built
-    with pytest.raises(ValueError, match="radius"):
-        ExperimentConfig(kind="exact-ndim", dim=12, scheme="ground", pole_mass=0.9, radius=10.0)
+    # a radius too large for the scheme is found by the run's own draw
+    with pytest.raises(RadiusError, match="radius"):
+        run_experiment(ExperimentConfig(kind="exact-ndim", dim=12, scheme="ground", pole_mass=0.9,
+                                        radius=10.0))
     # bools are not numbers here: True must not pass as pairs = 1
     for name in ("pairs", "seed", "x_step", "theta"):
         with pytest.raises(ValueError, match=f"{name} must be"):
@@ -354,11 +356,12 @@ def test_nearest_vertex_angles_match_the_unblocked_reduction(frame, size, monkey
 
     monkeypatch.setattr(harness, "_row_maxima", record)
     blocks = _covering_blocks(len(rows))
-    angle, index = _farthest_from_vertices(frame, (rows[block] for block in blocks))
+    angle, index, row = _farthest_from_vertices(frame, (rows[block] for block in blocks))
     expected = np.arccos(np.clip(rows @ frame.vertices.T, -1.0, 1.0).max(axis=1))
     assert np.concatenate(buffers).tobytes() == expected.tobytes()
     assert index == int(np.argmax(expected))  # the first of equal largest angles
     assert np.float64(angle).tobytes() == expected[index].tobytes()
+    assert row == tuple(rows[index].tolist())
     # blocks cover the rows in order; the last takes the remainder, and none is a lone row
     assert [b.start for b in blocks] == [i * B for i in range(len(blocks))]
     assert blocks[-1].stop == len(rows)
@@ -377,18 +380,23 @@ def test_farthest_from_vertices_keeps_the_first_of_equal_angles(frame):
 
 @pytest.mark.parametrize("size", _COVERING_SIZES, ids=_COVERING_IDS)
 def test_covering_draws_follow_one_stream(size):
-    # the heights and azimuths of every block equal uniform(-1, 1, n), then uniform(0, 2 pi, n)
+    # block b of k rows draws from a stream of its own: k heights uniform(-1, 1), then k azimuths
     n = size[0] * _COVERING_BLOCK_ROWS + size[1]
-    rng = case_rng(7, 0)
-    state = rng.bit_generator.state
-    z, azimuth = map(np.concatenate, zip(*_covering_draws(rng, n, _covering_blocks(n))))
-    one = case_rng(7, 0)
-    assert z.tobytes() == one.uniform(-1.0, 1.0, n).tobytes()
-    assert azimuth.tobytes() == one.uniform(0.0, 2.0 * math.pi, n).tobytes()
-    assert rng.bit_generator.state == state
-    for i in sorted({0, n // 2, n - 1}):  # one row alone, as the worst direction is redrawn
-        ((zi, ai),) = _covering_draws(rng, n, [slice(i, i + 1)])
-        assert (zi.tolist(), ai.tolist()) == ([z[i]], [azimuth[i]])
+    blocks = _covering_blocks(n)
+    rows = list(_covering_rows(7, blocks))
+    assert len(rows) == len(blocks)
+    for b, (block, got) in enumerate(zip(blocks, rows)):
+        one, k = case_rng(7, b), block.stop - block.start
+        z = one.uniform(-1.0, 1.0, k)
+        azimuth = one.uniform(0.0, 2.0 * math.pi, k)
+        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        expected = np.column_stack((s * np.cos(azimuth), s * np.sin(azimuth), z))
+        assert got.tobytes() == expected.tobytes()
+    # the reported worst vector is that row of its block
+    drawn = np.concatenate(rows)
+    angles = np.arccos(np.clip(drawn @ build_frame().vertices.T, -1.0, 1.0).max(axis=1))
+    report = run_experiment(ExperimentConfig(kind="covering", pairs=n, seed=7))
+    assert dict(report.columns)["worst_vector"] == [tuple(drawn[int(np.argmax(angles))].tolist())]
 
 
 @pytest.mark.parametrize("vectors", [

@@ -68,7 +68,7 @@ def test_structured_layout():
     cfg = ExperimentConfig(kind="witness", seed=5)
     text = render_structured(run_experiment(cfg))
     lines = text.splitlines()
-    assert lines[0] == "format: onticsim-report 7"
+    assert lines[0] == "format: onticsim-report 8"
     assert "[config]" in lines
     assert "[cases]" in lines
     assert "[summary]" in lines
@@ -186,11 +186,13 @@ def test_run_draws_from_one_generator(name, monkeypatch):
 
     monkeypatch.setattr(harness, "case_rng", counted)
     run_experiment(cfg)
-    assert calls in ([], [(3, 0)])
+    if cfg.kind == "covering":  # one generator per block: block b's is (seed, b)
+        assert calls == [(3, b) for b in range(len(harness._covering_blocks(cfg.pairs)))]
+    else:
+        assert calls in ([], [(3, 0)])
 
 
-def test_config_built_while_its_draw_is_held_makes_no_generator(monkeypatch):
-    # as in verify-ndim --samples: the mc-ndim config is built after the exact-ndim run drew the pairs
+def test_building_a_config_makes_no_generator(monkeypatch):
     harness._MEMO.clear()
     calls = []
 
@@ -199,13 +201,17 @@ def test_config_built_while_its_draw_is_held_makes_no_generator(monkeypatch):
         return case_rng(seed, index)
 
     monkeypatch.setattr(harness, "case_rng", counted)
+    for config in ROW_CONFIGS.values():
+        ExperimentConfig(seed=4, **config)
+    # a radius that admits no in-region pair is found by the run, not when the config is built
+    ExperimentConfig(seed=4, kind="exact-ndim", dim=12, scheme="ground", pole_mass=0.9, radius=10.0)
+    assert calls == []
+    # as in verify-ndim --samples: the mc-ndim run takes the pairs the exact-ndim run drew
     exact = ExperimentConfig(seed=4, kind="exact-ndim", pairs=6, dim=3)
-    assert calls == [(4, 0)]  # the draw that checks the radius
     run_experiment(exact)
     mc = ExperimentConfig(seed=4, kind="mc-ndim", pairs=6, dim=3, samples=100)
-    assert calls == [(4, 0)] * 2
     run_experiment(mc)
-    assert calls == [(4, 0)] * 3
+    assert calls == [(4, 0)] * 2
     harness._MEMO.clear()
     fresh = run_experiment(ExperimentConfig(seed=4, kind="mc-ndim", pairs=6, dim=3, samples=100))
     assert render_tabular(run_experiment(mc)) == render_tabular(fresh)
@@ -374,6 +380,8 @@ def test_csv_cells_render_as_csv_writer(data):
         return np.array(data.draw(st.lists(elements, min_size=n * width, max_size=n * width))).reshape(shape)
 
     floats = np.array(data.draw(st.lists(_FLOATS, min_size=n, max_size=n)), dtype=float)
+    with np.errstate(over="ignore"):  # floats near the float64 maximum become infinities, as drawn
+        complex_floats = floats * (1 - 2j)
     columns = [
         ("index", np.arange(n)),
         ("text", data.draw(st.lists(_TEXT, min_size=n, max_size=n), label="text")),
@@ -381,7 +389,7 @@ def test_csv_cells_render_as_csv_writer(data):
         ("floats", floats),
         ("float_rows", array((n, width), _FLOATS).astype(float)),
         ("complex_rows", array((n, width), st.complex_numbers()).astype(complex)),
-        ("complex", floats * (1 - 2j)),
+        ("complex", complex_floats),
         ("int_rows", array((n, width), st.integers(-(2**63), 2**63 - 1)).astype(np.int64)),
         ("ints", np.arange(n, dtype=np.uint8)),
         ("text_or_unset", [None] * (n - 1) + ["a,b"]),
