@@ -111,6 +111,9 @@ class ExperimentConfig:
     rounds in ``samples``; its ``fixed_pairs``, one unit ``(v, w)`` tuple per
     pair, replace the random pairs and are left out of the identity when empty.
     Building one draws nothing: an N-level run whose ``radius`` admits no pair raises ``RadiusError``.
+    Equality and the hash use the identity that ``digest`` hashes, the ``items`` tokens: two
+    configs are equal exactly when their digests are, also when only ``workers`` differs, and
+    a zero's sign (which the reports print) tells configs apart.
     """
 
     kind: str
@@ -183,8 +186,19 @@ class ExperimentConfig:
                 continue
             yield f.name, getattr(self, f.name)
 
+    def _tokens(self) -> tuple:
+        return tuple(f"{name}={format_value(value)}" for name, value in self.items())
+
+    def __eq__(self, other):
+        if not isinstance(other, ExperimentConfig):
+            return NotImplemented
+        return self._tokens() == other._tokens()
+
+    def __hash__(self) -> int:
+        return hash(self._tokens())
+
     def digest(self) -> str:
-        text = "\n".join(f"{name}={format_value(value)}" for name, value in self.items())
+        text = "\n".join(self._tokens())
         return "sha256:" + hashlib.sha256(text.encode("ascii")).hexdigest()
 
 

@@ -6,24 +6,43 @@ know no experiment column: a report's ``columns`` are ``(name, values)``
 pairs in report order, led by the case index; values are a numpy array,
 any other sequence, or None for a column no case sets.
 
-Both formats are rendered in blocks of ``_WRITE_BLOCK_ROWS`` rows. Per
-block, each column is formatted once (a numpy column of ints, floats, or
-float or complex rows by one ``%`` over the block) and each file forms
-the block's case lines from one row template; the structured head comes
-before the first block and the summary after the last. ``write_report``
-streams the blocks into a temp file per format and renames them into
-place at the end, so writing a report holds one block's text, not the
-file's; ``render_structured`` and ``render_tabular`` join the same
-blocks into a string. Floats print with round-trip precision, so
-identical runs produce byte-identical files, whatever the block size.
+Both formats are rendered in blocks of ``_WRITE_BLOCK_ROWS`` rows. Each
+file's block is one ``(rows, width)`` byte matrix: the cells and the
+literals between them (``case ``, `` | name = ``, parentheses, ``, ``,
+``j``, CSV commas and quotes, the newline), with ``_GAP`` in every byte
+that is not written; the block's bytes are the matrix without its gaps.
+
+Every float and complex part of a block's numpy columns goes through one
+call of an array kernel, ``_number_slots``, whose byte rows both files
+share; so do the ints of an int column whose values all lie below 2**53
+in magnitude, as floats, which print the same digits. It prints ``'%.17g' % x`` exactly: the decimal
+exponent from ``log10``, the 17 digits as an integer from Dekker's
+exact split product with a table of 10**k as two doubles, the digits
+through a table of 4-digit groups, and each value's layout (fixed or
+exponent notation, trailing zeros dropped) from a table of byte masks.
+``'%.17g' %`` itself, value by value, prints only what the kernel cannot
+decide: non-finite values, values outside ``_BAND``, values within
+``_TIE`` of a rounding tie, and values whose exponent estimate is off.
+Any other column is listed: ``format_value`` of each value.
+
+The structured head comes before the first block and the summary after
+the last. ``write_report`` streams the blocks into a temp file per
+format and renames them into place at the end, so writing a report
+holds one block, not the file; ``render_structured`` and
+``render_tabular`` join the same blocks into a string. Floats print with
+round-trip precision, so identical runs produce byte-identical files,
+whatever the block size.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 import os
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,7 +59,7 @@ __all__ = [
 
 FORMAT_HEADER = "format: onticsim-report 8"
 
-# Rows per block in which write_report streams both files: each block's tokens are formatted
+# Rows per block in which write_report streams both files: each block's cells are formatted
 # once, shared by both files and written out before the next block is formatted.
 _WRITE_BLOCK_ROWS = 256
 
@@ -76,37 +95,317 @@ def _python_values(values, n: int):
     return values
 
 
-# %-format of one value of a float or complex column
-_FORMS = {"f": "%.17g", "c": "%.17g%+.17gj"}
+# A byte that UTF-8 never holds: it marks the bytes of a block matrix that are not written.
+_GAP = 0xFF
+# |x| that the number kernel decides: 10**k for every exponent it can estimate is split exactly below.
+_BAND = (1e-280, 1e280)
+_X_MIN, _X_MAX = -281, 280  # floor(log10(|x|)) over the band, log10's rounding included
+# A value whose scaled 17-digit remainder lies this near one half is left to '%.17g' %.
+_TIE = 1e-9
+# A float's slot, 8 words of 4 bytes: [gap, sign, "0", "."]; the leading digit as the group
+# "000d", whose zeros print after "0." below 1; the other 16 digits as four groups; [a spare
+# byte for the last digit, gap, gap, "e"]; the exponent as the group "0hto", its "0" turned into
+# the exponent's sign. A layout prints some of these bytes: a point, when it has one, takes the
+# place of a digit, and the digits from there on move one byte right.
+_FLOAT_SLOT = 32
+_SIGN, _DIGITS, _EXP_SIGN = 1, 7, 28
 
 
-def _column_tokens(values, n: int) -> tuple:
-    """One column's tokens (None for a column no case sets) and whether it is listed.
+def _word(text: bytes) -> np.uint32:
+    """Four bytes as the word that holds them in memory."""
+    return np.frombuffer(text, dtype=np.uint32)[0]
 
-    A numpy column of 1-D ints, or of 1-D or 2-D floats or complex numbers, is
-    formatted at once; any other column is listed, formatted value by value with
-    None for a None value. Tokens equal ``format_value`` on ``_python_values``.
+
+def _split(x):
+    """Veltkamp's split of doubles into halves of 26 bits: x = hi + lo, exactly."""
+    c = x * 134217729.0  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _layout(notation: int, digits: int) -> tuple:
+    """The slot bytes printed with ``digits`` significant digits, and the point's byte (or None).
+
+    Notations 0..20 are fixed point with decimal exponent ``notation - 4``; 21 and 22 are
+    exponent notation with two and three exponent digits.
     """
-    kind = values.dtype.kind if isinstance(values, np.ndarray) else None
-    if kind in ("i", "u") and values.ndim == 1:
-        return list(map(str, values.tolist())), False
-    if kind in _FORMS and values.ndim in (1, 2):
-        form = _FORMS[kind] if values.ndim == 1 else f"({', '.join([_FORMS[kind]] * values.shape[1])})"
-        if kind == "c":  # each complex value as its (real, imag) pair
-            values = np.ascontiguousarray(values, dtype=complex).view(float)
-        return ((form + "\0") * n % tuple(values.ravel().tolist())).split("\0")[:-1], False
-    if values is None:
-        return None, True
-    return [None if v is None else format_value(v) for v in _python_values(values, n)], True
+    exponent = notation - 4
+    if notation > 20:
+        exp = [27, _EXP_SIGN, 29, 30, 31] if notation == 22 else [27, _EXP_SIGN, 30, 31]
+        if digits == 1:
+            return [_SIGN, _DIGITS, *exp], None
+        return [_SIGN, *range(_DIGITS, _DIGITS + digits + 1), *exp], _DIGITS + 1
+    if exponent < 0:
+        return [_SIGN, 2, 3, *range(_DIGITS + exponent + 1, _DIGITS + digits)], None
+    whole = _DIGITS + exponent + 1
+    if digits <= exponent + 1:
+        return [_SIGN, *range(_DIGITS, whole)], None
+    return [_SIGN, *range(_DIGITS, _DIGITS + digits + 1)], whole
 
 
-def _blocks(report):
-    """(name, tokens, listed) per column for each block of ``_WRITE_BLOCK_ROWS`` rows in order."""
-    n = len(report.columns[0][1])
-    for start in range(0, n, _WRITE_BLOCK_ROWS):
-        rows = slice(start, min(n, start + _WRITE_BLOCK_ROWS))
-        yield [(name, *_column_tokens(None if values is None else values[rows], rows.stop - start))
-               for name, values in report.columns]
+@functools.cache
+def _tables() -> SimpleNamespace:
+    """Tables of ``_number_slots``, built on first use.
+
+    ``groups``: each 4-digit group's ASCII as one word; ``zeros``: its trailing zeros (4 for
+    0000). Indexed by X - _X_MIN for the decimal exponent X: ``powers``, 10**(16 - X) as the
+    double hi nearest to it, hi's halves and the double lo nearest to 10**(16 - X) - hi, both
+    rounded from exact integer ratios; ``exponents``, the word of X's sign and 3 digits; ``layouts``, the
+    layout of X's notation with 17 digits. ``signs``: a float slot's first word by 2 * sign
+    bit + plus. By layout, 18 * notation + digits: ``shift``, the bytes that take the byte
+    before them; ``keep``, the bytes kept; ``put``, the bytes set (the point, and a gap in
+    every byte not printed); ``stops``, one past the last byte printed.
+    """
+    numbers = np.arange(10**4, dtype=np.int16)  # small dtypes keep the build's own peak small
+    ascii_groups = (numbers[:, None] // np.array([1000, 100, 10, 1], dtype=np.int16) % 10 + 48).astype(np.uint8)
+    exponents = np.arange(_X_MIN, _X_MAX + 2)  # a carry can take X one past _X_MAX
+    hi, lo = [], []
+    for x in exponents[:-1].tolist():  # 10**(16 - x) = top / bottom, exactly, in Python ints
+        top, bottom = (10 ** (16 - x), 1) if x <= 16 else (1, 10 ** (x - 16))
+        hi.append(top / bottom)  # an int quotient rounds correctly
+        p, q = hi[-1].as_integer_ratio()
+        lo.append((top * q - p * bottom) / (bottom * q))
+    signed = ascii_groups[np.abs(exponents)]
+    signed[:, 0] = np.where(exponents < 0, ord("-"), ord("+"))
+    fixed = (exponents >= -4) & (exponents < 17)
+    notations = np.where(fixed, exponents + 4, np.where(np.abs(exponents) < 100, 21, 22))
+    shift = np.zeros((23 * 18, _FLOAT_SLOT), dtype=np.uint8)
+    keep = np.full_like(shift, 0xFF)
+    put = np.full_like(shift, _GAP)
+    stops = np.zeros(23 * 18, dtype=np.intp)
+    for notation in range(23):
+        for digits in range(1, 18):
+            layout = 18 * notation + digits
+            printed, point = _layout(notation, digits)
+            put[layout, printed] = 0
+            stops[layout] = max(printed) + 1
+            if point is not None:
+                shift[layout, point + 1 : _DIGITS + 18] = 0xFF
+                keep[layout, point], put[layout, point] = 0, ord(".")
+    tables = SimpleNamespace(
+        groups=ascii_groups.view(np.uint32).ravel(),
+        zeros=sum((numbers % 10**j == 0).astype(np.int8) for j in range(1, 5)),
+        powers=[np.array(hi), *_split(np.array(hi)), np.array(lo)],
+        exponents=np.ascontiguousarray(signed).view(np.uint32).ravel(),
+        layouts=18 * notations + 17,
+        signs=np.array([_word(f"\xff{c}0.".encode("latin-1")) for c in "\xff+--"]),
+        shift=shift, keep=keep, put=put, stops=stops,
+    )
+    for table in [*tables.powers, *(v for v in vars(tables).values() if isinstance(v, np.ndarray))]:
+        table.flags.writeable = False  # every caller shares them
+    return tables
+
+
+def _packed(lists, width: int = 0) -> list:
+    """Each list of texts as a byte matrix: a row per text in UTF-8, padded with gaps to the
+    longest of its list (and to at least ``width``)."""
+    if not lists:
+        return []
+    texts = list(itertools.chain.from_iterable(lists))
+    joined = "".join(texts)
+    if not joined.isascii():  # then a text's length in bytes is not its length
+        texts = [text.encode("utf-8") for text in texts]
+    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    chars = np.full((len(texts), max(width, *lengths.tolist()) if texts else width), _GAP, dtype=np.uint8)
+    chars[np.arange(chars.shape[1]) < lengths[:, None]] = np.frombuffer(joined.encode("utf-8"), dtype=np.uint8)
+    starts = list(itertools.accumulate(map(len, lists), initial=0))
+    longest = np.maximum.reduceat(lengths, starts[:-1]).tolist() if texts else [0] * len(lists)
+    return [chars[a:b, : max(width, w)] for a, b, w in zip(starts, starts[1:], longest)]
+
+
+def _decimal(x, plus) -> tuple:
+    """Each float64's digits D, table row X - _X_MIN, sign code, and the undecided rows' texts.
+
+    For |x| in ``_BAND``, X = floor(log10(|x|)) estimates the decimal exponent and
+    D = round(|x| * 10**(16 - X)) is formed from Dekker's exact product with 10**(16 - X) as
+    hi + lo: its double part is a whole number wherever D can hold 17 digits, so the floor F
+    of the product is exact and its remainder is off by under 1e-14. D holds the 17 digits to
+    print when 10**16 <= F < 10**17 and the remainder is not within ``_TIE`` of one half;
+    D = 10**17 carries into X. Zero is decided too, with D = 0 and X = 0. The sign code is
+    2 * sign bit + plus.
+    """
+    tables = _tables()
+    magnitude = np.abs(x)
+    a = np.fmax(magnitude, _BAND[0])
+    np.fmin(a, _BAND[1], out=a)  # every row computes inside the band
+    decided = a == magnitude
+    row = np.floor(np.log10(a)).astype(np.intp)
+    row -= _X_MIN
+    hi, hi1, hi2, lo = (power.take(row) for power in tables.powers)
+    product = a * hi
+    a1, a2 = _split(a)
+    rest = a1 * hi1  # Dekker: ((a1*hi1 - product) + a1*hi2 + a2*hi1) + a2*hi2 is exact
+    rest -= product
+    rest += np.multiply(a1, hi2, out=a1)
+    rest += np.multiply(a2, hi1, out=hi1)
+    rest += np.multiply(a2, hi2, out=hi2)
+    rest += np.multiply(a, lo, out=lo)
+    digits = product.astype(np.int64)
+    carried = np.floor(rest)
+    digits += carried.astype(np.int64)
+    rest -= carried
+    decided &= (digits - 10**16).view(np.uint64) < 9 * 10**16
+    decided &= np.abs(rest - 0.5) >= _TIE
+    digits += rest > 0.5
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    row += carry
+    zero = magnitude == 0.0
+    digits[zero], row[zero] = 0, -_X_MIN
+    undecided = np.flatnonzero(~(decided | zero))
+    texts = [("%+.17g" if p else "%.17g") % v for v, p in zip(x[undecided].tolist(), plus[undecided])]
+    sign = np.signbit(x).view(np.uint8) * np.uint8(2)
+    sign |= plus
+    return digits, row, sign, undecided, texts
+
+
+def _groups(values) -> np.ndarray:
+    """The five 4-digit groups of non-negative integers below 10**20, as rows, most significant first."""
+    groups = np.empty((5, len(values)), dtype=np.int64)
+    for group in groups[:0:-1]:
+        high = values // 10**4
+        np.subtract(values, high * 10**4, out=group)
+        values = high
+    groups[0] = values
+    return groups
+
+
+def _trailing_zeros(groups) -> np.ndarray:
+    """Trailing zeros, at most 16, of the integers whose 4-digit groups are ``groups``' rows."""
+    zeros, empty = _tables().zeros.take(groups), groups == 0  # 0000 has 4, on top of those before it
+    trailing = zeros[0]
+    for more, nothing in zip(zeros[1:], empty[1:]):
+        trailing = more + nothing * trailing
+    return np.minimum(trailing, 16)
+
+
+def _number_slots(floats, plus) -> tuple:
+    """``'%.17g' % x`` of each float64 (``'%+.17g'`` where ``plus``) in a ``_FLOAT_SLOT``-byte
+    row from byte 1 on, and each row's stop, one past its last printed byte.
+
+    ``_decimal`` gives each value's 17 digits D and exponent X. Each row's layout, its
+    notation and its digits kept once trailing zeros go, selects its masks. A value the
+    kernel does not decide (non-finite, outside ``_BAND``, within ``_TIE`` of a tie, or with
+    an exponent estimate that is off) is printed on its own by ``%``.
+    """
+    tables = _tables()
+    digits, row, sign, undecided, texts = _decimal(floats, plus)
+    digits[undecided] = 0
+    row[undecided] = -_X_MIN  # X = 0, inside every table
+    words = np.empty((_FLOAT_SLOT // 4, len(digits)), dtype=np.uint32)
+    tables.signs.take(sign, out=words[0], mode="clip")
+    groups = _groups(digits)
+    tables.groups.take(groups, out=words[1:6], mode="clip")
+    words[6] = _word(b"\xff\xff\xffe")
+    tables.exponents.take(row, out=words[7], mode="clip")
+    layout = tables.layouts.take(row)
+    layout -= _trailing_zeros(groups)
+    del groups  # the big temporaries go as soon as they are used, so a block holds fewer at once
+    slots = np.ascontiguousarray(words.T).view(np.uint8)
+    del words
+    flat, mask = slots.ravel(), tables.shift.take(layout, axis=0)
+    moved = flat[1:] ^ flat[:-1]
+    moved &= mask.ravel()[1:]
+    flat[1:] ^= moved
+    flat &= tables.keep.take(layout, axis=0, out=mask, mode="clip").ravel()
+    flat |= tables.put.take(layout, axis=0, out=mask, mode="clip").ravel()
+    stops = tables.stops.take(layout)
+    if len(undecided):
+        slots[undecided] = _GAP
+        slots[undecided, 1:] = _packed([texts], _FLOAT_SLOT - 1)[0]
+        stops[undecided] = [len(text) + 1 for text in texts]
+    return slots, stops
+
+
+@functools.cache
+def _ends(count: int, tail: bytes, parens: bool) -> np.ndarray:
+    """The bytes after each value of a cell: ``tail``, then in a 2-D row ", " before the next."""
+    ends = np.full((count, len(tail) + 2 * parens), _GAP, dtype=np.uint8)
+    ends[:, : len(tail)] = np.frombuffer(tail, dtype=np.uint8)
+    if parens:
+        ends[:-1, len(tail) :] = np.frombuffer(b", ", dtype=np.uint8)
+    ends.flags.writeable = False  # one array serves every block
+    return ends
+
+
+def _block_cells(columns, rows: slice) -> list:
+    """One block's cells for each column.
+
+    None for a column no case sets. For a numpy column of 1-D or 2-D floats, complex numbers
+    or ints below 2**53 in magnitude, ``(cells, width)``: ``cells`` holds each row's values,
+    their "j"s and the ", " between them as one byte row, every value's slot trimmed to the
+    bytes any of them prints, and ``width`` is the row width of a 2-D column (None for 1-D);
+    all of a block's numbers go through one ``_number_slots`` call. For any other column, the
+    list of each row's ``format_value`` token, None for a None value. Ints go with floats
+    only: in a block of no float, a kernel call would cost more than their ``str``.
+    """
+    n = rows.stop - rows.start
+    parts = [None if values is None else values[rows] for _, values in columns]
+    kinds = [part.dtype.kind if isinstance(part, np.ndarray) and part.ndim in (1, 2) else None for part in parts]
+    numeric = ("i", "u", "f", "c") if "f" in kinds or "c" in kinds else ()
+    out, floats, numbers = [], [], []
+    for part, kind in zip(parts, kinds):
+        if kind in ("i", "u") and part.size and not -(2**53) < part.min() <= part.max() < 2**53:
+            kind = None  # not every value is a float64: listed
+        if kind in numeric:  # ints as the floats that print their digits
+            numbers.append((len(out), part.shape[1] if part.ndim == 2 else None, kind == "c"))
+            part = np.ascontiguousarray(part, dtype=np.complex128 if kind == "c" else np.float64)
+            part = part.view(np.float64).reshape(-1)  # a complex value: its real, then its imaginary part
+            floats.append(part)
+        elif part is not None:
+            part = [None if v is None else format_value(v) for v in _python_values(part, n)]
+        out.append(part)
+    flat = np.concatenate(floats) if floats else np.empty(0)
+    plus = np.zeros(len(flat), dtype=bool)  # the imaginary parts print with a sign
+    first = 0
+    for i, _, is_complex in numbers:
+        if is_complex:
+            plus[first + 1 : first + len(out[i]) : 2] = True
+        first += len(out[i])
+    slots, stops = _number_slots(flat, plus)
+    sizes = [len(out[i]) for i, _, _ in numbers]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    spans = iter(np.maximum.reduceat(stops, [a for a, size in zip(starts, sizes) if size]).tolist() if len(stops) else [])
+    for (i, width, is_complex), first, size in zip(numbers, starts, sizes):
+        count = 1 if width is None else width
+        stop = next(spans) if size else 1
+        cells = slots[first : first + size, 1:stop].reshape(n, count, (stop - 1) * (1 + is_complex))
+        ends = _ends(count, b"j" if is_complex else b"", width is not None)
+        if ends.shape[1]:
+            joined = np.empty((n, count, cells.shape[2] + ends.shape[1]), dtype=np.uint8)
+            joined[:, :, : cells.shape[2]] = cells
+            joined[:, :, cells.shape[2] :] = ends
+            cells = joined
+        out[i] = (cells.reshape(n, count * cells.shape[2]), width)
+    return out
+
+
+def _block_lines(parts, rows: int) -> list:
+    """Each format's lines of one block, each from a byte matrix of its pieces.
+
+    ``parts`` holds per format its ``(before, content, after)`` pieces per column: literal
+    strs around a cell of ``_block_cells`` or a list of one text per row, or None. A format's
+    literals form one row that every row starts from; the cells and lists are then put in.
+    All the lists of a block are packed by one ``_packed`` call.
+    """
+    packed = iter(_packed([content for columns in parts for _, content, _ in columns if isinstance(content, list)]))
+    out = []
+    for columns in parts:
+        template, fills = bytearray(), []
+        for before, content, after in columns:
+            template += before.encode("utf-8")
+            if content is not None:
+                content = next(packed) if isinstance(content, list) else content[0]
+                fills.append((len(template), content))
+                template += bytes(content.shape[1])
+            template += after.encode("utf-8")
+        template += b"\n"
+        chars = np.empty((rows, len(template)), dtype=np.uint8)
+        chars[:] = np.frombuffer(template, dtype=np.uint8)
+        for at, content in fills:
+            chars[:, at : at + content.shape[1]] = content
+        out.append(chars.tobytes().translate(None, bytes([_GAP])))
+    return out
 
 
 def _structured_head(report) -> str:
@@ -117,14 +416,14 @@ def _structured_head(report) -> str:
     return "\n".join(out)
 
 
-def _structured_lines(columns) -> str:
-    # One template forms every case line; a listed column's cell is "" for a None value.
-    template, cells = "case %s", [columns[0][1]]
-    for name, tokens, listed in columns[1:]:
-        if tokens is not None:
-            template += "%s" if listed else f" | {name.replace('%', '%%')} = %s"
-            cells.append(["" if t is None else f" | {name} = {t}" for t in tokens] if listed else tokens)
-    return "".join(map((template + "\n").__mod__, zip(*cells)))
+def _structured_parts(i: int, name: str, cell) -> tuple:
+    # "case " and the first cell, then " | name = " and the cell of each column a case sets
+    label = "case " if i == 0 else f" | {name} = "
+    if isinstance(cell, list):
+        return "", ["" if t is None else label + t for t in cell], ""
+    if cell is None:
+        return "", None, ""
+    return (label, cell, "") if cell[1] is None else (label + "(", cell, ")")
 
 
 def _structured_tail(report) -> str:
@@ -147,45 +446,51 @@ def _tabular_head(report) -> str:
     return ",".join(_csv_cell(name) for name, _ in report.columns) + "\n"
 
 
-def _tabular_lines(columns) -> str:
-    # One template forms every row; an unset column is an empty cell. An array column's tokens
-    # share one form: rows of two or more values hold ", ", no other ',', '"' or "\\n".
-    parts, cells = [], []
-    for _, tokens, listed in columns:
-        quoted = not listed and tokens and "," in tokens[0]
-        parts.append("" if tokens is None else '"%s"' if quoted else "%s")
-        if tokens is not None:
-            cells.append(["" if t is None else _csv_cell(t) for t in tokens] if listed else tokens)
-    return "".join(map((",".join(parts) + "\n").__mod__, zip(*cells)))
+def _tabular_parts(i: int, name: str, cell) -> tuple:
+    # An unset column is an empty cell. A numpy column's cells hold no ',', '"' or "\n" but
+    # for the ", " between the values of a 2-D row, so only rows of two or more are quoted.
+    comma = "," if i else ""
+    if isinstance(cell, list):
+        return "", [comma + ("" if t is None else _csv_cell(t)) for t in cell], ""
+    if cell is None:
+        return comma, None, ""
+    width = cell[1]
+    quote = '"' if width is not None and width > 1 else ""
+    return (comma, cell, "") if width is None else (comma + quote + "(", cell, ")" + quote)
 
 
-# Report format -> (file name, head of the report, lines of a block's token columns, tail).
+# Report format -> (file name, head of the report, a column's pieces of a block's lines, tail).
 _FORMATS = {
-    "structured": ("report.txt", _structured_head, _structured_lines, _structured_tail),
-    "tabular": ("cases.csv", _tabular_head, _tabular_lines, lambda report: ""),
+    "structured": ("report.txt", _structured_head, _structured_parts, _structured_tail),
+    "tabular": ("cases.csv", _tabular_head, _tabular_parts, lambda report: ""),
 }
 
 
 def _pieces(report, formats):
-    """Each format's text in pieces, in step: the heads, each block's lines, the tails.
+    """Each format's bytes in pieces, in step: the heads, each block's lines, the tails.
 
-    A block's token columns are formatted once, for every format.
+    A block's cells are formatted once, for every format.
     """
     parts = [_FORMATS[fmt][1:] for fmt in formats]
-    yield [head(report) for head, _, _ in parts]
-    for columns in _blocks(report):
-        yield [lines(columns) for _, lines, _ in parts]
-    yield [tail(report) for _, _, tail in parts]
+    yield [head(report).encode("utf-8") for head, _, _ in parts]
+    names = [name for name, _ in report.columns]
+    n = len(report.columns[0][1])
+    for start in range(0, n, _WRITE_BLOCK_ROWS):
+        rows = slice(start, min(n, start + _WRITE_BLOCK_ROWS))
+        cells = _block_cells(report.columns, rows)
+        columns = [[column(*named, cell) for named, cell in zip(enumerate(names), cells)] for _, column, _ in parts]
+        yield _block_lines(columns, rows.stop - start)
+    yield [tail(report).encode("utf-8") for _, _, tail in parts]
 
 
 def render_structured(report) -> str:
     """Sectioned text report: config, one line per case, summary."""
-    return "".join(text for text, in _pieces(report, ["structured"]))
+    return b"".join(data for data, in _pieces(report, ["structured"])).decode("utf-8")
 
 
 def render_tabular(report) -> str:
     """One CSV row per case; the header is the column names."""
-    return "".join(text for text, in _pieces(report, ["tabular"]))
+    return b"".join(data for data, in _pieces(report, ["tabular"])).decode("utf-8")
 
 
 @contextlib.contextmanager
@@ -239,6 +544,6 @@ def write_report(report, directory, *, formats=("structured", "tabular")) -> lis
     paths = [Path(directory) / _FORMATS[fmt][0] for fmt in formats]
     with _atomic_files(paths) as handles:
         for piece in _pieces(report, formats):
-            for handle, text in zip(handles, piece):
-                handle.write(text.encode("utf-8"))
+            for handle, data in zip(handles, piece):
+                handle.write(data)
     return paths

@@ -484,8 +484,8 @@ def test_signed_zero_fixed_pairs_draw_apart():
     signed, unsigned = (onticsim.ExperimentConfig(
         kind="protocol", pairs=1, samples=50, seed=3, fixed_pairs=(((zero, 0.0, 1.0), w),))
         for zero in (-0.0, 0.0))
-    # equal configs whose reports differ: the memo must not key on ==
-    assert signed == unsigned and signed.digest() != unsigned.digest()
+    # configs whose reports differ are told apart, by == and the hash as by the digest
+    assert signed != unsigned and signed.digest() != unsigned.digest()
     run_experiment(signed)
     shared = render_tabular(run_experiment(unsigned))
     harness._MEMO.clear()

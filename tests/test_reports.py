@@ -264,19 +264,19 @@ def test_failure_in_a_later_block_leaves_the_directory_clean(earlier, tmp_path, 
     if earlier:
         write_report(_row_report("exact-qubit-cone"), tmp_path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    tokens, calls = reports._column_tokens, []
+    cells, calls = reports._block_cells, []
 
-    def second_block_fails(values, n):
-        calls.append(n)
-        if len(calls) > len(report.columns):  # the first column of the second block
+    def second_block_fails(columns, rows):
+        calls.append(rows)
+        if len(calls) > 1:  # the cells of the second block
             raise OSError("disk full")
-        return tokens(values, n)
+        return cells(columns, rows)
 
     monkeypatch.setattr(reports, "_WRITE_BLOCK_ROWS", 2)
-    monkeypatch.setattr(reports, "_column_tokens", second_block_fails)
+    monkeypatch.setattr(reports, "_block_cells", second_block_fails)
     with pytest.raises(OSError, match="disk full"):
         write_report(report, tmp_path)
-    assert calls == [2] * (len(report.columns) + 1)
+    assert calls == [slice(0, 2), slice(2, 4)]
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
@@ -420,3 +420,116 @@ def test_degenerate_monte_carlo_case_renders_without_z():
     assert cells["exact_p"] == cells["z"] == ""
     assert cells["exact_match"] == "true"
     assert report.records[0].z is None and report.records[0].exact_match is True
+
+
+def _kernel_texts(floats, plus=False):
+    """What the number kernel prints for float64 values, one text per value.
+
+    Also checks each row's stop: no byte at or past it, nor byte 0, is printed.
+    """
+    floats = np.asarray(floats, dtype=np.float64)
+    slots, stops = reports._number_slots(floats, np.broadcast_to(plus, floats.shape).copy())
+    assert slots.shape == (len(floats), reports._FLOAT_SLOT)
+    assert (slots[np.arange(reports._FLOAT_SLOT) >= stops[:, None]] == reports._GAP).all()
+    assert (slots[:, 0] == reports._GAP).all()
+    lines = np.concatenate([slots, np.full((len(slots), 1), ord("\n"), np.uint8)], axis=1)
+    return lines.tobytes().translate(None, bytes([reports._GAP])).decode("ascii").split("\n")[:-1]
+
+
+def _assert_kernel_prints_like_percent(floats):
+    floats = np.asarray(floats, dtype=np.float64).ravel()
+    values = floats.tolist()
+    assert _kernel_texts(floats) == ["%.17g" % v for v in values]
+    assert _kernel_texts(floats, plus=True) == ["%+.17g" % v for v in values]
+
+
+def _neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+
+
+_HARD_FLOATS = np.concatenate([
+    [0.0, -0.0, _INF, -_INF, _NAN, -_NAN, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+    np.ldexp(1.0, np.arange(-1074, 1024)),
+    _neighbours([float(f"1e{k}") for k in range(-323, 309)]),
+    _neighbours([1e-5, 1e-4, 1e16, 1e17, 9.9999999999999997e-278, *reports._BAND]),
+    # odd N times 2**-20 or 2**-10 whose exact decimals are 18 digits ending in 5: ties at 17
+    np.ldexp(np.arange(1049, 10486, 2, dtype=np.float64), -20),
+    np.ldexp(np.arange(10240000001, 10240004001, 2, dtype=np.float64), -10),
+])
+
+
+def test_kernel_prints_the_hard_places_like_percent():
+    with_signs = np.concatenate([_HARD_FLOATS, -_HARD_FLOATS])
+    assert np.signbit(with_signs[5]) and np.isnan(with_signs[5])  # nan with its sign bit set
+    _assert_kernel_prints_like_percent(with_signs)
+    assert _kernel_texts([2.0**-25, 9.9999999999999997e-278, 1e-5, 1e16, 1e17, -0.0]) == [
+        "2.9802322387695312e-08", "9.9999999999999997e-278", "1.0000000000000001e-05",
+        "10000000000000000", "1e+17", "-0"]
+
+
+def test_kernel_prints_a_seeded_sweep_of_patterns_like_percent():
+    rng = np.random.default_rng(23)
+    for _ in range(16):  # 2**20 raw 64-bit patterns, in chunks that keep the arrays small
+        _assert_kernel_prints_like_percent(rng.integers(0, 2**64, 2**16, dtype=np.uint64).view(np.float64))
+    # and 2**18 within the kernel's band, where the exact product decides
+    exponents = rng.integers(1023 - 930, 1023 + 930, 2**18, dtype=np.uint64)
+    mantissas = rng.integers(0, 2**52, 2**18, dtype=np.uint64)
+    _assert_kernel_prints_like_percent(((exponents << np.uint64(52)) | mantissas).view(np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40), st.lists(st.booleans(), min_size=40, max_size=40))
+def test_kernel_prints_any_pattern_like_percent(patterns, plus):
+    floats = np.array(patterns, dtype=np.uint64).view(np.float64)
+    plus = np.array(plus[: len(floats)])
+    expected = [("%+.17g" if p else "%.17g") % v for v, p in zip(floats.tolist(), plus.tolist())]
+    assert _kernel_texts(floats, plus) == expected
+
+
+def test_kernel_decides_zeros_and_ordinary_values():
+    # '%' is left only for the rows the kernel cannot decide: none of these. (From about 1e13
+    # up, a double has so few fraction bits that exact ties are common; '%' prints those.)
+    rng = np.random.default_rng(5)
+    ordinary = np.concatenate([np.zeros(100), -np.zeros(100), rng.standard_normal(10**4),
+                               rng.random(10**4) * 10.0 ** rng.integers(-30, 12, 10**4)])
+    *_, undecided, texts = reports._decimal(ordinary, np.zeros(len(ordinary), dtype=bool))
+    assert len(undecided) == len(texts) == 0
+    *_, undecided, _ = reports._decimal(np.array([_NAN, _INF, 1e-300, 1e300, 1.0]), np.zeros(5, dtype=bool))
+    assert undecided.tolist() == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("with_floats", [False, True])
+def test_int_columns_print_like_str(with_floats):
+    # beside floats, ints below 2**53 in magnitude go through the kernel as floats; a column
+    # with any larger one, and every int column of a block without floats, is listed
+    small = np.array([0, -1, 7, 10**15, 2**53 - 1, -(2**53 - 1), 100, 9], dtype=np.int64)
+    large = np.array([0, -(2**63), 2**63 - 1, 2**53, -(2**53), 10**17, 3, 4], dtype=np.int64)
+    columns = [("index", np.arange(8)), ("small", small), ("large", large),
+               ("unsigned", np.array([2**64 - 1, 0, 1, 2, 3, 4, 5, 6], dtype=np.uint64)),
+               ("bytes", np.arange(250, 258).astype(np.uint8)), ("pairs", small.reshape(4, 2).repeat(2, axis=0))]
+    columns += [("floats", np.linspace(-1.0, 1.0, 8))] if with_floats else []
+    assert _kernel_texts(small) == [str(v) for v in small.tolist()]
+    for block_rows in (3, 256):
+        with mock.patch.object(reports, "_WRITE_BLOCK_ROWS", block_rows):
+            _assert_cells_match_format_value(_report(columns))
+    assert _kernel_texts([]) == []
+
+
+def test_zero_width_rows_and_one_row_blocks(monkeypatch):
+    columns = [("index", np.arange(3)), ("floats", np.empty((3, 0))), ("complex", np.empty((3, 0), complex)),
+               ("ints", np.empty((3, 0), dtype=np.int64)), ("one", np.array([[0.25], [-0.0], [1e300]]))]
+    for block_rows in (1, 2, 256):
+        monkeypatch.setattr(reports, "_WRITE_BLOCK_ROWS", block_rows)
+        _assert_cells_match_format_value(_report(columns))
+        assert render_structured(_report(columns)).count("| floats = () | complex = () | ints = () |") == 3
+
+
+def test_configs_are_equal_exactly_when_their_digests_are():
+    base = dict(kind="protocol", pairs=1, samples=50, seed=3)
+    pairs = [(((zero, 0.0, 1.0), (0.6, 0.0, 0.8)),) for zero in (-0.0, 0.0)]
+    signed, unsigned = (ExperimentConfig(**base, fixed_pairs=p) for p in pairs)
+    assert signed != unsigned and len({signed, unsigned}) == 2
+    one, two = ExperimentConfig(**base, workers=1), ExperimentConfig(**base, workers=2)
+    assert one == two and hash(one) == hash(two) and one.digest() == two.digest()
+    assert ExperimentConfig(kind="witness") != "witness"
