@@ -15,11 +15,16 @@ that is not written; the block's bytes are the matrix without its gaps.
 Every float and complex part of a block's numpy columns goes through one
 call of an array kernel, ``_number_slots``, whose byte rows both files
 share; so do the ints of an int column whose values all lie below 2**53
-in magnitude, as floats, which print the same digits. It prints ``'%.17g' % x`` exactly: the decimal
-exponent from ``log10``, the 17 digits as an integer from Dekker's
-exact split product with a table of 10**k as two doubles, the digits
-through a table of 4-digit groups, and each value's layout (fixed or
-exponent notation, trailing zeros dropped) from a table of byte masks.
+in magnitude, as floats, which print the same digits. It prints
+``'%.17g' % x`` exactly: the decimal exponent from ``log2``, the 17
+digits as an integer from Dekker's exact split product with a table of
+10**k as two doubles, the digits through a table of 4-digit groups, and
+each value's layout (fixed or exponent notation, trailing zeros dropped)
+from a table of byte masks. The kernel keeps to numpy loops that the
+experiments use too (float64 arithmetic; int64 adds, shifts, bit
+operations and ``divmod``): numpy pages each other loop in from its
+library on first use, which once added about 0.75 MB to the peak RSS of
+a run of a few small reports.
 ``'%.17g' %`` itself, value by value, prints only what the kernel cannot
 decide: non-finite values, values outside ``_BAND``, values within
 ``_TIE`` of a rounding tie, and values whose exponent estimate is off.
@@ -39,6 +44,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -99,7 +105,7 @@ def _python_values(values, n: int):
 _GAP = 0xFF
 # |x| that the number kernel decides: 10**k for every exponent it can estimate is split exactly below.
 _BAND = (1e-280, 1e280)
-_X_MIN, _X_MAX = -281, 280  # floor(log10(|x|)) over the band, log10's rounding included
+_X_MIN, _X_MAX = -281, 280  # the estimates of floor(log10(|x|)) over the band, their rounding included
 # A value whose scaled 17-digit remainder lies this near one half is left to '%.17g' %.
 _TIE = 1e-9
 # A float's slot, 8 words of 4 bytes: [gap, sign, "0", "."]; the leading digit as the group
@@ -148,50 +154,54 @@ def _tables() -> SimpleNamespace:
     """Tables of ``_number_slots``, built on first use.
 
     ``groups``: each 4-digit group's ASCII as one word; ``zeros``: its trailing zeros (4 for
-    0000). Indexed by X - _X_MIN for the decimal exponent X: ``powers``, 10**(16 - X) as the
+    0000). Indexed by X - _X_MIN for the decimal exponent X: ``powers``, rows of 10**(16 - X) as the
     double hi nearest to it, hi's halves and the double lo nearest to 10**(16 - X) - hi, both
-    rounded from exact integer ratios; ``exponents``, the word of X's sign and 3 digits; ``layouts``, the
-    layout of X's notation with 17 digits. ``signs``: a float slot's first word by 2 * sign
-    bit + plus. By layout, 18 * notation + digits: ``shift``, the bytes that take the byte
-    before them; ``keep``, the bytes kept; ``put``, the bytes set (the point, and a gap in
-    every byte not printed); ``stops``, one past the last byte printed.
+    rounded from exact integer ratios; ``exponents``, the word of X's sign and 3 digits;
+    ``layouts``, the layout of X's notation with 17 digits. ``signs``: a float slot's first word
+    by 2 * sign bit + plus. By layout, 18 * notation + digits: ``shift``, the bytes that take
+    the byte before them; ``keep``, the bytes kept; ``put``, the bytes set (the point, and a gap
+    in every byte not printed); ``stops``, one past the last byte printed.
+    They are built in Python and handed to numpy whole, so building them runs no numpy code.
     """
-    numbers = np.arange(10**4, dtype=np.int16)  # small dtypes keep the build's own peak small
-    ascii_groups = (numbers[:, None] // np.array([1000, 100, 10, 1], dtype=np.int16) % 10 + 48).astype(np.uint8)
-    exponents = np.arange(_X_MIN, _X_MAX + 2)  # a carry can take X one past _X_MAX
+    groups = bytearray(4 * 10**4)
+    for place in range(4):  # byte `place` of group i is the digit i // 10**(3 - place) % 10
+        groups[place::4] = b"".join(bytes([d]) * 10 ** (3 - place) for d in b"0123456789") * 10**place
+    zeros = [0] * 10**4
+    for j in range(1, 5):  # the multiples of 10**j end in j zeros or more
+        zeros[:: 10**j] = [j] * 10 ** (4 - j)
+    exponents = range(_X_MIN, _X_MAX + 2)  # a carry can take X one past _X_MAX
     hi, lo = [], []
-    for x in exponents[:-1].tolist():  # 10**(16 - x) = top / bottom, exactly, in Python ints
+    for x in exponents[:-1]:  # 10**(16 - x) = top / bottom, exactly, in Python ints
         top, bottom = (10 ** (16 - x), 1) if x <= 16 else (1, 10 ** (x - 16))
         hi.append(top / bottom)  # an int quotient rounds correctly
         p, q = hi[-1].as_integer_ratio()
         lo.append((top * q - p * bottom) / (bottom * q))
-    signed = ascii_groups[np.abs(exponents)]
-    signed[:, 0] = np.where(exponents < 0, ord("-"), ord("+"))
-    fixed = (exponents >= -4) & (exponents < 17)
-    notations = np.where(fixed, exponents + 4, np.where(np.abs(exponents) < 100, 21, 22))
-    shift = np.zeros((23 * 18, _FLOAT_SLOT), dtype=np.uint8)
-    keep = np.full_like(shift, 0xFF)
-    put = np.full_like(shift, _GAP)
-    stops = np.zeros(23 * 18, dtype=np.intp)
-    for notation in range(23):
-        for digits in range(1, 18):
-            layout = 18 * notation + digits
-            printed, point = _layout(notation, digits)
-            put[layout, printed] = 0
-            stops[layout] = max(printed) + 1
-            if point is not None:
-                shift[layout, point + 1 : _DIGITS + 18] = 0xFF
-                keep[layout, point], put[layout, point] = 0, ord(".")
+    notations = [x + 4 if -4 <= x < 17 else 21 if abs(x) < 100 else 22 for x in exponents]
+    shift, keep, put = (bytearray([fill]) * (23 * 18 * _FLOAT_SLOT) for fill in (0, 0xFF, _GAP))
+    stops = [0] * (23 * 18)
+    for notation, digits in itertools.product(range(23), range(1, 18)):
+        layout = 18 * notation + digits
+        printed, point = _layout(notation, digits)
+        row = _FLOAT_SLOT * layout
+        for byte in printed:
+            put[row + byte] = 0
+        stops[layout] = max(printed) + 1
+        if point is not None:
+            shift[row + point + 1 : row + _DIGITS + 18] = b"\xff" * (_DIGITS + 17 - point)
+            keep[row + point], put[row + point] = 0, ord(".")
     tables = SimpleNamespace(
-        groups=ascii_groups.view(np.uint32).ravel(),
-        zeros=sum((numbers % 10**j == 0).astype(np.int8) for j in range(1, 5)),
-        powers=[np.array(hi), *_split(np.array(hi)), np.array(lo)],
-        exponents=np.ascontiguousarray(signed).view(np.uint32).ravel(),
-        layouts=18 * notations + 17,
+        groups=np.frombuffer(groups, dtype=np.uint32),
+        zeros=np.array(zeros, dtype=np.intp),
+        powers=np.array([hi, *_split(np.array(hi)), lo]),
+        exponents=np.frombuffer(b"".join(b"%+04d" % x for x in exponents), dtype=np.uint32),
+        layouts=np.array([18 * notation + 17 for notation in notations], dtype=np.intp),
         signs=np.array([_word(f"\xff{c}0.".encode("latin-1")) for c in "\xff+--"]),
-        shift=shift, keep=keep, put=put, stops=stops,
+        shift=np.frombuffer(shift, dtype=np.uint8).reshape(-1, _FLOAT_SLOT),
+        keep=np.frombuffer(keep, dtype=np.uint8).reshape(-1, _FLOAT_SLOT),
+        put=np.frombuffer(put, dtype=np.uint8).reshape(-1, _FLOAT_SLOT),
+        stops=np.array(stops, dtype=np.intp),
     )
-    for table in [*tables.powers, *(v for v in vars(tables).values() if isinstance(v, np.ndarray))]:
+    for table in vars(tables).values():
         table.flags.writeable = False  # every caller shares them
     return tables
 
@@ -199,63 +209,73 @@ def _tables() -> SimpleNamespace:
 def _packed(lists, width: int = 0) -> list:
     """Each list of texts as a byte matrix: a row per text in UTF-8, padded with gaps to the
     longest of its list (and to at least ``width``)."""
-    if not lists:
-        return []
-    texts = list(itertools.chain.from_iterable(lists))
-    joined = "".join(texts)
-    if not joined.isascii():  # then a text's length in bytes is not its length
+    out = []
+    for texts in lists:
         texts = [text.encode("utf-8") for text in texts]
-    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
-    chars = np.full((len(texts), max(width, *lengths.tolist()) if texts else width), _GAP, dtype=np.uint8)
-    chars[np.arange(chars.shape[1]) < lengths[:, None]] = np.frombuffer(joined.encode("utf-8"), dtype=np.uint8)
-    starts = list(itertools.accumulate(map(len, lists), initial=0))
-    longest = np.maximum.reduceat(lengths, starts[:-1]).tolist() if texts else [0] * len(lists)
-    return [chars[a:b, : max(width, w)] for a, b, w in zip(starts, starts[1:], longest)]
+        longest = max(width, *map(len, texts)) if texts else width
+        chars = b"".join(text.ljust(longest, bytes([_GAP])) for text in texts)
+        out.append(np.frombuffer(chars, dtype=np.uint8).reshape(len(texts), longest))
+    return out
 
 
 def _decimal(x, plus) -> tuple:
     """Each float64's digits D, table row X - _X_MIN, sign code, and the undecided rows' texts.
 
-    For |x| in ``_BAND``, X = floor(log10(|x|)) estimates the decimal exponent and
+    For |x| in ``_BAND``, X = floor(log2(|x|) * log10(2)) estimates the decimal exponent and
     D = round(|x| * 10**(16 - X)) is formed from Dekker's exact product with 10**(16 - X) as
     hi + lo: its double part is a whole number wherever D can hold 17 digits, so the floor F
     of the product is exact and its remainder is off by under 1e-14. D holds the 17 digits to
     print when 10**16 <= F < 10**17 and the remainder is not within ``_TIE`` of one half;
     D = 10**17 carries into X. Zero is decided too, with D = 0 and X = 0. The sign code is
-    2 * sign bit + plus.
+    2 * sign bit + plus. F's range and the carry are tested on product - 10**k + carried, in
+    floats: that sum is exact wherever its sign is in doubt.
     """
     tables = _tables()
-    magnitude = np.abs(x)
-    a = np.fmax(magnitude, _BAND[0])
+    a = np.abs(x)
+    zero = a == 0.0
+    decided = a >= _BAND[0]
+    decided &= a <= _BAND[1]
+    np.fmax(a, _BAND[0], out=a)
     np.fmin(a, _BAND[1], out=a)  # every row computes inside the band
-    decided = a == magnitude
-    row = np.floor(np.log10(a)).astype(np.intp)
+    estimate = np.log2(a)
+    estimate *= math.log10(2)
+    row = np.floor(estimate, out=estimate).astype(np.intp)
+    del estimate  # the big temporaries go as soon as they are used, so a block holds fewer at once
     row -= _X_MIN
-    hi, hi1, hi2, lo = (power.take(row) for power in tables.powers)
-    product = a * hi
+    hi, hi1, hi2, lo = tables.powers.take(row, axis=1)
     a1, a2 = _split(a)
     rest = a1 * hi1  # Dekker: ((a1*hi1 - product) + a1*hi2 + a2*hi1) + a2*hi2 is exact
+    product = np.multiply(a, hi, out=hi)
     rest -= product
     rest += np.multiply(a1, hi2, out=a1)
     rest += np.multiply(a2, hi1, out=hi1)
     rest += np.multiply(a2, hi2, out=hi2)
     rest += np.multiply(a, lo, out=lo)
-    digits = product.astype(np.int64)
+    del a, a1, a2, hi, hi1, hi2, lo
     carried = np.floor(rest)
-    digits += carried.astype(np.int64)
     rest -= carried
-    decided &= (digits - 10**16).view(np.uint64) < 9 * 10**16
     decided &= np.abs(rest - 0.5) >= _TIE
-    digits += rest > 0.5
-    carry = digits == 10**17
-    digits[carry] = 10**16
-    row += carry
-    zero = magnitude == 0.0
+    up = np.rint(rest)
+    del rest
+    decided &= product - 1e16 + carried >= 0  # F - 10**16 >= 0
+    top = product - 1e17
+    top += carried
+    decided &= top < 0  # F - 10**17 < 0
+    top += up
+    carry = top == 0  # D = 10**17
+    del top
+    digits = product.astype(np.int64)
+    del product
+    digits += carried.astype(np.int64)
+    digits += up.astype(np.int64)
+    del carried, up
+    digits[carry], row[carry] = 10**16, row[carry] + 1
     digits[zero], row[zero] = 0, -_X_MIN
     undecided = np.flatnonzero(~(decided | zero))
     texts = [("%+.17g" if p else "%.17g") % v for v, p in zip(x[undecided].tolist(), plus[undecided])]
-    sign = np.signbit(x).view(np.uint8) * np.uint8(2)
-    sign |= plus
+    sign = x.view(np.int64) >> 63  # -1 where the sign bit is set
+    sign *= -2
+    sign += plus
     return digits, row, sign, undecided, texts
 
 
@@ -263,20 +283,20 @@ def _groups(values) -> np.ndarray:
     """The five 4-digit groups of non-negative integers below 10**20, as rows, most significant first."""
     groups = np.empty((5, len(values)), dtype=np.int64)
     for group in groups[:0:-1]:
-        high = values // 10**4
-        np.subtract(values, high * 10**4, out=group)
-        values = high
+        values, _ = np.divmod(values, 10**4, out=(None, group))
     groups[0] = values
     return groups
 
 
 def _trailing_zeros(groups) -> np.ndarray:
-    """Trailing zeros, at most 16, of the integers whose 4-digit groups are ``groups``' rows."""
-    zeros, empty = _tables().zeros.take(groups), groups == 0  # 0000 has 4, on top of those before it
-    trailing = zeros[0]
-    for more, nothing in zip(zeros[1:], empty[1:]):
-        trailing = more + nothing * trailing
-    return np.minimum(trailing, 16)
+    """Trailing zeros of the 16 digits in the last four rows of ``groups``, the 4-digit groups."""
+    zeros = _tables().zeros
+    trailing = zeros.take(groups[1])
+    for group in groups[2:]:  # 0000 has 4, on top of those before it: more >> 2 is 1 for 0000 alone
+        more = zeros.take(group)
+        trailing *= more >> 2
+        trailing += more
+    return trailing
 
 
 def _number_slots(floats, plus) -> tuple:
@@ -303,12 +323,14 @@ def _number_slots(floats, plus) -> tuple:
     del groups  # the big temporaries go as soon as they are used, so a block holds fewer at once
     slots = np.ascontiguousarray(words.T).view(np.uint8)
     del words
-    flat, mask = slots.ravel(), tables.shift.take(layout, axis=0)
-    moved = flat[1:] ^ flat[:-1]
-    moved &= mask.ravel()[1:]
-    flat[1:] ^= moved
-    flat &= tables.keep.take(layout, axis=0, out=mask, mode="clip").ravel()
-    flat |= tables.put.take(layout, axis=0, out=mask, mode="clip").ravel()
+    flat, mask = slots.view(np.int64), np.empty_like(slots)  # the masks go 8 bytes at a time
+    mask.ravel()[1:] = slots.ravel()[:-1]  # each byte's left neighbour
+    moved = mask.view(np.int64)
+    moved ^= flat
+    moved &= tables.shift.take(layout, axis=0).view(np.int64)
+    flat ^= moved
+    flat &= tables.keep.take(layout, axis=0, out=mask, mode="clip").view(np.int64)
+    flat |= tables.put.take(layout, axis=0, out=mask, mode="clip").view(np.int64)
     stops = tables.stops.take(layout)
     if len(undecided):
         slots[undecided] = _GAP
@@ -356,11 +378,11 @@ def _block_cells(columns, rows: slice) -> list:
             part = [None if v is None else format_value(v) for v in _python_values(part, n)]
         out.append(part)
     flat = np.concatenate(floats) if floats else np.empty(0)
-    plus = np.zeros(len(flat), dtype=bool)  # the imaginary parts print with a sign
+    plus = np.zeros(len(flat), dtype=np.intp)  # the imaginary parts print with a sign
     first = 0
     for i, _, is_complex in numbers:
         if is_complex:
-            plus[first + 1 : first + len(out[i]) : 2] = True
+            plus[first + 1 : first + len(out[i]) : 2] = 1
         first += len(out[i])
     slots, stops = _number_slots(flat, plus)
     sizes = [len(out[i]) for i, _, _ in numbers]
