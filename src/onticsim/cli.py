@@ -4,8 +4,9 @@ Each subcommand runs one or more harness experiments in memory;
 ``onticsim --help`` lists them. Options come from one table (``_COMMON``
 and ``_COMMANDS``): defaults, overridden by a ``--config FILE`` of flat
 ``key = value`` lines (``#`` comments allowed), overridden by explicit
-flags. Every option is checked before any run, and a radius that admits
-no pair by the run's own draw. ``main`` creates the run directory only
+flags. Every option is checked before any run, the report root too (its
+nearest existing path must be a directory), and a radius that admits no
+pair by the run's own draw. ``main`` creates the run directory only
 after every run has returned, then writes each report and the files it
 carries (the protocol's ``messages.bin`` and transcript): neither bad
 input (exit 2) nor a failed run (exit 3) leaves anything behind.
@@ -213,10 +214,18 @@ def _fixed_pairs(entries) -> tuple:
     return tuple(pairs[n] for n in sorted(pairs))
 
 
-def _resolve_run_dir(opts: dict, command: str) -> Path:
+def _out_base(opts: dict) -> Path:
+    """The report root, refused when the nearest of it and its parents that exists is no directory."""
+    base = Path(opts["out_dir"] or os.environ.get("ONTICSIM_OUT_DIR") or "runs")
+    existing = next((path for path in (base, *base.parents) if path.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ValueError(f"cannot write reports under {base}: {existing} is not a directory")
+    return base
+
+
+def _resolve_run_dir(base: Path, command: str, seed: int) -> Path:
     """Create a fresh run directory; a name taken, even by a run started meanwhile, gets -N."""
-    base = Path(opts.get("out_dir") or os.environ.get("ONTICSIM_OUT_DIR") or "runs")
-    name = f"{command}-{opts['seed']}-{time.strftime('%Y%m%dT%H%M%S')}"
+    name = f"{command}-{seed}-{time.strftime('%Y%m%dT%H%M%S')}"
     run_dir = base / name
     counter = 1
     while True:
@@ -236,14 +245,15 @@ def main(argv=None) -> int:
     try:
         opts = _options(args)
         plan = _plan(args.command, opts)
-    except ValueError as exc:  # bad flags, config file or option values
+        base = _out_base(opts)
+    except ValueError as exc:  # bad flags, config file, option values or report root
         print(f"error: {exc}", file=sys.stderr)
         return 2
     formats = ("structured", "tabular") if opts["format"] == "both" else (opts["format"],)
     try:
         reports, code = _run_plan(plan)
         # Every run has returned: only now does the run directory exist.
-        run_dir = _resolve_run_dir(opts, args.command)
+        run_dir = _resolve_run_dir(base, args.command, opts["seed"])
         for label, report in reports:
             write_report(report, run_dir / label, formats=formats)
             for name, data in report.files:

@@ -8,6 +8,10 @@ hidden-variable models elsewhere in the package are checked against.
 
 All randomness flows through an explicit ``numpy.random.Generator`` so
 seeded runs reproduce bit for bit.
+
+``as_bloch`` and ``random_bloch`` without ``size`` keep ``math`` paths for
+one vector: numpy's per-call cost would take criterion 01's single-pair
+loop past its 1 s bound (see ``cone``).
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ the function that runs the whole experiment in the calling process and
 returns (columns, summary), and for ``protocol`` the files it leaves at
 the run root; its order is ``EXPERIMENT_KINDS``. The columns are
 ``(name, values)`` pairs in report order: ``index``, the kind's inputs,
-the fixed fields ``_FIXED_FIELDS``, then the kind's extras. The per-pair
-kinds keep the arrays their kernels return as the values; a fixed field
-a kind never sets is None. Only this module names the columns.
+then what the kind computes, and no other. The per-pair kinds keep the
+arrays their kernels return as the values, and every one of them has a
+``rejections`` column (all zero for the qubit kinds). Only this module
+names the columns.
 
 Results are a function of (config, seed) only. Every per-pair run draws
 from one generator, ``case_rng(seed, 0)``: the qubit kinds all of V,
@@ -202,14 +203,10 @@ class ExperimentConfig:
         return "sha256:" + hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-_FIXED_FIELDS = ("exact_p", "born_p", "freq", "z", "exact_match", "rejections")
-
-
-def _columns(inputs: dict, fixed: dict, **extras) -> tuple:
-    """Report columns: index, inputs, every fixed field (None where not given), extras."""
-    n = len(next(iter(inputs.values())))
-    tail = [(name, fixed.get(name)) for name in _FIXED_FIELDS]
-    return (("index", np.arange(n)), *inputs.items(), *tail, *extras.items())
+def _columns(**columns) -> tuple:
+    """Report columns: index, then the given columns in order."""
+    n = len(next(iter(columns.values())))
+    return (("index", np.arange(n)), *columns.items())
 
 
 @dataclass(frozen=True)
@@ -230,7 +227,9 @@ class ExperimentReport:
     """Everything a run produced; renderable via the reports module.
 
     ``columns`` holds the per-case values as ``(name, values)`` pairs in
-    report order (see the module docstring). ``records`` is a read-only
+    report order (see the module docstring): only the columns the kind
+    computes, each a sequence of one value per case (a value, such as a
+    degenerate case's ``z``, may be None). ``records`` is a read-only
     view of them, built when read: one namedtuple of plain Python values
     per case. Running and writing a report never builds it. ``files``
     holds the ``(name, bytes)`` pairs a kind leaves at the run root.
@@ -248,8 +247,7 @@ class ExperimentReport:
     @property
     def records(self) -> tuple:
         row = collections.namedtuple("Row", [name for name, _ in self.columns])
-        n = len(self.columns[0][1])
-        values = [_python_values(values, n) for _, values in self.columns]
+        values = [_python_values(values) for _, values in self.columns]
         return tuple(map(row._make, zip(*values)))
 
 
@@ -321,14 +319,14 @@ def _run_exact_qubit(cfg: ExperimentConfig) -> tuple:
     exact = exact_event_probability(*framed)
     born = born_probability_qubit(v, w)
     abs_error = np.abs(exact - born)
-    fixed = {"exact_p": exact, "born_p": born, "rejections": rejections}
     stats = (
         ("max_abs_error", float(abs_error.max())),
         ("mean_abs_error", math.fsum(abs_error) / len(abs_error)),
         ("total_rejections", 0),
     )
     summary = _summary(stats, (("born_identity", bool(abs_error.max() <= EXACT_TOLERANCE)),))
-    return _columns(inputs, fixed, abs_error=abs_error), summary
+    columns = _columns(**inputs, exact_p=exact, born_p=born, rejections=rejections, abs_error=abs_error)
+    return columns, summary
 
 
 def _z_failed(z, match) -> list:
@@ -356,9 +354,9 @@ def _mc_columns(cfg: ExperimentConfig, inputs: dict, born, hits, rejections, all
         ("samples_per_pair", cfg.samples),
         ("total_rejections", int(rejections.sum())),
     )
-    fixed = {"born_p": born, "freq": np.array(freq), "z": z, "exact_match": match,
-             "rejections": rejections}
-    return _columns(inputs, fixed), _summary(stats, (("z_within_limit", failures <= allowed),))
+    columns = _columns(**inputs, born_p=born, freq=np.array(freq), z=z, exact_match=match,
+                       rejections=rejections)
+    return columns, _summary(stats, (("z_within_limit", failures <= allowed),))
 
 
 def _run_mc_qubit(cfg: ExperimentConfig) -> tuple:
@@ -397,10 +395,9 @@ def _run_exact_ndim(cfg: ExperimentConfig) -> tuple:
     cond_min = grid.min(axis=(1, 2))
     cond_max = grid.max(axis=(1, 2))
     ungated_error = np.abs(ungated - born_probability_ndim(psi_any, phi_any))
-    fixed = {"exact_p": exact, "born_p": born, "rejections": rejections}
     columns = _columns(
-        {"psi": psi, "phi": phi}, fixed, abs_error=abs_error, cond_min=cond_min, cond_max=cond_max,
-        ungated_error=ungated_error,
+        psi=psi, phi=phi, exact_p=exact, born_p=born, rejections=rejections, abs_error=abs_error,
+        cond_min=cond_min, cond_max=cond_max, ungated_error=ungated_error,
     )
     stats = (
         ("max_abs_error", float(abs_error.max())),
@@ -466,13 +463,13 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple:
     z_axis = (0.0, 0.0, 1.0)
     boundary = conditional_probability_unchecked(z_axis, QubitOnticState(THETA0, 1))
     beyond = conditional_probability_unchecked(z_axis, QubitOnticState(THETA0 + 0.05, 1))
-    inputs = {
-        "quantity": ["global_min", "global_max", "boundary_zero", "beyond_cone"],
-        "x": [scan.min_x, scan.max_x, THETA0, THETA0 + 0.05],
-        "n": [scan.min_n, scan.max_n, 1, 1],
-        "event": [scan.min_event, scan.max_event, z_axis, z_axis],
-    }
-    columns = _columns(inputs, {}, value=[scan.min_value, scan.max_value, boundary, beyond])
+    columns = _columns(
+        quantity=["global_min", "global_max", "boundary_zero", "beyond_cone"],
+        x=[scan.min_x, scan.max_x, THETA0, THETA0 + 0.05],
+        n=[scan.min_n, scan.max_n, 1, 1],
+        event=[scan.min_event, scan.max_event, z_axis, z_axis],
+        value=[scan.min_value, scan.max_value, boundary, beyond],
+    )
     criteria = (
         ("lower_bound", scan.min_value >= -EXACT_TOLERANCE),
         ("upper_bound", scan.max_value <= 1.0 + EXACT_TOLERANCE),
@@ -568,7 +565,7 @@ def _run_covering(cfg: ExperimentConfig) -> tuple:
     edge_count = int(edge_mask.sum())
     max_edge_dev = float(np.abs(pairwise[edge_mask] - EDGE_LENGTH).max())
 
-    columns = _columns({"worst_vector": [worst_vector]}, {}, angle_to_nearest_vertex=[max_angle])
+    columns = _columns(worst_vector=[worst_vector], angle_to_nearest_vertex=[max_angle])
     criteria = (
         ("within_covering_radius", max_angle <= COVERING_RADIUS + 1e-6),
         ("inside_validity_cone", max_angle < THETA0),
@@ -599,15 +596,10 @@ def _run_witness(cfg: ExperimentConfig) -> tuple:
     fd_b = _fd_zenith_rate(np.array(witness.v_b), dt)
     err_a = abs(fd_a - witness.rate_a)
     err_b = abs(fd_b - witness.rate_b)
-    inputs = {
-        "preparation": ["a", "b"],
-        "theta": [witness.theta] * 2,
-        "phi": [witness.phi_a, witness.phi_b],
-        "v": [witness.v_a, witness.v_b],
-    }
     columns = _columns(
-        inputs, {}, zenith_rate=[witness.rate_a, witness.rate_b], fd_rate=[fd_a, fd_b],
-        fd_error=[err_a, err_b],
+        preparation=["a", "b"], theta=[witness.theta] * 2, phi=[witness.phi_a, witness.phi_b],
+        v=[witness.v_a, witness.v_b], zenith_rate=[witness.rate_a, witness.rate_b],
+        fd_rate=[fd_a, fd_b], fd_error=[err_a, err_b],
     )
     criteria = (
         ("distinct_rates", witness.discrepancy > 0.0),

@@ -3,8 +3,9 @@
 Two formats are produced from the same report object: a structured
 human-readable summary and a flat CSV of per-case rows. The renderers
 know no experiment column: a report's ``columns`` are ``(name, values)``
-pairs in report order, led by the case index; values are a numpy array,
-any other sequence, or None for a column no case sets.
+pairs in report order, led by the case index; values are a numpy array
+or any other sequence. A None value in a sequence is an empty CSV cell
+and is left out of its structured case line.
 
 Both formats are rendered in blocks of ``_WRITE_BLOCK_ROWS`` rows. Each
 file's block is one ``(rows, width)`` byte matrix: the cells and the
@@ -14,8 +15,8 @@ that is not written; the block's bytes are the matrix without its gaps.
 
 Every float and complex part of a block's numpy columns goes through one
 call of an array kernel, ``_number_slots``, whose byte rows both files
-share; so do the ints of an int column whose values all lie below 2**53
-in magnitude, as floats, which print the same digits. It prints
+share; so do the ints of every int column whose values all lie below
+2**53 in magnitude, as floats, which print the same digits. It prints
 ``'%.17g' % x`` exactly: the decimal exponent from ``log2``, the 17
 digits as an integer from Dekker's exact split product with a table of
 10**k as two doubles, the digits through a table of 4-digit groups, and
@@ -59,11 +60,10 @@ __all__ = [
     "render_structured",
     "render_tabular",
     "write_bytes_atomic",
-    "write_text_atomic",
     "write_report",
 ]
 
-FORMAT_HEADER = "format: onticsim-report 8"
+FORMAT_HEADER = "format: onticsim-report 9"
 
 # Rows per block in which write_report streams both files: each block's cells are formatted
 # once, shared by both files and written out before the next block is formatted.
@@ -92,10 +92,8 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _python_values(values, n: int):
-    """A column's n values as plain Python values, the rows of a 2-D array as tuples."""
-    if values is None:
-        return [None] * n
+def _python_values(values):
+    """A column's values as plain Python values, the rows of a 2-D array as tuples."""
     if isinstance(values, np.ndarray):
         return list(map(tuple, values.tolist())) if values.ndim == 2 else values.tolist()
     return values
@@ -353,29 +351,27 @@ def _ends(count: int, tail: bytes, parens: bool) -> np.ndarray:
 def _block_cells(columns, rows: slice) -> list:
     """One block's cells for each column.
 
-    None for a column no case sets. For a numpy column of 1-D or 2-D floats, complex numbers
-    or ints below 2**53 in magnitude, ``(cells, width)``: ``cells`` holds each row's values,
-    their "j"s and the ", " between them as one byte row, every value's slot trimmed to the
-    bytes any of them prints, and ``width`` is the row width of a 2-D column (None for 1-D);
-    all of a block's numbers go through one ``_number_slots`` call. For any other column, the
-    list of each row's ``format_value`` token, None for a None value. Ints go with floats
-    only: in a block of no float, a kernel call would cost more than their ``str``.
+    For a numpy column of 1-D or 2-D floats, complex numbers or ints below 2**53 in magnitude,
+    ``(cells, width)``: ``cells`` holds each row's values, their "j"s and the ", " between them
+    as one byte row, every value's slot trimmed to the bytes any of them prints, and ``width``
+    is the row width of a 2-D column (None for 1-D); all of a block's numbers go through one
+    ``_number_slots`` call. For any other column, the list of each row's ``format_value``
+    token, None for a None value.
     """
     n = rows.stop - rows.start
-    parts = [None if values is None else values[rows] for _, values in columns]
-    kinds = [part.dtype.kind if isinstance(part, np.ndarray) and part.ndim in (1, 2) else None for part in parts]
-    numeric = ("i", "u", "f", "c") if "f" in kinds or "c" in kinds else ()
     out, floats, numbers = [], [], []
-    for part, kind in zip(parts, kinds):
+    for _, values in columns:
+        part = values[rows]
+        kind = part.dtype.kind if isinstance(part, np.ndarray) and part.ndim in (1, 2) else None
         if kind in ("i", "u") and part.size and not -(2**53) < part.min() <= part.max() < 2**53:
             kind = None  # not every value is a float64: listed
-        if kind in numeric:  # ints as the floats that print their digits
+        if kind in ("i", "u", "f", "c"):  # ints as the floats that print their digits
             numbers.append((len(out), part.shape[1] if part.ndim == 2 else None, kind == "c"))
             part = np.ascontiguousarray(part, dtype=np.complex128 if kind == "c" else np.float64)
             part = part.view(np.float64).reshape(-1)  # a complex value: its real, then its imaginary part
             floats.append(part)
-        elif part is not None:
-            part = [None if v is None else format_value(v) for v in _python_values(part, n)]
+        else:
+            part = [None if v is None else format_value(v) for v in _python_values(part)]
         out.append(part)
     flat = np.concatenate(floats) if floats else np.empty(0)
     plus = np.zeros(len(flat), dtype=np.intp)  # the imaginary parts print with a sign
@@ -406,7 +402,7 @@ def _block_lines(parts, rows: int) -> list:
     """Each format's lines of one block, each from a byte matrix of its pieces.
 
     ``parts`` holds per format its ``(before, content, after)`` pieces per column: literal
-    strs around a cell of ``_block_cells`` or a list of one text per row, or None. A format's
+    strs around a cell of ``_block_cells`` or a list of one text per row. A format's
     literals form one row that every row starts from; the cells and lists are then put in.
     All the lists of a block are packed by one ``_packed`` call.
     """
@@ -416,10 +412,9 @@ def _block_lines(parts, rows: int) -> list:
         template, fills = bytearray(), []
         for before, content, after in columns:
             template += before.encode("utf-8")
-            if content is not None:
-                content = next(packed) if isinstance(content, list) else content[0]
-                fills.append((len(template), content))
-                template += bytes(content.shape[1])
+            content = next(packed) if isinstance(content, list) else content[0]
+            fills.append((len(template), content))
+            template += bytes(content.shape[1])
             template += after.encode("utf-8")
         template += b"\n"
         chars = np.empty((rows, len(template)), dtype=np.uint8)
@@ -439,12 +434,10 @@ def _structured_head(report) -> str:
 
 
 def _structured_parts(i: int, name: str, cell) -> tuple:
-    # "case " and the first cell, then " | name = " and the cell of each column a case sets
+    # "case " and the first cell, then " | name = " and each cell whose value is not None
     label = "case " if i == 0 else f" | {name} = "
     if isinstance(cell, list):
         return "", ["" if t is None else label + t for t in cell], ""
-    if cell is None:
-        return "", None, ""
     return (label, cell, "") if cell[1] is None else (label + "(", cell, ")")
 
 
@@ -469,13 +462,11 @@ def _tabular_head(report) -> str:
 
 
 def _tabular_parts(i: int, name: str, cell) -> tuple:
-    # An unset column is an empty cell. A numpy column's cells hold no ',', '"' or "\n" but
+    # A None value is an empty cell. A numpy column's cells hold no ',', '"' or "\n" but
     # for the ", " between the values of a 2-D row, so only rows of two or more are quoted.
     comma = "," if i else ""
     if isinstance(cell, list):
         return "", [comma + ("" if t is None else _csv_cell(t)) for t in cell], ""
-    if cell is None:
-        return comma, None, ""
     width = cell[1]
     quote = '"' if width is not None and width > 1 else ""
     return (comma, cell, "") if width is None else (comma + quote + "(", cell, ")" + quote)
@@ -547,11 +538,6 @@ def write_bytes_atomic(path, data: bytes) -> Path:
     with _atomic_files([path]) as (handle,):
         handle.write(data)
     return Path(path)
-
-
-def write_text_atomic(path, text: str) -> Path:
-    """Write text as UTF-8, newlines as given, through ``write_bytes_atomic``."""
-    return write_bytes_atomic(path, text.encode("utf-8"))
 
 
 def write_report(report, directory, *, formats=("structured", "tabular")) -> list[Path]:

@@ -131,7 +131,7 @@ def test_covering_past_one_block(tmp_path):
     # the values of the unblocked (directions, 12) reduction of both blocks' draws; row 5713, block 1
     assert row == (
         '0,"(0.98341687700649427, 0.0016439122728914321, -0.18135198805426112)",'
-        ",,,,,,0.64601071226668949"
+        "0.64601071226668949"
     )
 
 
@@ -253,6 +253,22 @@ def test_out_dir_environment_variable(tmp_path, monkeypatch):
     code = main(["covering", "--directions", "2000"])
     assert code == 0
     assert _run_dirs(tmp_path / "envout", "covering")
+
+
+@pytest.mark.parametrize("sub, env", [((), False), (("sub",), False), (("sub",), True)],
+                         ids=["file", "under-a-file", "env-under-a-file"])
+def test_out_dir_under_a_file_exits_2_before_any_run(tmp_path, monkeypatch, capsys, sub, env):
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"x")
+    out_dir = str(blocker.joinpath(*sub))
+    if env:
+        monkeypatch.setenv("ONTICSIM_OUT_DIR", out_dir)
+    argv = ["covering", "--directions", "100"] + ([] if env else ["--out-dir", out_dir])
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no run printed its status line
+    assert err == f"error: cannot write reports under {out_dir}: {blocker} is not a directory\n"
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_bytes() == b"x"
 
 
 def test_run_dir_taken_between_check_and_create(tmp_path, monkeypatch, capsys):

@@ -75,90 +75,90 @@ CLI_CASES = {
 }
 
 # The FORMAT_HEADER the digests below were written under.
-PINNED_FORMAT = "format: onticsim-report 8"
+PINNED_FORMAT = "format: onticsim-report 9"
 # (render_structured, render_tabular) SHA-256 per case; (messages.bin, transcript.txt) per
 # protocol case.
 DIGESTS = {
     "covering": (
-        "6ff3e0af74794a0503930f31c8b138c28da09f56dea8a89c8b02276948079860",
-        "e8e89789b9d8374e5fac00cb480dc1c5723a95ec82dea26b12e34689a0fd8287",
+        "ad7a5c3443ea3c682ddd8ac66b3cc5729427e0cefbaedd64128749fc579e592d",
+        "b8ff2e15859650899c653d8bbc7ec23c2b92fcbafdcc9191c9e81f6b05757f15",
     ),
     "covering-two-blocks": (
-        "7554ae4cb600f197a06e273ff0df2318a737996f9dad58f9516335f0f6f96090",
-        "04e199110a3881e87e37403123aa7451f3f116b32219738770fbb7de32d3eb60",
+        "322a7233cf963dda55c0fdfa6b101b06a012c973251845cca1bd7971ad37673f",
+        "611b9389b2c481857bcae45f5413697a07d179832611f7cc25bd53af8826354a",
     ),
     "exact-ndim-ground": (
-        "3e28eb03c0fe70187a268c62d0dbdb12e763cbc62a95f41f52760873bac12d43",
-        "d600fbe03f5069572b16b5c6a13959779e6572a1b0b003ef389461a70caa6298",
+        "13c1da65f4ba927a4773b57ba533835007235264dfc55ff25c9b4b397b67dc9c",
+        "c2ae61b403b9086a28fc110d2948ad5beea12dc7517edf97c404c1d29308ca69",
     ),
     "exact-ndim-uniform": (
-        "7834388815ac53368e024880feb57ea15221c3b791d8e29f0a960e0537bc9f6d",
-        "929ead5c5e4d0668b54cac31cf03bc683c442888e288430f6249ee803bee5819",
+        "17c12efae603eb5164c9efac6ae393cd601f075b9189aafb73c253542fe0c9ea",
+        "ab5b37975ad9cbcd837017964503d659e7414575afd0604025f93529b2b5786d",
     ),
     "exact-qubit-cone": (
-        "0f44761b3c1125039d009f3629e10f1cbecb3ea3f5613c94c4d4354177fed1ba",
-        "1580d653b2788391dda072102691b545f504835186178b91e67a88e35534810d",
+        "df6bc105b533d493a94c63c0dbe5a885aa74eb59c5b904d845ffb51079c9da2b",
+        "c52530dcbdaa7487457a419dfce63e93698e8ec09376742f232ae1e1a8223173",
     ),
     "exact-qubit-sphere": (
-        "0d3264e20f4f112632b07da519acd48383195a37200f427165b771eef6827f02",
-        "a7fbbaf27ba43a88d06b0b78e651880dc0838c900450574c455e79e0739be66f",
+        "7eef61c5a8f21ebf961b8ddb95449bbff6c47b9aaba6a35bdbc628cc93626a75",
+        "4b4aa0a3030b1d858fa55e6d67769a709da09e49436635fb8361bebf8ebb88e8",
     ),
     "mc-ndim-ground": (
-        "e57624cd814b517b65f4a0563c6c53b5f31175db5149b1d0c31d111d2014087f",
-        "9a6bd3ac28141407ec3fee38a69e6404663e37e7ba95d4d069d51457af817e0b",
+        "86aacf1725d836d9e53d72fe1dfc2fa685201d112805bd88f4c099f0c40e020d",
+        "62fb10dafbb5c581b513a80359a0bff646741dece8b32c72f074f1b355652aac",
     ),
     "mc-ndim-uniform": (
-        "19e724ad84524c9ac0a92349d7463d9b2e3f22120db07fc6b1ed7270e329bb5f",
-        "f3bb14382a61c12e4edf073da3d8db75232b59063768617789b384f981976263",
+        "015b67dccd301c4878e5a80a0761e6d21da410e86b04900a24bf0186a7e80484",
+        "df47695f09c711718bc3bb8517baa48e5efd0d5955c6f2576e4daba5d06882d4",
     ),
     "mc-qubit-cone": (
-        "3748fcabddb0201e66f1867e84216d95d410f682f7f255649c8941a859f11d6b",
-        "36b61ec13ccf05832b5345d3b48ab957b5c9610d943c3b957779442b35d73479",
+        "92d204879c73a26061e7d76a6011b0f6ce47fc0a63f89a17370f378e094867ed",
+        "9dec9cf01da030d9ac637d207fd2c51a0f97e87f09bba89208d22e7f9fc0253e",
     ),
     "mc-qubit-sphere": (
-        "70ab3d93b5124f8b36b5613c637893c57cafa4aaa221992dcb37565761d4e0dd",
-        "9188d3f8c5f6af25c69602d0c38a5040e2d185f3c6b1dafde1d6a1674c95a1f0",
+        "9c503069ef4c1657619d7b7761c8fdeb808693a61e402f9b3bfef3cdfa8ff3f9",
+        "aca2ba9dcf97d58c0b1e85eb6ee878bbcb0a84b5fb1dfeb64790e5405cf0cee9",
     ),
     "positivity-sweep": (
-        "2b50e10a75d5835644d82819b9ba55d9b94fccb00c5a42e83faca8f6804885a9",
-        "5086f76e5c92945e74d9eab53d42bfa34cfc65195131f00f9beb90c2469bc4d6",
+        "0bb76a79b055e2a5d97930f384a3a798fd83bb759c0f02eedbae7f6141e45326",
+        "eaaa56b60cabb22e6acb773aa8c7f7c24d15ba97d7b2bb829986a26466105053",
     ),
     "protocol-fixed-pairs": (
         "6db92ea78e5c5a3057b6e2b7420ee611390756a9eb26068aa1d4fd99fd0d9e92",
         "0aa10da55c148215986584eda27812f54611ee727928bc2ff55881fb7f876c75",
     ),
     "protocol-fixed-pairs-report": (
-        "61f1b963f71926698b5242d854b81fe8958c451f371e68573c7c8777ac5dbf8d",
-        "e71f20f35954a3e50aaaa7dafb357f7b1e29e6be52916f8315c1a05aec29b1f7",
+        "e2bd48e06fcc176ae591016b29b74d16286645791decbe5304258ab1972fa87e",
+        "15df1f34975c0fe29a833ecb09ddcc8bb1a20fc2f8fb75e9fcd91981bafa67aa",
     ),
     "protocol-random-pair": (
         "723dabfd67f603f02c4c7860fac42b8b89d938ba17fee6e20f88c0a82bb46da4",
         "d7aa14a27562ec8bb202f38bf7882985a0c1e22a49a63cf6fc5aaf6733b84b15",
     ),
     "protocol-random-pair-report": (
-        "ec3371834251d9918716f91fa16a5f4817ee29d07ea21cac1bfe54d2f371bc89",
-        "c53479e6b3af8e196ffeb3d5d7f2697b366dd3efdd2b96af900a1384c9f43882",
+        "84adc6761bea4ae2f279e40056298db4ab1fda7375b60344dad63ba3d0b33b35",
+        "8fb6d71ca0187f35abd096b8c22b3014b0f8b06787a9ba2a6fe17756a09c6db2",
     ),
     "witness": (
-        "6fa71e409f2cc0ce6c2d9cd709eefdead7f7950ddc8a3fc4e0aaa205149e2fd7",
-        "8ba11fb96e6b44015dc448541245c9ef47ebccca0ca4424d74e96e596675755b",
+        "53f3a550027e10d4faf0ad8b8c3b419db898524547565443d436a5d7a85ec4d4",
+        "8b4b172112282c3cf40c9573532ea69d47eef365244ddfb2200cd3e00152ae9b",
     ),
 }
 # SHA-256 of every file each CLI case writes, by path.
 CLI_DIGESTS = {
     "verify-ndim-samples": {
-        "exact-ndim/cases.csv": "929ead5c5e4d0668b54cac31cf03bc683c442888e288430f6249ee803bee5819",
-        "exact-ndim/report.txt": "7834388815ac53368e024880feb57ea15221c3b791d8e29f0a960e0537bc9f6d",
-        "mc-ndim/cases.csv": "f3bb14382a61c12e4edf073da3d8db75232b59063768617789b384f981976263",
-        "mc-ndim/report.txt": "19e724ad84524c9ac0a92349d7463d9b2e3f22120db07fc6b1ed7270e329bb5f",
+        "exact-ndim/cases.csv": "ab5b37975ad9cbcd837017964503d659e7414575afd0604025f93529b2b5786d",
+        "exact-ndim/report.txt": "17c12efae603eb5164c9efac6ae393cd601f075b9189aafb73c253542fe0c9ea",
+        "mc-ndim/cases.csv": "df47695f09c711718bc3bb8517baa48e5efd0d5955c6f2576e4daba5d06882d4",
+        "mc-ndim/report.txt": "015b67dccd301c4878e5a80a0761e6d21da410e86b04900a24bf0186a7e80484",
     },
     "verify-qubit-samples": {
-        "exact-cone/cases.csv": "1580d653b2788391dda072102691b545f504835186178b91e67a88e35534810d",
-        "exact-cone/report.txt": "0f44761b3c1125039d009f3629e10f1cbecb3ea3f5613c94c4d4354177fed1ba",
-        "exact-sphere/cases.csv": "a7fbbaf27ba43a88d06b0b78e651880dc0838c900450574c455e79e0739be66f",
-        "exact-sphere/report.txt": "0d3264e20f4f112632b07da519acd48383195a37200f427165b771eef6827f02",
-        "mc-sphere/cases.csv": "79c8bd1e831e9fcd9247272dba1bf50de5122342d8e9aee92082deba4d209007",
-        "mc-sphere/report.txt": "9fc22ecdfec6c7e101c79b2d56df64712ba2e6c1b9592d7e275b139ec8153ae8",
+        "exact-cone/cases.csv": "c52530dcbdaa7487457a419dfce63e93698e8ec09376742f232ae1e1a8223173",
+        "exact-cone/report.txt": "df6bc105b533d493a94c63c0dbe5a885aa74eb59c5b904d845ffb51079c9da2b",
+        "exact-sphere/cases.csv": "4b4aa0a3030b1d858fa55e6d67769a709da09e49436635fb8361bebf8ebb88e8",
+        "exact-sphere/report.txt": "7eef61c5a8f21ebf961b8ddb95449bbff6c47b9aaba6a35bdbc628cc93626a75",
+        "mc-sphere/cases.csv": "76ff58cb24f138748a2dc1b82605b430f6702f710e5796f1e6c09273d0d99893",
+        "mc-sphere/report.txt": "435ef84ce8124e4adfef0f66fa0c18bc78fe9798fabffd456c4a7e59782f4156",
     },
 }
 

@@ -29,7 +29,6 @@ from onticsim.reports import (
     render_tabular,
     write_report,
     write_bytes_atomic,
-    write_text_atomic,
 )
 
 
@@ -68,7 +67,7 @@ def test_structured_layout():
     cfg = ExperimentConfig(kind="witness", seed=5)
     text = render_structured(run_experiment(cfg))
     lines = text.splitlines()
-    assert lines[0] == "format: onticsim-report 8"
+    assert lines[0] == "format: onticsim-report 9"
     assert "[config]" in lines
     assert "[cases]" in lines
     assert "[summary]" in lines
@@ -81,10 +80,7 @@ def test_tabular_layout():
     text = render_tabular(run_experiment(cfg))
     rows = text.splitlines()
     assert len(rows) == 6
-    header = rows[0].split(",")
-    assert header[0] == "index"
-    for name in ("exact_p", "born_p", "freq", "z", "exact_match", "rejections"):
-        assert name in header
+    assert rows[0] == "index,v,w,exact_p,born_p,rejections,abs_error"
 
 
 def test_write_report_files(tmp_path):
@@ -99,12 +95,10 @@ def test_write_report_files(tmp_path):
     assert not (tmp_path / "bad").exists()  # every format is checked before writing
 
 
-def test_write_text_atomic(tmp_path):
-    target = tmp_path / "nested" / "out.txt"
-    write_text_atomic(target, "alpha\n")
-    assert target.read_text() == "alpha\n"
-    write_text_atomic(target, "beta\n")
-    assert target.read_text() == "beta\n"
+def test_write_bytes_atomic(tmp_path):
+    target = tmp_path / "nested" / "out.bin"
+    write_bytes_atomic(target, b"alpha\n")
+    assert target.read_bytes() == b"alpha\n"
     write_bytes_atomic(target, b"\x00\n\xff")
     assert target.read_bytes() == b"\x00\n\xff"
     assert list(target.parent.iterdir()) == [target]
@@ -124,6 +118,20 @@ ROW_CONFIGS = {
     "protocol": dict(kind="protocol", pairs=3, samples=100),
 }
 PER_PAIR_KINDS = ("exact-qubit", "mc-qubit", "exact-ndim", "mc-ndim", "protocol")
+# The columns each report holds, in order: index, the kind's inputs, then what it computes.
+_MC = "born_p,freq,z,exact_match,rejections"
+ROW_COLUMNS = {
+    "exact-qubit-sphere": "index,v,w,patch,exact_p,born_p,rejections,abs_error",
+    "exact-qubit-cone": "index,v,w,exact_p,born_p,rejections,abs_error",
+    "mc-qubit-sphere": "index,v,w,patch," + _MC,
+    "mc-qubit-cone": "index,v,w," + _MC,
+    "exact-ndim": "index,psi,phi,exact_p,born_p,rejections,abs_error,cond_min,cond_max,ungated_error",
+    "mc-ndim": "index,psi,phi," + _MC,
+    "positivity-sweep": "index,quantity,x,n,event,value",
+    "covering": "index,worst_vector,angle_to_nearest_vertex",
+    "witness": "index,preparation,theta,phi,v,zenith_rate,fd_rate,fd_error",
+    "protocol": "index,v,w,patch," + _MC,
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -166,13 +174,20 @@ def test_rows_are_the_report_columns(name):
 
 
 @pytest.mark.parametrize("name", ROW_CONFIGS)
+def test_reports_hold_only_computed_columns(name):
+    report = _row_report(name)
+    assert all(values is not None for _, values in report.columns)
+    assert render_tabular(report).split("\n", 1)[0] == ROW_COLUMNS[name]
+
+
+@pytest.mark.parametrize("name", ROW_CONFIGS)
 def test_per_pair_rows_carry_rejections(name):
     # perfbench/tracing.py sums r.rejections over the per-pair kinds
     report = _row_report(name)
     if report.config.kind in PER_PAIR_KINDS:
         assert all(type(r.rejections) is int for r in report.records)
     else:
-        assert all(r.rejections is None for r in report.records)
+        assert "rejections" not in dict(report.columns)
 
 
 @pytest.mark.parametrize("name", ROW_CONFIGS)
@@ -344,7 +359,7 @@ def _assert_cells_match_format_value(report, csv_reads_back=True):
 
 def test_token_table_matches_format_value():
     # the tokens both files render, read back cell by cell, for array and listed columns
-    columns = [("index", np.arange(9)), ("unset", None)]
+    columns = [("index", np.arange(9))]
     columns += [(f"array_{k}", v) for k, v in _ARRAY_COLUMNS.items()]
     columns += [(f"list_{k}", v) for k, v in _TOKEN_COLUMNS.items()]
     _assert_cells_match_format_value(_report(columns))
@@ -385,7 +400,6 @@ def test_csv_cells_render_as_csv_writer(data):
     columns = [
         ("index", np.arange(n)),
         ("text", data.draw(st.lists(_TEXT, min_size=n, max_size=n), label="text")),
-        ("unset", None),
         ("floats", floats),
         ("float_rows", array((n, width), _FLOATS).astype(float)),
         ("complex_rows", array((n, width), st.complex_numbers()).astype(complex)),
@@ -407,9 +421,9 @@ def test_degenerate_monte_carlo_case_renders_without_z():
     cfg = ExperimentConfig(kind="mc-qubit", pairs=1, samples=100, region="cone")
     v = np.array([[0.5, 0.0, 0.75**0.5]])
     columns = (
-        ("index", np.arange(1)), ("v", v), ("w", v), ("exact_p", None),
-        ("born_p", np.array([1.0])), ("freq", np.array([1.0])), ("z", [None]),
-        ("exact_match", [True]), ("rejections", np.zeros(1, dtype=np.int64)),
+        ("index", np.arange(1)), ("v", v), ("w", v), ("born_p", np.array([1.0])),
+        ("freq", np.array([1.0])), ("z", [None]), ("exact_match", [True]),
+        ("rejections", np.zeros(1, dtype=np.int64)),
     )
     report = ExperimentReport(cfg, columns, _summary((), (("z_within_limit", True),)))
     (line,) = [x for x in render_structured(report).splitlines() if x.startswith("case ")]
@@ -417,7 +431,7 @@ def test_degenerate_monte_carlo_case_renders_without_z():
                     " | born_p = 1 | freq = 1 | exact_match = true | rejections = 0")
     header, row = csv.reader(io.StringIO(render_tabular(report)))
     cells = dict(zip(header, row, strict=True))
-    assert cells["exact_p"] == cells["z"] == ""
+    assert cells["z"] == ""
     assert cells["exact_match"] == "true"
     assert report.records[0].z is None and report.records[0].exact_match is True
 
