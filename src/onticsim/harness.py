@@ -27,14 +27,15 @@ probabilities through the normal z-score
 
     z = (freq - p) * sqrt(samples) / sqrt(p * (1 - p))
 
-with degenerate probabilities (p = 0 or 1) checked for exact frequency
-match instead. Each ``mc-*`` case draws its hit count hierarchically
-through the model's own count sampler (``sample_hits`` in the patch
-frame, ``sample_hits_ndim``): exact in distribution to drawing every
-round, at a cost that does not grow with ``samples``. An ``mc-*`` run
-passes when at most ``allowed_z_failures(pairs)`` cases land outside
-|z| <= 5; ``protocol`` draws every round through 10-byte wire messages
-and passes only when every pair does.
+where a degenerate probability (p <= 0 or p >= 1) scores its limit: 0
+when freq == p, else an infinity with the sign of freq - p. Each ``mc-*``
+case draws its hit count hierarchically through the model's own count
+sampler (``sample_hits`` in the patch frame, ``sample_hits_ndim``): exact
+in distribution to drawing every round, at a cost that does not grow
+with ``samples``. An ``mc-*`` run passes when at most
+``allowed_z_failures(pairs)`` cases land outside |z| <= 5; ``protocol``
+draws every round through 10-byte wire messages and passes only when
+every pair does.
 """
 
 from __future__ import annotations
@@ -228,11 +229,11 @@ class ExperimentReport:
 
     ``columns`` holds the per-case values as ``(name, values)`` pairs in
     report order (see the module docstring): only the columns the kind
-    computes, each a sequence of one value per case (a value, such as a
-    degenerate case's ``z``, may be None). ``records`` is a read-only
-    view of them, built when read: one namedtuple of plain Python values
-    per case. Running and writing a report never builds it. ``files``
-    holds the ``(name, bytes)`` pairs a kind leaves at the run root.
+    computes, each a sequence of one value per case, none of them None.
+    ``records`` is a read-only view of them, built when read: one
+    namedtuple of plain Python values per case. Running and writing a
+    report never builds it. ``files`` holds the ``(name, bytes)`` pairs a
+    kind leaves at the run root.
     """
 
     config: object
@@ -260,13 +261,19 @@ def case_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
-def z_score(freq: float, p: float, samples: int) -> float | None:
-    """Normal-approximation z of a frequency; None when p is degenerate."""
+def z_score(freq, p, samples: int):
+    """Normal-approximation z of frequencies against probabilities p, floats or arrays alike.
+
+    A degenerate p (p <= 0 or p >= 1, where p * (1 - p) may be negative) scores its limit, never
+    NaN: 0 where freq == p, else an infinity with the sign of freq - p.
+    """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    if p <= 0.0 or p >= 1.0:
-        return None
-    return (freq - p) * math.sqrt(samples) / math.sqrt(p * (1.0 - p))
+    diff = np.subtract(freq, p)
+    inside = (p > 0.0) & (p < 1.0)
+    z = diff * math.sqrt(samples) / np.sqrt(np.where(inside, p * (1.0 - p), 1.0))
+    z = np.where(inside, z, np.where(diff == 0.0, 0.0, np.copysign(math.inf, diff)))
+    return z if z.ndim else float(z)
 
 
 def allowed_z_failures(pairs: int) -> int:
@@ -329,33 +336,24 @@ def _run_exact_qubit(cfg: ExperimentConfig) -> tuple:
     return columns, summary
 
 
-def _z_failed(z, match) -> list:
-    """Whether each case fails: |z| past Z_LIMIT, or an inexact match where p is degenerate."""
-    return [not m if s is None else abs(s) > Z_LIMIT for s, m in zip(z, match)]
-
-
 def _mc_columns(cfg: ExperimentConfig, inputs: dict, born, hits, rejections, allowed) -> tuple:
-    """Monte Carlo columns and summary: each case's z, or exact match where p is degenerate.
+    """Monte Carlo columns and summary: each case's frequency and z.
 
-    ``freq`` is the Python quotient of the hit count: numpy would round both
-    counts to float64 first, which differs once samples passes 2**53. The
-    run passes when at most ``allowed`` cases fail.
+    ``freq`` is ``hits / samples`` in numpy, the Python quotient while both counts are exact
+    doubles; past 2**53 samples numpy would round them first, so Python divides. A case fails
+    when not |z| <= Z_LIMIT, and the run passes when at most ``allowed`` cases fail.
     """
-    born_p = born.tolist()
-    freq = [h / cfg.samples for h in hits.tolist()]
-    z = [z_score(f, p, cfg.samples) for f, p in zip(freq, born_p)]
-    match = [(f == p) if s is None else None for f, p, s in zip(freq, born_p, z)]
-    z_values = [abs(s) for s in z if s is not None]
-    failures = sum(_z_failed(z, match))
+    freq = hits / cfg.samples if cfg.samples <= 2**53 else np.array([h / cfg.samples for h in hits.tolist()])
+    z = z_score(freq, born, cfg.samples)
+    failures = int(np.count_nonzero(~(np.abs(z) <= Z_LIMIT)))
     stats = (
-        ("max_abs_z", max(z_values) if z_values else 0.0),
+        ("max_abs_z", float(np.abs(z).max())),
         ("z_failures", failures),
         ("allowed_failures", allowed),
         ("samples_per_pair", cfg.samples),
         ("total_rejections", int(rejections.sum())),
     )
-    columns = _columns(**inputs, born_p=born, freq=np.array(freq), z=z, exact_match=match,
-                       rejections=rejections)
+    columns = _columns(**inputs, born_p=born, freq=freq, z=z, rejections=rejections)
     return columns, _summary(stats, (("z_within_limit", failures <= allowed),))
 
 
@@ -448,10 +446,9 @@ def _run_protocol(cfg: ExperimentConfig) -> tuple:
                         for c in checkpoints])
     columns, summary = _mc_columns(cfg, inputs, born_probability_qubit(v, w), hits, rejections, 0)
 
-    values = dict(columns)
     lines = [f"rounds_per_pair = {cfg.samples}", f"message_bytes = {MESSAGE_SIZE}",
              f"seed = {cfg.seed}"]
-    for i, failed in enumerate(_z_failed(values["z"], values["exact_match"])):
+    for i, failed in enumerate((~(np.abs(dict(columns)["z"]) <= Z_LIMIT)).tolist()):
         lines += [f"pair {i}", *running[i], f"  status = {'outside tolerance' if failed else 'ok'}"]
     lines.append(f"passed = {format_value(summary.passed)}")
     transcript = ("\n".join(lines) + "\n").encode()

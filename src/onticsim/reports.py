@@ -4,8 +4,7 @@ Two formats are produced from the same report object: a structured
 human-readable summary and a flat CSV of per-case rows. The renderers
 know no experiment column: a report's ``columns`` are ``(name, values)``
 pairs in report order, led by the case index; values are a numpy array
-or any other sequence. A None value in a sequence is an empty CSV cell
-and is left out of its structured case line.
+or any other sequence.
 
 Both formats are rendered in blocks of ``_WRITE_BLOCK_ROWS`` rows. Each
 file's block is one ``(rows, width)`` byte matrix: the cells and the
@@ -63,7 +62,7 @@ __all__ = [
     "write_report",
 ]
 
-FORMAT_HEADER = "format: onticsim-report 9"
+FORMAT_HEADER = "format: onticsim-report 10"
 
 # Rows per block in which write_report streams both files: each block's cells are formatted
 # once, shared by both files and written out before the next block is formatted.
@@ -356,7 +355,7 @@ def _block_cells(columns, rows: slice) -> list:
     as one byte row, every value's slot trimmed to the bytes any of them prints, and ``width``
     is the row width of a 2-D column (None for 1-D); all of a block's numbers go through one
     ``_number_slots`` call. For any other column, the list of each row's ``format_value``
-    token, None for a None value.
+    token.
     """
     n = rows.stop - rows.start
     out, floats, numbers = [], [], []
@@ -371,7 +370,7 @@ def _block_cells(columns, rows: slice) -> list:
             part = part.view(np.float64).reshape(-1)  # a complex value: its real, then its imaginary part
             floats.append(part)
         else:
-            part = [None if v is None else format_value(v) for v in _python_values(part)]
+            part = list(map(format_value, _python_values(part)))
         out.append(part)
     flat = np.concatenate(floats) if floats else np.empty(0)
     plus = np.zeros(len(flat), dtype=np.intp)  # the imaginary parts print with a sign
@@ -434,10 +433,10 @@ def _structured_head(report) -> str:
 
 
 def _structured_parts(i: int, name: str, cell) -> tuple:
-    # "case " and the first cell, then " | name = " and each cell whose value is not None
+    # "case " and the first cell, then " | name = " and each other cell
     label = "case " if i == 0 else f" | {name} = "
     if isinstance(cell, list):
-        return "", ["" if t is None else label + t for t in cell], ""
+        return "", [label + t for t in cell], ""
     return (label, cell, "") if cell[1] is None else (label + "(", cell, ")")
 
 
@@ -462,11 +461,11 @@ def _tabular_head(report) -> str:
 
 
 def _tabular_parts(i: int, name: str, cell) -> tuple:
-    # A None value is an empty cell. A numpy column's cells hold no ',', '"' or "\n" but
-    # for the ", " between the values of a 2-D row, so only rows of two or more are quoted.
+    # A numpy column's cells hold no ',', '"' or "\n" but for the ", " between the values
+    # of a 2-D row, so only rows of two or more are quoted.
     comma = "," if i else ""
     if isinstance(cell, list):
-        return "", [comma + ("" if t is None else _csv_cell(t)) for t in cell], ""
+        return "", [comma + _csv_cell(t) for t in cell], ""
     width = cell[1]
     quote = '"' if width is not None and width > 1 else ""
     return (comma, cell, "") if width is None else (comma + quote + "(", cell, ")" + quote)

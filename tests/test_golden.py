@@ -59,6 +59,10 @@ CASES = {
         ((0.0, 0.0, 1.0), (0.6, 0.0, 0.8)), ((1 / 3, 2 / 3, -2 / 3), (-0.6, 0.0, 0.8)),
     )),
     "protocol-random-pair-report": dict(kind="protocol", pairs=1, samples=400),
+    # w = v and w = -v at the pole: p = 1 and p = 0, whose z is its limit
+    "protocol-degenerate-pairs": dict(kind="protocol", pairs=2, samples=300, fixed_pairs=(
+        ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0)), ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)),
+    )),
 }
 # simulate-protocol config files; pair.N keys fix (v, w), unnormalised on purpose.
 PROTOCOL_CASES = {
@@ -75,72 +79,76 @@ CLI_CASES = {
 }
 
 # The FORMAT_HEADER the digests below were written under.
-PINNED_FORMAT = "format: onticsim-report 9"
+PINNED_FORMAT = "format: onticsim-report 10"
 # (render_structured, render_tabular) SHA-256 per case; (messages.bin, transcript.txt) per
 # protocol case.
 DIGESTS = {
     "covering": (
-        "ad7a5c3443ea3c682ddd8ac66b3cc5729427e0cefbaedd64128749fc579e592d",
+        "28761264161bd928aed31512dc7bd31c3960e9283265bcbe6cd6d0ff272216c8",
         "b8ff2e15859650899c653d8bbc7ec23c2b92fcbafdcc9191c9e81f6b05757f15",
     ),
     "covering-two-blocks": (
-        "322a7233cf963dda55c0fdfa6b101b06a012c973251845cca1bd7971ad37673f",
+        "a95920142eba15e78882ae903bef017e8e32e6d584ed769d4377500d482db6f7",
         "611b9389b2c481857bcae45f5413697a07d179832611f7cc25bd53af8826354a",
     ),
     "exact-ndim-ground": (
-        "13c1da65f4ba927a4773b57ba533835007235264dfc55ff25c9b4b397b67dc9c",
+        "99618e2862e950db440cacdbb81a830bd10fbc070351e207d80365010a82654c",
         "c2ae61b403b9086a28fc110d2948ad5beea12dc7517edf97c404c1d29308ca69",
     ),
     "exact-ndim-uniform": (
-        "17c12efae603eb5164c9efac6ae393cd601f075b9189aafb73c253542fe0c9ea",
+        "379a7d0e0fbf5b44131856e2867a1a39798aedf2815161f4d4dc23a6316e3e11",
         "ab5b37975ad9cbcd837017964503d659e7414575afd0604025f93529b2b5786d",
     ),
     "exact-qubit-cone": (
-        "df6bc105b533d493a94c63c0dbe5a885aa74eb59c5b904d845ffb51079c9da2b",
+        "b316d41c03f59b6e23355307e4cdc6e1effa38e13aac62225a7576d45a2b9b96",
         "c52530dcbdaa7487457a419dfce63e93698e8ec09376742f232ae1e1a8223173",
     ),
     "exact-qubit-sphere": (
-        "7eef61c5a8f21ebf961b8ddb95449bbff6c47b9aaba6a35bdbc628cc93626a75",
+        "9c11533a95d0305be323eaab6836c82ae91e0e4a4e602a9639a292002d481f59",
         "4b4aa0a3030b1d858fa55e6d67769a709da09e49436635fb8361bebf8ebb88e8",
     ),
     "mc-ndim-ground": (
-        "86aacf1725d836d9e53d72fe1dfc2fa685201d112805bd88f4c099f0c40e020d",
-        "62fb10dafbb5c581b513a80359a0bff646741dece8b32c72f074f1b355652aac",
+        "15f3c2f29a10e7e72eb2a613cd9d7a7bdc14840fb86b3ec0dcc6affb9dc99263",
+        "975622eb2e00af66f3b1bca2d471c206439233aa7bc61bab787052cee9b92920",
     ),
     "mc-ndim-uniform": (
-        "015b67dccd301c4878e5a80a0761e6d21da410e86b04900a24bf0186a7e80484",
-        "df47695f09c711718bc3bb8517baa48e5efd0d5955c6f2576e4daba5d06882d4",
+        "6d44a0391a3c886440510ccabede3f142e6fb88156e2756fa9c02612c465a84d",
+        "1177f76b07deb8856731f84ae94207e6f79e2c2fd0fa74917ccf112e7115e8f0",
     ),
     "mc-qubit-cone": (
-        "92d204879c73a26061e7d76a6011b0f6ce47fc0a63f89a17370f378e094867ed",
-        "9dec9cf01da030d9ac637d207fd2c51a0f97e87f09bba89208d22e7f9fc0253e",
+        "9d6ca63d939d8460c3667129941228037f5c60ee4ace2641c689dc03736585ad",
+        "18dc747e824e712f9ac0b5d7b10a28e1a7724733eab2bfd844706b6885c3b7a7",
     ),
     "mc-qubit-sphere": (
-        "9c503069ef4c1657619d7b7761c8fdeb808693a61e402f9b3bfef3cdfa8ff3f9",
-        "aca2ba9dcf97d58c0b1e85eb6ee878bbcb0a84b5fb1dfeb64790e5405cf0cee9",
+        "7c4eb057093812c9eb26f475ef90853e288660a77c7c76d07e02b3a6512e4b8f",
+        "5fd2991398ecf343d06d6fb6815efc76a7a89cf2047f673212ca85d9010cf82b",
     ),
     "positivity-sweep": (
-        "0bb76a79b055e2a5d97930f384a3a798fd83bb759c0f02eedbae7f6141e45326",
+        "94bdd88ed40989f82be0416218bae55ffe4386e732a8efb5634a6d0740689a4d",
         "eaaa56b60cabb22e6acb773aa8c7f7c24d15ba97d7b2bb829986a26466105053",
+    ),
+    "protocol-degenerate-pairs": (
+        "efe7914b31f842a66c11885f6496a4a050f9b9d61c464dd6da8a9e14c3917550",
+        "85231aa5a5da9fc31970785e3ac7758509b5cecce154d0919089e5f4f8f701c5",
     ),
     "protocol-fixed-pairs": (
         "6db92ea78e5c5a3057b6e2b7420ee611390756a9eb26068aa1d4fd99fd0d9e92",
         "0aa10da55c148215986584eda27812f54611ee727928bc2ff55881fb7f876c75",
     ),
     "protocol-fixed-pairs-report": (
-        "e2bd48e06fcc176ae591016b29b74d16286645791decbe5304258ab1972fa87e",
-        "15df1f34975c0fe29a833ecb09ddcc8bb1a20fc2f8fb75e9fcd91981bafa67aa",
+        "1a7bccbe6b20fd05f2a79754be0e8eb86e4aa30c972a3dfcef6ed97647a20ba0",
+        "c739a86c557ec1bfdb489c1931499cd07f0afd223abdb193a5d404aba3533823",
     ),
     "protocol-random-pair": (
         "723dabfd67f603f02c4c7860fac42b8b89d938ba17fee6e20f88c0a82bb46da4",
         "d7aa14a27562ec8bb202f38bf7882985a0c1e22a49a63cf6fc5aaf6733b84b15",
     ),
     "protocol-random-pair-report": (
-        "84adc6761bea4ae2f279e40056298db4ab1fda7375b60344dad63ba3d0b33b35",
-        "8fb6d71ca0187f35abd096b8c22b3014b0f8b06787a9ba2a6fe17756a09c6db2",
+        "cf8ccc29c082a76b670b05f27c0b277f557481a64019765e5b5614cdb8039a9e",
+        "99e8c38a29dfc0fe7850aa3c705027c291061e7881b2c0cad5e26d7442ae0923",
     ),
     "witness": (
-        "53f3a550027e10d4faf0ad8b8c3b419db898524547565443d436a5d7a85ec4d4",
+        "f68380104046c4245e1dad885213be258ec80e8b4f105310d23238e68c94d7f8",
         "8b4b172112282c3cf40c9573532ea69d47eef365244ddfb2200cd3e00152ae9b",
     ),
 }
@@ -148,17 +156,17 @@ DIGESTS = {
 CLI_DIGESTS = {
     "verify-ndim-samples": {
         "exact-ndim/cases.csv": "ab5b37975ad9cbcd837017964503d659e7414575afd0604025f93529b2b5786d",
-        "exact-ndim/report.txt": "17c12efae603eb5164c9efac6ae393cd601f075b9189aafb73c253542fe0c9ea",
-        "mc-ndim/cases.csv": "df47695f09c711718bc3bb8517baa48e5efd0d5955c6f2576e4daba5d06882d4",
-        "mc-ndim/report.txt": "015b67dccd301c4878e5a80a0761e6d21da410e86b04900a24bf0186a7e80484",
+        "exact-ndim/report.txt": "379a7d0e0fbf5b44131856e2867a1a39798aedf2815161f4d4dc23a6316e3e11",
+        "mc-ndim/cases.csv": "1177f76b07deb8856731f84ae94207e6f79e2c2fd0fa74917ccf112e7115e8f0",
+        "mc-ndim/report.txt": "6d44a0391a3c886440510ccabede3f142e6fb88156e2756fa9c02612c465a84d",
     },
     "verify-qubit-samples": {
         "exact-cone/cases.csv": "c52530dcbdaa7487457a419dfce63e93698e8ec09376742f232ae1e1a8223173",
-        "exact-cone/report.txt": "df6bc105b533d493a94c63c0dbe5a885aa74eb59c5b904d845ffb51079c9da2b",
+        "exact-cone/report.txt": "b316d41c03f59b6e23355307e4cdc6e1effa38e13aac62225a7576d45a2b9b96",
         "exact-sphere/cases.csv": "4b4aa0a3030b1d858fa55e6d67769a709da09e49436635fb8361bebf8ebb88e8",
-        "exact-sphere/report.txt": "7eef61c5a8f21ebf961b8ddb95449bbff6c47b9aaba6a35bdbc628cc93626a75",
-        "mc-sphere/cases.csv": "76ff58cb24f138748a2dc1b82605b430f6702f710e5796f1e6c09273d0d99893",
-        "mc-sphere/report.txt": "435ef84ce8124e4adfef0f66fa0c18bc78fe9798fabffd456c4a7e59782f4156",
+        "exact-sphere/report.txt": "9c11533a95d0305be323eaab6836c82ae91e0e4a4e602a9639a292002d481f59",
+        "mc-sphere/cases.csv": "8c59bbdb5e8c70ebca1b980670016dc8adc5d7e20e985ebcca90c6639052e0f6",
+        "mc-sphere/report.txt": "248474dfaffb79b6ffdcb580994a96a46c12ef059309ebfdfa0f61f67071f55f",
     },
 }
 
@@ -237,6 +245,15 @@ def test_listing_skips_only_a_report_header():
 
 def test_digests_pinned_under_the_current_format():
     assert PINNED_FORMAT == FORMAT_HEADER
+
+
+def test_degenerate_rows_read_z_zero():
+    report = run_experiment(ExperimentConfig(seed=SEED, **CASES["protocol-degenerate-pairs"]))
+    lines = [line for line in render_structured(report).splitlines() if line.startswith("case ")]
+    assert [line.split(" | ")[4:7] for line in lines] == [
+        ["born_p = 1", "freq = 1", "z = 0"], ["born_p = 0", "freq = 0", "z = 0"],
+    ]
+    assert report.passed
 
 
 def test_every_kind_has_a_golden_case():

@@ -114,8 +114,14 @@ def test_fixed_pairs_draw_messages_then_outcomes_pair_after_pair(frame):
 
 def test_z_score():
     assert z_score(0.51, 0.5, 10**4) == pytest.approx(2.0, abs=1e-12)
-    assert z_score(1.0, 1.0, 100) is None
-    assert z_score(0.0, 0.0, 100) is None
+    # a degenerate p scores its limit; p one ulp past 1 makes p * (1 - p) < 0, never NaN
+    cases = [(1.0, 1.0 + 2**-52, -math.inf), (0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.5, 0.0, math.inf)]
+    for freq, p, z in cases:
+        assert z_score(freq, p, 100) == z and type(z_score(freq, p, 100)) is float
+    freq, p, z = (np.array(column) for column in zip(*cases))
+    np.testing.assert_array_equal(z_score(freq, p, 100), z)
+    rows = np.random.default_rng(0).random((2, 1000))  # floats and arrays give the same bits
+    assert z_score(*rows, 100).tolist() == [z_score(f, q, 100) for f, q in rows.T.tolist()]
     with pytest.raises(ValueError):
         z_score(0.5, 0.5, 0)
 
@@ -197,16 +203,30 @@ def test_mc_qubit_statistics():
     assert all(r.freq is not None for r in report.records)
 
 
-def test_mc_degenerate_probability_uses_exact_match():
-    # z is undefined at p = 0 or 1; degenerate draws must match exactly
+def test_mc_degenerate_probability_scores_its_limit(monkeypatch):
+    # the sampler meets a degenerate p exactly, and a run scores z = 0 there, or an infinity on a miss
     from onticsim.cone import sample_hits
 
     v = np.array([0.5, 0.0, math.sqrt(0.75)])  # sin(theta) = 0.5: both branches drawn
     assert sample_hits(v, v, 1000, np.random.default_rng(0)) == 1000
     assert sample_hits(v, -v, 1000, np.random.default_rng(0)) == 0
-    cfg = ExperimentConfig(kind="mc-qubit", pairs=1, samples=100, seed=0)
-    record = run_experiment(cfg).records[0]
-    assert (record.z is None) == (record.exact_match is not None)
+    monkeypatch.setattr(harness, "born_probability_qubit", lambda v, w: np.array([0.0, 1.0, 1.0 + 2**-52, 0.5]))
+    monkeypatch.setattr(harness, "sample_hits", lambda v, w, samples, rng: np.array([0, 100, 100, 50]))
+    report = run_experiment(ExperimentConfig(kind="mc-qubit", pairs=4, samples=100, seed=0))
+    assert [r.z for r in report.records] == [0.0, 0.0, -math.inf, 0.0]
+    stats_map = dict(report.summary.stats)
+    assert stats_map["z_failures"] == 1 and stats_map["max_abs_z"] == math.inf
+    assert report.passed  # one failure is within the budget of 4 pairs
+
+
+def test_mc_frequency_past_2_53_samples_is_the_python_quotient(monkeypatch):
+    samples, hits = 2**53 + 1, [1, 3, 2**52 + 1]
+    monkeypatch.setattr(harness, "sample_hits", lambda v, w, samples, rng: np.array(hits))
+    report = run_experiment(ExperimentConfig(kind="mc-qubit", pairs=3, samples=samples, seed=0))
+    freq = [h / samples for h in hits]
+    assert [r.freq for r in report.records] == freq
+    # numpy rounds samples to 2**53 first: every one of these quotients would differ
+    assert all(a != b for a, b in zip((np.array(hits) / samples).tolist(), freq))
 
 
 def test_exact_ndim_summary_criteria():
@@ -281,7 +301,7 @@ def test_z_scores_normally_distributed():
     report = run_experiment(
         ExperimentConfig(kind="mc-qubit", pairs=200, samples=10**5, seed=9)
     )
-    zs = [r.z for r in report.records if r.z is not None]
+    zs = [r.z for r in report.records]
     assert len(zs) == 200
     result = stats.kstest(zs, "norm")
     assert result.pvalue > 1e-3

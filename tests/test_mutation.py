@@ -62,3 +62,25 @@ def test_protocol_allows_no_failing_pair(monkeypatch):
     faulty = run_experiment(cfg)
     assert dict(faulty.summary.stats)["z_failures"] == 1 <= harness.allowed_z_failures(cfg.pairs)
     assert not faulty.passed
+
+
+def test_fault_on_a_degenerate_pair_fails_the_protocol(tmp_path, monkeypatch, capsys):
+    # w = v and w = -v at the pole: p = 1 and p = 0; a measurer that fires at p = 0 scores z = inf
+    measure_messages = harness.measure_messages
+
+    def measure(frame, w, data):
+        p = measure_messages(frame, w, data)
+        return p + 1e-3 if w[2] < 0.0 else p
+
+    monkeypatch.setattr(harness, "measure_messages", measure)
+    config = tmp_path / "protocol.cfg"
+    config.write_text("rounds = 20000\npair.0 = 0, 0, 1, 0, 0, 1\npair.1 = 0, 0, 1, 0, 0, -1\n")
+    argv = ["simulate-protocol", "--config", str(config), "--seed", "5"]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+    (run_dir,) = (tmp_path / "out").iterdir()
+    cases = [line for line in (run_dir / "protocol" / "report.txt").read_text().splitlines()
+             if line.startswith("case ")]
+    assert [line.split(" | ")[6] for line in cases] == ["z = 0", "z = inf"]
+    statuses = [line for line in (run_dir / "transcript.txt").read_text().splitlines() if "status" in line]
+    assert statuses == ["  status = ok", "  status = outside tolerance"]
+    assert "[protocol] FAIL(z_within_limit) | " in capsys.readouterr().out

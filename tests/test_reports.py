@@ -67,7 +67,7 @@ def test_structured_layout():
     cfg = ExperimentConfig(kind="witness", seed=5)
     text = render_structured(run_experiment(cfg))
     lines = text.splitlines()
-    assert lines[0] == "format: onticsim-report 9"
+    assert lines[0] == "format: onticsim-report 10"
     assert "[config]" in lines
     assert "[cases]" in lines
     assert "[summary]" in lines
@@ -119,7 +119,7 @@ ROW_CONFIGS = {
 }
 PER_PAIR_KINDS = ("exact-qubit", "mc-qubit", "exact-ndim", "mc-ndim", "protocol")
 # The columns each report holds, in order: index, the kind's inputs, then what it computes.
-_MC = "born_p,freq,z,exact_match,rejections"
+_MC = "born_p,freq,z,rejections"
 ROW_COLUMNS = {
     "exact-qubit-sphere": "index,v,w,patch,exact_p,born_p,rejections,abs_error",
     "exact-qubit-cone": "index,v,w,exact_p,born_p,rejections,abs_error",
@@ -166,17 +166,18 @@ def test_rows_are_the_report_columns(name):
     assert render_structured(copy) == render_structured(report)
     assert render_tabular(copy) == render_tabular(report)
     assert next(csv.reader(io.StringIO(render_tabular(report)))) == list(fields)
-    # a structured case line names exactly the fields whose value is not None
+    # a structured case line names every field
     lines = [line for line in render_structured(report).splitlines() if line.startswith("case ")]
-    for record, line in zip(records, lines, strict=True):
-        names = [cell.split(" = ")[0] for cell in line.split(" | ")[1:]]
-        assert names == [f for f, v in zip(fields[1:], record[1:]) if v is not None]
+    for line in lines:
+        assert [cell.split(" = ")[0] for cell in line.split(" | ")[1:]] == list(fields[1:])
+    assert len(lines) == len(records)
 
 
 @pytest.mark.parametrize("name", ROW_CONFIGS)
 def test_reports_hold_only_computed_columns(name):
     report = _row_report(name)
     assert all(values is not None for _, values in report.columns)
+    assert all(value is not None for record in report.records for value in record)
     assert render_tabular(report).split("\n", 1)[0] == ROW_COLUMNS[name]
 
 
@@ -315,7 +316,6 @@ _ARRAY_COLUMNS = {
 _TOKEN_COLUMNS = {
     "floats": list(_SPECIAL),
     "ints": [0, -1, 7, 2**70, -(2**63), 3, 4, 5, 6],
-    "nones": [None] * 9,
     "bools": [True, False] * 4 + [True],
     "float_triples": [(0.1, -0.0, _NAN), (_INF, -_INF, 1.0)] * 4 + [(0.0, 0.0, 0.0)],
     "complex_pairs": [
@@ -328,8 +328,6 @@ _TOKEN_COLUMNS = {
     "mixed_tuples": [(1.0, 2), (1.0, 2.0), (0.5 + 1j, None), (True, -0.0), (_NAN, 1j),
                      (("x",), 2.0), (1.0, 2.0), (-0.0, _INF), (0.5, 0.5)],
     "float_and_complex": [(1.0, 2.0), (1j, 2j)] * 4 + [(0.0, 0.0)],
-    "z": [None, 1.5, -0.0, None, _NAN, 2.0, None, -_INF, 0.25],
-    "exact_match": [None, True, False, None, None, True, None, None, False],
     "ints_and_floats": [1, 1.0, 2, 2.5, -0.0, 0, 3, 4.0, 5],
     "numpy_floats": [np.float64(0.1), np.float64(-0.0)] * 4 + [np.float64(_NAN)],
     "strings": ["global_min", "a", "b", "", "x, y", "q", "r", "s", "t"],
@@ -343,15 +341,14 @@ def _report(columns):
 
 
 def _assert_cells_match_format_value(report, csv_reads_back=True):
-    """Every rendered cell is format_value of its record value, cell by cell: None is
-    an empty CSV cell and is left out of the structured case line."""
+    """Every rendered cell is format_value of its record value, cell by cell."""
     names = [name for name, _ in report.columns]
     if csv_reads_back:
         rows = list(csv.reader(io.StringIO(render_tabular(report), newline="")))
-        assert rows == [names, *(["" if v is None else format_value(v) for v in r] for r in report.records)]
+        assert rows == [names, *([format_value(v) for v in r] for r in report.records)]
     lines = []
     for record in report.records:
-        cells = [f"{n} = {format_value(v)}" for n, v in zip(names[1:], record[1:]) if v is not None]
+        cells = [f"{n} = {format_value(v)}" for n, v in zip(names[1:], record[1:])]
         lines.append(" | ".join([f"case {record.index}", *cells]) + "\n")
     text = render_structured(report)
     assert text[text.index("\n[cases]\n") + 9 : text.rindex("\n[summary]\n") + 1] == "".join(lines)
@@ -375,13 +372,13 @@ def _csv_writer_text(report) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([name for name, _ in report.columns])
-    writer.writerows([None if v is None else format_value(v) for v in r] for r in report.records)
+    writer.writerows([format_value(v) for v in r] for r in report.records)
     return buf.getvalue()
 
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 # text that csv must quote or leave alone: commas, quotes, \n, \r, leading spaces, ""
-_TEXT = st.one_of(st.none(), st.text(',"\n\r a|=', max_size=6), st.text(max_size=6))
+_TEXT = st.one_of(st.text(',"\n\r a|=', max_size=6), st.text(max_size=6))
 
 
 @settings(max_examples=300, deadline=None)
@@ -406,34 +403,35 @@ def test_csv_cells_render_as_csv_writer(data):
         ("complex", complex_floats),
         ("int_rows", array((n, width), st.integers(-(2**63), 2**63 - 1)).astype(np.int64)),
         ("ints", np.arange(n, dtype=np.uint8)),
-        ("text_or_unset", [None] * (n - 1) + ["a,b"]),
     ]
     report = _report(columns)
     with mock.patch.object(reports, "_WRITE_BLOCK_ROWS", block_rows):
         text = render_tabular(report)
         assert text == _csv_writer_text(report)
         # csv.writer leaves a lone "\r" unquoted, so only such a cell does not read back
-        reads_back = not any(t and "\r" in t and not set(',"\n') & set(t) for t in columns[1][1])
+        reads_back = not any("\r" in t and not set(',"\n') & set(t) for t in columns[1][1])
         _assert_cells_match_format_value(report, reads_back)
 
 
-def test_degenerate_monte_carlo_case_renders_without_z():
-    cfg = ExperimentConfig(kind="mc-qubit", pairs=1, samples=100, region="cone")
-    v = np.array([[0.5, 0.0, 0.75**0.5]])
+def test_degenerate_monte_carlo_case_renders_z_limit():
+    # p = 1 met exactly scores z = 0; missed, z is an infinity with the sign of freq - p
+    cfg = ExperimentConfig(kind="mc-qubit", pairs=2, samples=100, region="cone")
+    v = np.array([[0.5, 0.0, 0.75**0.5]] * 2)
+    born, freq = np.array([1.0, 1.0]), np.array([1.0, 0.99])
     columns = (
-        ("index", np.arange(1)), ("v", v), ("w", v), ("born_p", np.array([1.0])),
-        ("freq", np.array([1.0])), ("z", [None]), ("exact_match", [True]),
-        ("rejections", np.zeros(1, dtype=np.int64)),
+        ("index", np.arange(2)), ("v", v), ("w", v), ("born_p", born), ("freq", freq),
+        ("z", harness.z_score(freq, born, 100)), ("rejections", np.zeros(2, dtype=np.int64)),
     )
-    report = ExperimentReport(cfg, columns, _summary((), (("z_within_limit", True),)))
-    (line,) = [x for x in render_structured(report).splitlines() if x.startswith("case ")]
-    assert line == ("case 0 | v = (0.5, 0, 0.8660254037844386) | w = (0.5, 0, 0.8660254037844386)"
-                    " | born_p = 1 | freq = 1 | exact_match = true | rejections = 0")
-    header, row = csv.reader(io.StringIO(render_tabular(report)))
-    cells = dict(zip(header, row, strict=True))
-    assert cells["z"] == ""
-    assert cells["exact_match"] == "true"
-    assert report.records[0].z is None and report.records[0].exact_match is True
+    report = ExperimentReport(cfg, columns, _summary((), (("z_within_limit", False),)))
+    lines = [x for x in render_structured(report).splitlines() if x.startswith("case ")]
+    assert lines == [f"case {i} | v = (0.5, 0, 0.8660254037844386) | w = (0.5, 0, 0.8660254037844386)"
+                     f" | born_p = 1 | freq = {f} | z = {z} | rejections = 0"
+                     for i, f, z in ((0, "1", "0"), (1, "0.98999999999999999", "-inf"))]
+    assert render_tabular(report).splitlines()[1:] == [
+        '0,"(0.5, 0, 0.8660254037844386)","(0.5, 0, 0.8660254037844386)",1,1,0,0',
+        '1,"(0.5, 0, 0.8660254037844386)","(0.5, 0, 0.8660254037844386)",1,0.98999999999999999,-inf,0',
+    ]
+    assert [r.z for r in report.records] == [0.0, -_INF]
 
 
 def _kernel_texts(floats, plus=False):
