@@ -151,7 +151,11 @@ def born_probability_qubit(v, w):
 
 
 def born_probability_ndim(psi, phi):
-    """Quantum probability |<phi|psi>|^2 of N-level states, per pair of a stack."""
+    """Quantum probability |<phi|psi>|^2 of N-level states, per pair of a stack.
+
+    Clipped into [0, 1], as ``born_probability_qubit`` is: rounding reads about a quarter of
+    identical pairs up to a few ulp above 1.
+    """
     psi_arr = as_amplitudes(psi)
     phi_arr = as_amplitudes(phi)
     if psi_arr.shape[-1] != phi_arr.shape[-1]:
@@ -159,7 +163,8 @@ def born_probability_ndim(psi, phi):
             f"dimension mismatch: {psi_arr.shape[-1]} vs {phi_arr.shape[-1]}"
         )
     overlap = _scalar((np.conj(phi_arr) * psi_arr).sum(axis=-1))
-    return overlap.real**2 + overlap.imag**2
+    p = overlap.real**2 + overlap.imag**2
+    return np.clip(p, 0.0, 1.0) if isinstance(p, np.ndarray) else min(1.0, max(0.0, p))
 
 
 def random_bloch(rng: np.random.Generator, *, z_min: float = -1.0, size: int | None = None):

@@ -483,12 +483,41 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple:
     return columns, _summary(stats, criteria)
 
 
+def _nearest_vertex_bound(height: float) -> float:
+    """The least largest dot product with a vertex of ``build_frame`` of a unit vector at |z| = height.
+
+    The nearer pole gives |z|. Each ring has a vertex every 72 degrees of azimuth at zenith
+    arccos(1/sqrt(5)) from its pole, and the rings are 36 degrees apart; so a direction's
+    nearest vertex of the ring on its side is some delta <= 36 degrees away in azimuth,
+    giving s sin(zenith) cos(delta) + |z| cos(zenith), and the other ring's 36 - delta away,
+    giving s sin(zenith) cos(36 - delta) - |z| cos(zenith), with s = sqrt(1 - z^2). The first
+    falls and the second rises with delta, so the larger of the two is least where they meet,
+    at sin(delta - 18) = |z| cos(zenith) / (s sin(zenith) sin 18), or at delta = 36 when they
+    do not. Equal to the least over azimuth, as the 20 face centres at |z| 0.1876 and 0.7947
+    attain it: cos(COVERING_RADIUS).
+    """
+    ring, tilt = math.sqrt(1.0 - height * height) * 2.0 / math.sqrt(5.0), height / math.sqrt(5.0)
+    sin18 = math.sin(math.pi / 10)
+    delta = math.pi / 10 + math.asin(tilt / (ring * sin18)) if tilt <= ring * sin18 * sin18 else math.pi / 5
+    return max(height, ring * math.cos(delta) + tilt)
+
+
 # Direction rows per block of the covering reduction: 4096 rows x 12 vertices is 393 KB of
 # dot products, the most a block holds (8192-row blocks put about 1 MB on a run's peak
 # memory and were no faster at 1e5 directions). The last block takes the remainder, so no block is
 # a single row unless there is one row in all (a one-row product rounds differently from a
 # stacked one). Part of the report format: block b draws its rows from case_rng(seed, b).
 _COVERING_BLOCK_ROWS = 4096
+
+# The bands of |z| around the face centres' heights 0.1876 and 0.7947, 7% of uniform heights,
+# where a direction's nearest vertex can lie within about 0.8 degrees of COVERING_RADIUS.
+# Between them and beyond, ``_nearest_vertex_bound`` has no local minimum, as its only ones
+# are at the face centres, so no direction outside the bands has a largest dot product below
+# its least value at their edges. 1e-9 widens that past the rounding of rows within 1e-12 of
+# unit norm. 0.17% of uniform directions reach below it, so a 4096-row block has none
+# about once in 900, and then evaluates all its rows.
+_COVERING_BANDS = ((0.173, 0.216), (0.776, 0.804))
+_COVERING_BEYOND = min(_nearest_vertex_bound(h) for band in _COVERING_BANDS for h in band) - 1e-9
 
 
 def _covering_blocks(n: int) -> list:
@@ -511,22 +540,39 @@ def _row_maxima(block: np.ndarray, out: np.ndarray) -> None:
 def _farthest_from_vertices(frame, blocks) -> tuple:
     """The largest angle from a unit vector to its nearest frame vertex, its first index and row.
 
-    ``blocks`` yields the vectors as consecutive (k, 3) row blocks. Each block's dot
-    products with the vertices, ``rows @ vertices.T`` (``vertices @ rows.T`` rounds
-    differently), reduce to each row's largest, then by clip and arccos in place (the
-    same as clipping first, since clip is monotone) to the block's largest angle and its
-    first index; a later block takes over only with a strictly larger angle. So no
-    (n, 12) matrix is built, nor the n angles held.
+    ``blocks`` yields consecutive blocks of the vectors as (z, rows): the heights of a
+    block's k vectors and a function giving those at an index array or slice as rows. For
+    the frame of ``build_frame``, only the vectors with |z| in ``_COVERING_BANDS`` are
+    evaluated, at least two together (``vertices @ rows.T`` and a one-row product round
+    differently from ``rows @ vertices.T``), unless the block has one. When the
+    least of their largest dot products is below ``_COVERING_BEYOND``, which every other
+    vector's exceeds, their farthest is the block's; otherwise, and for any other frame, the
+    whole block is evaluated. A block's dot products reduce to each row's largest, then by
+    clip and arccos in place (the same as clipping first, since clip is monotone) to the
+    block's largest angle and its first index; a later block takes over only with a strictly
+    larger angle. So no (n, 12) matrix is built, nor the n angles held.
     """
+    bands = _COVERING_BANDS if np.array_equal(frame.vertices, build_frame().vertices) else ()
     angle, index, row, start = -math.inf, 0, None, 0
-    for rows in blocks:
-        best = np.empty(len(rows))
-        _row_maxima(rows @ frame.vertices.T, best)
+    for z, rows in blocks:
+        height, pick = np.abs(z), slice(None)
+        if bands:
+            (a, b), (c, d) = bands
+            pick = np.flatnonzero(((a <= height) & (height <= b)) | ((c <= height) & (height <= d)))
+            pick = np.repeat(pick, 2) if len(pick) == 1 < len(z) else pick
+        vectors = rows(pick)
+        best = np.empty(len(vectors))
+        _row_maxima(vectors @ frame.vertices.T, best)
+        if bands and not (len(best) and best.min() < _COVERING_BEYOND):
+            pick, vectors = slice(None), rows(slice(None))
+            best = np.empty(len(vectors))
+            _row_maxima(vectors @ frame.vertices.T, best)
         np.arccos(np.clip(best, -1.0, 1.0, out=best), out=best)
         i = int(np.argmax(best))
         if best[i] > angle:
-            angle, index, row = float(best[i]), start + i, tuple(rows[i].tolist())
-        start += len(rows)
+            angle, row = float(best[i]), tuple(vectors[i].tolist())
+            index = start + (i if isinstance(pick, slice) else int(pick[i]))
+        start += len(z)
     return angle, index, row
 
 
@@ -536,17 +582,25 @@ def covering_check(frame, vectors) -> float:
     if not len(vectors):
         raise ValueError("vectors must hold at least one direction")
     blocks = _covering_blocks(len(vectors))
-    return _farthest_from_vertices(frame, (vectors[block] for block in blocks))[0]
+    return _farthest_from_vertices(frame, ((vectors[block, 2], vectors[block].__getitem__) for block in blocks))[0]
 
 
 def _covering_rows(seed: int, blocks):
-    """Unit rows of each block b: from ``case_rng(seed, b)``, k heights z in [-1, 1), then k azimuths."""
+    """Each block b as (z, rows): from ``case_rng(seed, b)``, k heights z in [-1, 1), then k azimuths.
+
+    ``rows(index)`` gives the unit vectors at an index array or slice, their trig computed then.
+    """
     for b, block in enumerate(blocks):
         rng, k = case_rng(seed, b), block.stop - block.start
         z = rng.uniform(-1.0, 1.0, k)
         azimuth = rng.uniform(0.0, 2.0 * math.pi, k)
-        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        yield np.column_stack((s * np.cos(azimuth), s * np.sin(azimuth), z))
+
+        def rows(index, z=z, azimuth=azimuth):
+            height, phi = z[index], azimuth[index]
+            s = np.sqrt(np.maximum(0.0, 1.0 - height * height))
+            return np.column_stack((s * np.cos(phi), s * np.sin(phi), height))
+
+        yield z, rows
 
 
 def _run_covering(cfg: ExperimentConfig) -> tuple:

@@ -263,12 +263,11 @@ def test_blocked_sweep_reproduces_row_scan(name):
     assert sweep_positivity(step, count, **keywords) == PINNED_SWEEPS[name]
 
 
-def test_pinned_sweeps_span_blocks():
-    # 485 azimuth rows and 73 zenith rows do not fill whole blocks of 300 events,
-    # and the tied extremes of 2500 events recur in each of many blocks
-    rows = max(1, cone._SWEEP_BLOCK_VALUES // 300)
-    assert 1 < rows and 485 % rows and 73 % rows
-    assert math.ceil(2 * math.pi / 0.02) // max(1, cone._SWEEP_BLOCK_VALUES // 2500) >= 10
+def test_pinned_sweeps_match_brute_force():
+    # the pinned reports are the row-by-row reference's too: ties across many rows and events
+    for name, (step, count, keywords) in _pinned_sweeps().items():
+        events = keywords.get("events", fibonacci_sphere(count))
+        assert _brute_force_sweep(step, events, keywords.get("x_range_n1")) == PINNED_SWEEPS[name]
 
 
 def test_sweep_rejects_bad_step():
@@ -347,43 +346,92 @@ def _reference_cases():
     step = 2 * math.pi / 360
     x = step * np.arange(361)
     cases["equator_on_grid"] = (step, np.column_stack([np.cos(x), np.sin(x), np.zeros_like(x)]), None)
+    # events at one |w_z| on grid azimuths of an odd count, both halves: their opposite
+    # azimuths lie half a step off the grid, so their least responses tie across rows
+    step = 2 * math.pi / 385
+    x = step * np.array([17, 40, 3, 71, 58, 29, 44, 8])
+    s = math.sqrt(1.0 - 0.09)
+    cases["latitude_on_grid"] = (step, np.column_stack([s * np.cos(x), s * np.sin(x), 0.3 * (-1.0) ** np.arange(8)]), None)
+    # w_z = +-cos x at zenith rows x: each reads 1 in its own row of the zenith branch, to
+    # rounding, so the rows' greatest responses tie or nearly tie
+    rng = np.random.default_rng(102)
+    wz = np.cos(0.01 * rng.choice(31, size=8, replace=False))
+    s, phi = np.sqrt(1.0 - wz * wz), rng.uniform(0.0, 2 * math.pi, 8)
+    cases["zenith_on_grid"] = (0.01, np.column_stack([s * np.cos(phi), s * np.sin(phi), wz * (-1.0) ** np.arange(8)]), (0.0, 0.3))
+    # an azimuth a rounding below 2 pi: its largest response ties at x = 0 and x = 2 pi, across the turn
+    cases["across_the_turn"] = (0.05, [(1.0, -1e-17, 0.0), (0.0, 0.6, 0.8)], None)
     return cases
 
 
-@pytest.mark.parametrize("block_values", [1, 7, 500, cone._SWEEP_BLOCK_VALUES])
+# Event orders rolled by these counts: a tie keeps the first of its events in the given order.
+@pytest.mark.parametrize("roll", [1, 7, 500, 40000])
 @pytest.mark.parametrize("name", sorted(_reference_cases()))
-def test_sweep_matches_brute_force(name, block_values, monkeypatch):
+def test_sweep_matches_brute_force(name, roll):
     step, events, x_range_n1 = _reference_cases()[name]
-    monkeypatch.setattr(cone, "_SWEEP_BLOCK_VALUES", block_values)
+    events = np.roll(events, roll, axis=0)
     assert _fields(sweep_positivity(step, 1, events=events, x_range_n1=x_range_n1)) == _fields(
         _brute_force_sweep(step, events, x_range_n1)
     )
 
 
-def _kept_events(monkeypatch) -> list:
-    """The masks of azimuth-branch events the sweeps that follow keep, one per sweep."""
-    kept, reach = [], cone._reach_extremes
-    monkeypatch.setattr(cone, "_reach_extremes", lambda *args: kept.append(reach(*args)) or kept[-1])
-    return kept
+def _paired_events(monkeypatch) -> list:
+    """The azimuth-branch events paired with some grid row, one array per sweep that follows."""
+    paired, pairs = [], cone._azimuth_pairs
+
+    def record(*args):
+        rows, events = pairs(*args)
+        paired.append(np.unique(events))
+        return rows, events
+
+    monkeypatch.setattr(cone, "_azimuth_pairs", record)
+    return paired
+
+
+def _evaluated(monkeypatch) -> list:
+    """The number of responses each ``_response`` call of the sweeps that follow evaluates."""
+    counts, response = [], cone._response
+
+    def record(event, cos_x, sin_x, n):
+        p = response(event, cos_x, sin_x, n)
+        counts.append(np.size(p))
+        return p
+
+    monkeypatch.setattr(cone, "_response", record)
+    return counts
 
 
 def test_sweep_scans_every_event_that_can_reach_an_extreme(monkeypatch):
     step, events, _ = _reference_cases()["equator_on_grid"]
-    kept = _kept_events(monkeypatch)
+    paired = _paired_events(monkeypatch)
     assert _fields(sweep_positivity(step, 1, events=events)) == _fields(_brute_force_sweep(step, events))
-    assert kept[0].all()
+    assert paired[0].tolist() == list(range(len(events)))
 
 
 @pytest.mark.parametrize("step, count, most_kept", [(0.002, 10**4, 100), (0.05, 200, 10)], ids=["cli", "golden"])
 def test_default_event_sweeps_match_brute_force(step, count, most_kept, monkeypatch):
-    kept = _kept_events(monkeypatch)
-    assert _fields(sweep_positivity(step, count)) == _fields(_brute_force_sweep(step, fibonacci_sphere(count)))
-    assert 0 < kept[0].sum() <= most_kept  # the azimuth branch scans a few events, not all
+    paired, evaluated = _paired_events(monkeypatch), _evaluated(monkeypatch)
+    report = sweep_positivity(step, count)
+    # a few responses per row, then two full rows to pick the events: no (rows x events) scan
+    assert sum(evaluated) <= 40 * (report.n_evaluations // count) + 2 * count
+    assert _fields(report) == _fields(_brute_force_sweep(step, fibonacci_sphere(count)))
+    assert 0 < len(paired[0]) <= most_kept  # the azimuth branch pairs a few events, not all
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.floats(1e-3, 7.0), st.integers(1, 3000), st.integers(0, 2**32 - 1))
-def test_sweep_matches_brute_force_on_drawn_grids(step, count, seed):
-    ev = np.random.default_rng(seed).normal(size=(count, 3))
+@given(
+    st.floats(1e-3, 7.0),
+    st.integers(1, 3000),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["distinct", "duplicated", "antipodal"]),
+    st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+def test_sweep_matches_brute_force_on_drawn_grids(step, count, seed, copies, past_theta0):
+    rng = np.random.default_rng(seed)
+    ev = rng.normal(size=(count, 3))
     ev /= np.linalg.norm(ev, axis=1, keepdims=True)
-    assert _fields(sweep_positivity(step, 1, events=ev)) == _fields(_brute_force_sweep(step, ev))
+    if copies != "distinct":  # half the events again, or their opposites, in a shuffled order
+        ev = rng.permutation(np.vstack([ev, ev[::2] if copies == "duplicated" else -ev[::2]]))
+    x_range_n1 = None if past_theta0 is None else (0.0, THETA0 + past_theta0)
+    assert _fields(sweep_positivity(step, 1, events=ev, x_range_n1=x_range_n1)) == _fields(
+        _brute_force_sweep(step, ev, x_range_n1)
+    )

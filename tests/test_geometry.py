@@ -16,6 +16,7 @@ from onticsim import (
     random_amplitudes,
     random_bloch,
     to_spherical,
+    z_score,
 )
 
 
@@ -97,6 +98,21 @@ def test_born_ndim_values():
     assert born_probability_ndim(half, psi) == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(ValueError):
         born_probability_ndim(psi, np.array([1.0, 0.0, 0.0]))
+
+
+def test_born_ndim_of_identical_pairs_is_one():
+    # |<psi|psi>|^2 rounds above 1 for about a quarter of these, by up to 1.3e-15; unclipped,
+    # z_score then failed a correct freq = 1 as -inf
+    psi = random_amplitudes(4, np.random.default_rng(1), size=20000)
+    overlap = (np.conj(psi) * psi).sum(axis=-1)
+    above = overlap.real**2 + overlap.imag**2 > 1.0
+    assert 0.2 < above.mean() < 0.3
+    p = born_probability_ndim(psi, psi)
+    assert (p[above] == 1.0).all() and (p <= 1.0).all()
+    assert (z_score(np.ones(int(above.sum())), p[above], 1000) == 0.0).all()
+    one = psi[np.flatnonzero(above)[0]]
+    assert born_probability_ndim(one, one) == 1.0
+    assert z_score(1.0, born_probability_ndim(one, one), 1000) == 0.0
 
 
 def test_random_bloch_statistics():

@@ -5,10 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from onticsim import (
     COVERING_RADIUS,
+    EDGE_LENGTH,
     MESSAGE_SIZE,
     THETA0,
     ExperimentConfig,
@@ -28,10 +31,13 @@ from onticsim import harness
 from onticsim.cli import main
 from onticsim.harness import (
     _CONE_Z_MIN,
+    _COVERING_BANDS,
+    _COVERING_BEYOND,
     _COVERING_BLOCK_ROWS,
     _covering_blocks,
     _covering_rows,
     _farthest_from_vertices,
+    _nearest_vertex_bound,
 )
 from onticsim.reports import render_structured, render_tabular
 
@@ -354,11 +360,42 @@ _COVERING_SIZES = [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 1)]
 _COVERING_IDS = ["1", "2", "B-1", "B", "B+1", "2B+1"]
 
 
+def _unblocked(frame, rows) -> tuple:
+    """The largest angle to the nearest vertex, its first index and row, from one ``rows @ vertices.T``."""
+    angles = np.arccos(np.clip(rows @ frame.vertices.T, -1.0, 1.0).max(axis=1))
+    i = int(np.argmax(angles))
+    return angles[i].tobytes(), i, tuple(rows[i].tolist())
+
+
+def _blocked(frame, rows, calls=None) -> tuple:
+    """``_farthest_from_vertices`` over ``rows`` in covering blocks, as ``_unblocked`` reads it.
+
+    ``calls`` collects, per block, the indices at which its rows were asked for.
+    """
+    def block(part):
+        asked = []
+        if calls is not None:
+            calls.append(asked)
+        return part[:, 2], lambda index: asked.append(index) or part[index]
+
+    angle, index, row = _farthest_from_vertices(frame, (block(rows[b]) for b in _covering_blocks(len(rows))))
+    return np.float64(angle).tobytes(), index, row
+
+
+def _face_centres(frame) -> np.ndarray:
+    """The 20 face centres of the frame's icosahedron, the directions farthest from every vertex."""
+    v = frame.vertices
+    near = np.abs(np.linalg.norm(v[:, None] - v[None], axis=2) - EDGE_LENGTH) < 0.1
+    faces = [(i, j, k) for i in range(12) for j in range(i) for k in range(j) if near[i, j] and near[j, k] and near[i, k]]
+    centres = np.array([v[list(face)].sum(axis=0) for face in faces])
+    return centres / np.linalg.norm(centres, axis=1, keepdims=True)
+
+
 # Row counts as (whole blocks B, extra rows), and the vertices themselves.
 @pytest.mark.parametrize(
     "size", [*_COVERING_SIZES, (0, 10**5), None], ids=[*_COVERING_IDS, "1e5", "vertices"]
 )
-def test_nearest_vertex_angles_match_the_unblocked_reduction(frame, size, monkeypatch):
+def test_nearest_vertex_angles_match_the_unblocked_reduction(frame, size):
     B = _COVERING_BLOCK_ROWS
     if size is None:
         rows = frame.vertices
@@ -367,22 +404,9 @@ def test_nearest_vertex_angles_match_the_unblocked_reduction(frame, size, monkey
         rows = random_bloch(np.random.default_rng(n), size=n)
         if n > 1:
             rows = _lone_row_last(frame, rows)
-    # each block's row maxima buffer, which the reduction then turns into the block's angles in place
-    buffers, row_maxima = [], harness._row_maxima
-
-    def record(block, out):
-        buffers.append(out)
-        row_maxima(block, out)
-
-    monkeypatch.setattr(harness, "_row_maxima", record)
-    blocks = _covering_blocks(len(rows))
-    angle, index, row = _farthest_from_vertices(frame, (rows[block] for block in blocks))
-    expected = np.arccos(np.clip(rows @ frame.vertices.T, -1.0, 1.0).max(axis=1))
-    assert np.concatenate(buffers).tobytes() == expected.tobytes()
-    assert index == int(np.argmax(expected))  # the first of equal largest angles
-    assert np.float64(angle).tobytes() == expected[index].tobytes()
-    assert row == tuple(rows[index].tolist())
+    assert _blocked(frame, rows) == _unblocked(frame, rows)
     # blocks cover the rows in order; the last takes the remainder, and none is a lone row
+    blocks = _covering_blocks(len(rows))
     assert [b.start for b in blocks] == [i * B for i in range(len(blocks))]
     assert blocks[-1].stop == len(rows)
     assert all(b.stop == b.start + B for b in blocks[:-1])
@@ -394,8 +418,101 @@ def test_farthest_from_vertices_keeps_the_first_of_equal_angles(frame):
     rows = np.repeat(random_bloch(np.random.default_rng(3), size=4), 2, axis=0)
     far = int(np.argmax(np.arccos(np.clip(rows @ frame.vertices.T, -1.0, 1.0).max(axis=1))))
     assert far % 2 == 0
-    assert _farthest_from_vertices(frame, [rows])[1] == far
-    assert _farthest_from_vertices(frame, [rows[: far + 1], rows[far + 1 :]])[1] == far
+    assert _farthest_from_vertices(frame, [(rows[:, 2], rows.__getitem__)])[1] == far
+    parts = rows[: far + 1], rows[far + 1 :]
+    assert _farthest_from_vertices(frame, [(part[:, 2], part.__getitem__) for part in parts])[1] == far
+
+
+def test_nearest_vertex_bound_is_the_least_over_azimuth(frame):
+    # at each height, the least largest dot product over 20001 azimuths never falls below the
+    # bound, and meets it to within the grid's spacing
+    phi = np.linspace(0.0, 2.0 * math.pi, 20001)
+    for height in [0.0, 0.05, 0.17, 0.1876, 0.2, 0.222, 0.4, 0.5257, 0.775, 0.7947, 0.806, 0.95, 1.0]:
+        s = math.sqrt(1.0 - height * height)
+        for z in (height, -height):
+            rows = np.column_stack((s * np.cos(phi), s * np.sin(phi), np.full_like(phi, z)))
+            least = (rows @ frame.vertices.T).max(axis=1).min()
+            assert _nearest_vertex_bound(height) - 1e-15 <= least <= _nearest_vertex_bound(height) + 1e-4
+    # its only local minima are the face centres' heights, inside the bands, where it reads
+    # cos(COVERING_RADIUS); the edges hold it about a degree above
+    h = np.linspace(0.0, 1.0, 20001)
+    bound = np.array([_nearest_vertex_bound(x) for x in h])
+    minima = h[1:-1][(bound[1:-1] <= bound[:-2]) & (bound[1:-1] <= bound[2:])]
+    assert len(minima) == 2
+    for (lo, hi), m in zip(_COVERING_BANDS, minima):
+        assert lo < m < hi
+        assert _nearest_vertex_bound(m) == pytest.approx(math.cos(COVERING_RADIUS), abs=1e-5)
+    assert COVERING_RADIUS - math.radians(1.0) < math.acos(_COVERING_BEYOND) < COVERING_RADIUS - math.radians(0.7)
+    (a, b), (c, d) = _COVERING_BANDS
+    assert bound[(h < a) | ((b < h) & (h < c)) | (h > d)].min() > _COVERING_BEYOND
+
+
+def test_face_centres_tie_within_and_across_blocks(frame):
+    # the 20 farthest directions, each in several places of three blocks among random ones
+    centres = _face_centres(frame)
+    rng = np.random.default_rng(20)
+    rows = random_bloch(rng, size=3 * _COVERING_BLOCK_ROWS)
+    rows[rng.choice(len(rows), size=60, replace=False)] = np.repeat(centres, 3, axis=0)
+    assert _blocked(frame, rows) == _unblocked(frame, rows)
+    for one in centres[[0, 7, 19]]:  # one of them throughout, so every row ties
+        same = np.repeat(one[None], 2 * _COVERING_BLOCK_ROWS + 3, axis=0)
+        assert _blocked(frame, same) == _unblocked(frame, same) and _blocked(frame, same)[1] == 0
+
+
+def test_rows_on_the_band_edges(frame):
+    rng = np.random.default_rng(21)
+    edges = [e for band in _COVERING_BANDS for e in band]
+    z = np.array([f(e, to) for e in edges for f, to in ((np.nextafter, 0.0), (lambda e, _: e, None), (np.nextafter, 1.0))])
+    z = np.concatenate([z, -z, rng.choice(z, size=_COVERING_BLOCK_ROWS)])
+    phi = rng.uniform(0.0, 2.0 * math.pi, len(z))
+    s = np.sqrt(1.0 - z * z)
+    rows = np.column_stack((s * np.cos(phi), s * np.sin(phi), z))
+    assert _blocked(frame, rows) == _unblocked(frame, rows)
+
+
+def test_a_block_with_one_row_in_the_bands(frame):
+    # one direction near a face centre, whose one-row product rounds unlike a stacked one, among
+    # rows at heights the bands leave out: its block evaluates it stacked, and alone
+    rng = np.random.default_rng(22)
+    z = rng.uniform(0.3, 0.7, 2 * _COVERING_BLOCK_ROWS)
+    phi = rng.uniform(0.0, 2.0 * math.pi, len(z))
+    s = np.sqrt(1.0 - z * z)
+    rows = np.column_stack((s * np.cos(phi), s * np.sin(phi), z))
+    near = _face_centres(frame)[5] + rng.normal(scale=1e-4, size=(400, 3))
+    near /= np.linalg.norm(near, axis=1, keepdims=True)
+    lone = _lone_row_last(frame, near)[-1]
+    assert (lone[None] @ frame.vertices.T).max() != (np.stack((lone, lone)) @ frame.vertices.T).max(axis=1)[0]
+    rows[_COVERING_BLOCK_ROWS + 123] = lone
+    calls = []
+    assert _blocked(frame, rows, calls) == _unblocked(frame, rows)
+    assert [len(index) for index in calls[1]] == [2]  # its block asked for the one row, twice
+
+
+def test_blocks_near_vertices_fall_back_to_every_row(frame):
+    # rows within 0.1 rad of a vertex, some with |z| in the bands: no evaluated row comes
+    # near the bound, so each block evaluates all its rows
+    rng = np.random.default_rng(23)
+    n = 2 * _COVERING_BLOCK_ROWS + 7
+    rows = frame.vertices[rng.integers(0, 12, n)] + rng.normal(scale=0.05, size=(n, 3))
+    rows[:50] = [0.0, 0.0, 0.2]
+    rows[:50, 0] = math.sqrt(1.0 - 0.04)  # |z| in a band, at the azimuth of a ring vertex
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    calls = []
+    assert _blocked(frame, rows, calls) == _unblocked(frame, rows)
+    assert all(len(asked) == 2 and asked[-1] == slice(None) for asked in calls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3 * _COVERING_BLOCK_ROWS), st.integers(0, 2**32 - 1), st.integers(0, 20))
+def test_covering_matches_the_unblocked_reduction_on_drawn_sizes(frame, n, seed, centres):
+    blocks = _covering_blocks(n)
+    drawn = np.concatenate([rows(slice(None)) for _, rows in _covering_rows(seed, blocks)])
+    angle, index, row = _farthest_from_vertices(frame, _covering_rows(seed, blocks))
+    assert (np.float64(angle).tobytes(), index, row) == _unblocked(frame, drawn)
+    rows = random_bloch(np.random.default_rng(seed), size=n)
+    rng = np.random.default_rng(seed + 1)
+    rows[rng.integers(0, n, centres)] = _face_centres(frame)[rng.integers(0, 20, centres)]
+    assert _blocked(frame, rows) == _unblocked(frame, rows)
 
 
 @pytest.mark.parametrize("size", _COVERING_SIZES, ids=_COVERING_IDS)
@@ -403,17 +520,22 @@ def test_covering_draws_follow_one_stream(size):
     # block b of k rows draws from a stream of its own: k heights uniform(-1, 1), then k azimuths
     n = size[0] * _COVERING_BLOCK_ROWS + size[1]
     blocks = _covering_blocks(n)
-    rows = list(_covering_rows(7, blocks))
-    assert len(rows) == len(blocks)
-    for b, (block, got) in enumerate(zip(blocks, rows)):
+    drawn = list(_covering_rows(7, blocks))
+    assert len(drawn) == len(blocks)
+    expected_rows = []
+    for b, (block, (z, rows)) in enumerate(zip(blocks, drawn)):
         one, k = case_rng(7, b), block.stop - block.start
-        z = one.uniform(-1.0, 1.0, k)
+        height = one.uniform(-1.0, 1.0, k)
         azimuth = one.uniform(0.0, 2.0 * math.pi, k)
-        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        expected = np.column_stack((s * np.cos(azimuth), s * np.sin(azimuth), z))
-        assert got.tobytes() == expected.tobytes()
+        s = np.sqrt(np.maximum(0.0, 1.0 - height * height))
+        expected = np.column_stack((s * np.cos(azimuth), s * np.sin(azimuth), height))
+        assert z.tobytes() == height.tobytes()
+        assert rows(slice(None)).tobytes() == expected.tobytes()
+        some = np.flatnonzero(np.random.default_rng(b).random(k) < 0.1)
+        assert rows(some).tobytes() == expected[some].tobytes()  # a subset's trig has the same bits
+        expected_rows.append(expected)
     # the reported worst vector is that row of its block
-    drawn = np.concatenate(rows)
+    drawn = np.concatenate(expected_rows)
     angles = np.arccos(np.clip(drawn @ build_frame().vertices.T, -1.0, 1.0).max(axis=1))
     report = run_experiment(ExperimentConfig(kind="covering", pairs=n, seed=7))
     assert dict(report.columns)["worst_vector"] == [tuple(drawn[int(np.argmax(angles))].tolist())]
