@@ -423,10 +423,11 @@ def sweep_positivity(
 
     The event set defaults to a Fibonacci-sphere grid of
     ``n_event_points`` directions; pass ``events``, unit vectors, to pin
-    specific directions instead. Branch n = 0 scans azimuths over
-    [0, 2*pi); branch n = 1 scans zeniths over [0, THETA0) unless
-    ``x_range_n1`` gives another finite range, skipping zeniths where its
-    denominator vanishes.
+    specific directions instead. Each grid steps by ``x_grid_step`` and holds
+    both ends, its last step cut short. Branch n = 0 scans azimuths over
+    [0, 2*pi], its last row repeating the first; branch n = 1 scans zeniths
+    over [0, THETA0], the cone boundary included, unless ``x_range_n1`` gives
+    another finite range, skipping zeniths where its denominator vanishes.
 
     The report is that of evaluating every (branch, x, event) through
     ``_response``, ties kept at their first occurrence in that order, and

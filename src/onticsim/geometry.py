@@ -114,6 +114,12 @@ def _dot_rows(a: np.ndarray, b: np.ndarray):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
+def _sphere_rows(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The unit vectors at heights z and azimuths phi, as an (m, 3) stack."""
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack((s * np.cos(phi), s * np.sin(phi), z))
+
+
 def to_spherical(v) -> SphericalAngles:
     """Zenith and azimuth of a unit vector.
 
@@ -178,13 +184,13 @@ def random_bloch(rng: np.random.Generator, *, z_min: float = -1.0, size: int | N
     """
     if not -1.0 <= z_min < 1.0:
         raise ValueError(f"z_min must lie in [-1, 1), got {z_min!r}")
-    lib = math if size is None else np
     u, t = rng.random(2).tolist() if size is None else rng.random((size, 2)).T
     vz = z_min + (1.0 - z_min) * u
     phi = TWO_PI * t
-    s = lib.sqrt(1.0 - vz * vz)  # |vz| <= 1 after rounding, so never the root of a negative
-    xyz = (s * lib.cos(phi), s * lib.sin(phi), vz)
-    return np.array(xyz) if size is None else np.column_stack(xyz)
+    if size is not None:
+        return _sphere_rows(vz, phi)
+    s = math.sqrt(1.0 - vz * vz)  # |vz| <= 1 after rounding, so never the root of a negative
+    return np.array((s * math.cos(phi), s * math.sin(phi), vz))
 
 
 def random_amplitudes(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -208,7 +214,4 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     if count < 1:
         raise ValueError("need at least one point")
     i = np.arange(count, dtype=float)
-    z = 1.0 - (2.0 * i + 1.0) / count
-    phi = math.pi * (3.0 - math.sqrt(5.0)) * i
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack((s * np.cos(phi), s * np.sin(phi), z))
+    return _sphere_rows(1.0 - (2.0 * i + 1.0) / count, math.pi * (3.0 - math.sqrt(5.0)) * i)

@@ -5,6 +5,8 @@ covering radius arcsin(L / sqrt(3)) is strictly smaller than the cone
 half-angle THETA0, so every preparation can be rotated into the cone of
 its nearest vertex. The communicated ontic record is then one real
 number plus a branch bit plus the patch index: 10 bytes on the wire.
+``assign_patch`` and ``covering_check`` read one kernel, ``_vertex_dots``:
+the nearest vertex is its argmax, and the angle to it the arccos of its max.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .cone import (
     sample_hits,
     sample_ontic,
 )
-from .geometry import _bloch_rows, _dot_rows, _scalar
+from .geometry import _bloch_rows, _dot_rows, _scalar, _unit_rows
 
 __all__ = [
     "EDGE_LENGTH",
@@ -32,6 +34,7 @@ __all__ = [
     "build_frame",
     "PatchedOnticState",
     "assign_patch",
+    "covering_check",
     "into_patch",
     "prepare",
     "prepare_messages",
@@ -133,14 +136,102 @@ class PatchedOnticState:
             raise ValueError(f"patch index must lie in 1..12, got {self.k}")
 
 
-def assign_patch(frame: IcosaFrame, v):
-    """1-based index of the vertex nearest to v (ties go to the lowest); one per row of a stack.
+def _vertex_dots(frame: IcosaFrame, rows: np.ndarray) -> np.ndarray:
+    """Dot products of v, or of each row of a stack, with the 12 vertices, shape (..., 12): one
+    matrix-vector product per row, so a row has the same bits in any stack, as (m, 3) @ (3, 12) has not."""
+    return np.matmul(frame.vertices, rows[..., None])[..., 0]
 
-    A stack takes one matrix-vector product per row, as one v does, so its
-    rows break ties as the single calls do; (m, 3) @ (3, 12) rounds otherwise.
+
+def assign_patch(frame: IcosaFrame, v):
+    """1-based index of the vertex nearest to v (ties go to the lowest); one per row of a stack."""
+    return _scalar(np.argmax(_vertex_dots(frame, _bloch_rows(v)), axis=-1) + 1)
+
+
+def _nearest_vertex_bound(height: float) -> float:
+    """The least largest dot product with a vertex of ``build_frame`` of a unit vector at |z| = height.
+
+    The nearer pole gives |z|. Each ring has a vertex every 72 degrees of azimuth at zenith
+    arccos(1/sqrt(5)) from its pole, and the rings are 36 degrees apart; so a direction's
+    nearest vertex of the ring on its side is some delta <= 36 degrees away in azimuth,
+    giving s sin(zenith) cos(delta) + |z| cos(zenith), and the other ring's 36 - delta away,
+    giving s sin(zenith) cos(36 - delta) - |z| cos(zenith), with s = sqrt(1 - z^2). The first
+    falls and the second rises with delta, so the larger of the two is least where they meet,
+    at sin(delta - 18) = |z| cos(zenith) / (s sin(zenith) sin 18), or at delta = 36 when they
+    do not. Equal to the least over azimuth, as the 20 face centres at |z| 0.1876 and 0.7947
+    attain it: cos(COVERING_RADIUS).
     """
-    dots = np.matmul(frame.vertices, _bloch_rows(v)[..., None])[..., 0]
-    return _scalar(np.argmax(dots, axis=-1) + 1)
+    ring, tilt = math.sqrt(1.0 - height * height) * 2.0 / math.sqrt(5.0), height / math.sqrt(5.0)
+    sin18 = math.sin(math.pi / 10)
+    delta = math.pi / 10 + math.asin(tilt / (ring * sin18)) if tilt <= ring * sin18 * sin18 else math.pi / 5
+    return max(height, ring * math.cos(delta) + tilt)
+
+
+# Direction rows per block of the covering reduction. Part of the report format (since format
+# 8): block b draws its rows from case_rng(seed, b), about 19 us per generator. At 1e5
+# directions 16384 ran fastest of 4096 to 65536; a run's traced peak is then 528 KB.
+_COVERING_BLOCK_ROWS = 16384
+
+# The bands of |z| around the face centres' heights 0.1876 and 0.7947, 7% of uniform heights,
+# where a direction's nearest vertex can lie within about 0.8 degrees of COVERING_RADIUS.
+# Between them and beyond, ``_nearest_vertex_bound`` has no local minimum, as its only ones
+# are at the face centres, so no direction outside the bands has a largest dot product below
+# its least value at their edges. 1e-9 widens that past the rounding of rows within 1e-12 of
+# unit norm. 0.17% of uniform directions reach below it, so a block of uniform directions
+# almost always has some, and a block without any evaluates all its rows.
+_COVERING_BANDS = ((0.173, 0.216), (0.776, 0.804))
+_COVERING_BEYOND = min(_nearest_vertex_bound(h) for band in _COVERING_BANDS for h in band) - 1e-9
+
+
+def _in_bands(z: np.ndarray) -> np.ndarray:
+    """Indices of the heights z with |z| in ``_COVERING_BANDS``."""
+    height, ((a, b), (c, d)) = np.abs(z), _COVERING_BANDS
+    return np.flatnonzero(((a <= height) & (height <= b)) | ((c <= height) & (height <= d)))
+
+
+def _covering_blocks(n: int) -> list:
+    """Consecutive slices of range(n) in blocks of ``_COVERING_BLOCK_ROWS`` rows, the last one shorter."""
+    return [slice(i, min(i + _COVERING_BLOCK_ROWS, n)) for i in range(0, n, _COVERING_BLOCK_ROWS)]
+
+
+def _farthest_from_vertices(frame: IcosaFrame, blocks) -> tuple:
+    """The largest angle from a unit vector to its nearest frame vertex, its first index and row.
+
+    ``blocks`` yields consecutive blocks of the vectors as (z, rows): the heights of a block's
+    k vectors and a function giving those at an index array or slice as rows. For the frame of
+    ``build_frame``, only the vectors with |z| in ``_COVERING_BANDS`` are evaluated, unless the
+    least of their largest dot products is not below ``_COVERING_BEYOND``, which every other
+    vector's exceeds; then, and for any other frame, the whole block is. Each row's largest
+    ``_vertex_dots`` (taken along the long axis of a transposed copy, several times faster than
+    along the short rows) goes by clip and arccos in place to the block's largest angle and its
+    first index; a later block takes over only with a strictly larger angle. So no (n, 12)
+    matrix is built, nor the n angles held, nor two blocks at once.
+    """
+    bands = np.array_equal(frame.vertices, build_frame().vertices)
+    angle, index, row, start = -math.inf, 0, None, 0
+    for z, rows in blocks:
+        pick = _in_bands(z) if bands else slice(None)
+        vectors = rows(pick)
+        best = np.ascontiguousarray(_vertex_dots(frame, vectors).T).max(axis=0)
+        if bands and not (len(best) and best.min() < _COVERING_BEYOND):
+            pick, vectors = slice(None), rows(slice(None))
+            best = np.ascontiguousarray(_vertex_dots(frame, vectors).T).max(axis=0)
+        np.arccos(np.clip(best, -1.0, 1.0, out=best), out=best)
+        i = int(np.argmax(best))
+        if best[i] > angle:
+            angle, row = float(best[i]), tuple(vectors[i].tolist())
+            index = start + (i if isinstance(pick, slice) else int(pick[i]))
+        start += len(z)
+        del z, rows  # so the next block is drawn with this one freed
+    return angle, index, row
+
+
+def covering_check(frame: IcosaFrame, vectors) -> float:
+    """Largest angle from any of the unit vectors to its nearest vertex."""
+    vectors = _unit_rows(vectors, "vectors")
+    if not len(vectors):
+        raise ValueError("vectors must hold at least one direction")
+    blocks = _covering_blocks(len(vectors))
+    return _farthest_from_vertices(frame, ((vectors[block, 2], vectors[block].__getitem__) for block in blocks))[0]
 
 
 def _rotate_into_patch(frame: IcosaFrame, k, u) -> np.ndarray:

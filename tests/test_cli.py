@@ -122,16 +122,16 @@ def test_sweep_and_covering_commands(tmp_path):
 
 
 def test_covering_past_one_block(tmp_path):
-    # 8193 directions: two blocks, the second of 4097 rows, as no block is a lone last row
-    argv = ["covering", "--directions", "8193", "--seed", "7", "--out-dir", str(tmp_path)]
+    # 16385 directions: a block of 16384 rows, then a block of one row
+    argv = ["covering", "--directions", "16385", "--seed", "7", "--out-dir", str(tmp_path)]
     assert main(argv) == 0
     (run_dir,) = _run_dirs(tmp_path, "covering")
     header, row = (run_dir / "covering" / "cases.csv").read_text().splitlines()
-    assert header.endswith(",angle_to_nearest_vertex")
-    # the values of the unblocked (directions, 12) reduction of both blocks' draws; row 5713, block 1
+    assert header == "index,direction,worst_vector,patch,angle_to_nearest_vertex"
+    # the values of the unblocked reduction of both blocks' draws: direction 12551, in patch 8
     assert row == (
-        '0,"(0.98341687700649427, 0.0016439122728914321, -0.18135198805426112)",'
-        "0.64601071226668949"
+        '0,12551,"(-0.3048844540006504, 0.93418822717227823, 0.18530468402455735)",8,'
+        "0.65003075254748921"
     )
 
 

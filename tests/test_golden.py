@@ -52,7 +52,7 @@ CASES = {
     "mc-ndim-ground": dict(kind="mc-ndim", pairs=10, samples=1000, dim=4, scheme="ground"),
     "positivity-sweep": dict(kind="positivity-sweep", x_step=0.05, events=200),
     "covering": dict(kind="covering", pairs=500),
-    "covering-two-blocks": dict(kind="covering", pairs=8193),  # blocks of 4096 and 4097 rows
+    "covering-two-blocks": dict(kind="covering", pairs=16385),  # a block of 16384 rows and one row
     "witness": dict(kind="witness", theta=0.3, phi_a=0.2, phi_b=1.9),
     # the library runs of PROTOCOL_CASES: the pairs below, normalised
     "protocol-fixed-pairs-report": dict(kind="protocol", pairs=2, samples=300, fixed_pairs=(
@@ -79,56 +79,56 @@ CLI_CASES = {
 }
 
 # The FORMAT_HEADER the digests below were written under.
-PINNED_FORMAT = "format: onticsim-report 10"
+PINNED_FORMAT = "format: onticsim-report 11"
 # (render_structured, render_tabular) SHA-256 per case; (messages.bin, transcript.txt) per
 # protocol case.
 DIGESTS = {
     "covering": (
-        "28761264161bd928aed31512dc7bd31c3960e9283265bcbe6cd6d0ff272216c8",
-        "b8ff2e15859650899c653d8bbc7ec23c2b92fcbafdcc9191c9e81f6b05757f15",
+        "713fc48691fd692a7a03e6bbdf852d35fd0d1242ef2bf32a0c0ac2c0fd4e1587",
+        "fd78d4026f32823e05d9ce64015dc8efcd7bbdaa51127a4da0cb79535200161a",
     ),
     "covering-two-blocks": (
-        "a95920142eba15e78882ae903bef017e8e32e6d584ed769d4377500d482db6f7",
-        "611b9389b2c481857bcae45f5413697a07d179832611f7cc25bd53af8826354a",
+        "03565b136b5a3bd383802028cb2c54be58d44d1f01f025dd29cc30ff6fadc059",
+        "f834e03b894b85a926ac13787af4d31263e473247dca1a455fc32b583699e0ea",
     ),
     "exact-ndim-ground": (
-        "99618e2862e950db440cacdbb81a830bd10fbc070351e207d80365010a82654c",
-        "c2ae61b403b9086a28fc110d2948ad5beea12dc7517edf97c404c1d29308ca69",
+        "6b23dd7647959cd4cc9f61509ca8bb40c840bd73940c4202d9bd7bbf52324ecb",
+        "fc28cee8a320b80271531279196ca95e454e20381e68a9bfb26de9cc1a4f944e",
     ),
     "exact-ndim-uniform": (
-        "379a7d0e0fbf5b44131856e2867a1a39798aedf2815161f4d4dc23a6316e3e11",
-        "ab5b37975ad9cbcd837017964503d659e7414575afd0604025f93529b2b5786d",
+        "60444d0c660ab24de7695256ad0dbe00804435454bc1b20df95791d69b52cb06",
+        "840bfe8ddadf9a378452d7c3105faf7a8be139f32ac3b17eea64bfa730d0e89f",
     ),
     "exact-qubit-cone": (
-        "b316d41c03f59b6e23355307e4cdc6e1effa38e13aac62225a7576d45a2b9b96",
+        "0ad1d4997f99341f8099358fd1e8dd96de2b9a815f66dc83849bcf761533242c",
         "c52530dcbdaa7487457a419dfce63e93698e8ec09376742f232ae1e1a8223173",
     ),
     "exact-qubit-sphere": (
-        "9c11533a95d0305be323eaab6836c82ae91e0e4a4e602a9639a292002d481f59",
+        "37465edca2046c31d20e580d8de47e0dae25d0c6cfce1bad64894c419d17a76b",
         "4b4aa0a3030b1d858fa55e6d67769a709da09e49436635fb8361bebf8ebb88e8",
     ),
     "mc-ndim-ground": (
-        "15f3c2f29a10e7e72eb2a613cd9d7a7bdc14840fb86b3ec0dcc6affb9dc99263",
+        "eed438d07507a6279a731eab7ac01ca56c8c04580f2f150bd4de5a30eb6a5d97",
         "975622eb2e00af66f3b1bca2d471c206439233aa7bc61bab787052cee9b92920",
     ),
     "mc-ndim-uniform": (
-        "6d44a0391a3c886440510ccabede3f142e6fb88156e2756fa9c02612c465a84d",
+        "30c48b739c7579aa221913f8368d195d6ea93bef507d84dc763213aa75422933",
         "1177f76b07deb8856731f84ae94207e6f79e2c2fd0fa74917ccf112e7115e8f0",
     ),
     "mc-qubit-cone": (
-        "9d6ca63d939d8460c3667129941228037f5c60ee4ace2641c689dc03736585ad",
+        "20a98f8d1e599339391ffa4b08cf58818388c8232ede4dadcf5728e6c96ecd05",
         "18dc747e824e712f9ac0b5d7b10a28e1a7724733eab2bfd844706b6885c3b7a7",
     ),
     "mc-qubit-sphere": (
-        "7c4eb057093812c9eb26f475ef90853e288660a77c7c76d07e02b3a6512e4b8f",
+        "b98046a24a818ff2b7492f5c71e28307b4692fa07356d0818c5080b0d96ff92c",
         "5fd2991398ecf343d06d6fb6815efc76a7a89cf2047f673212ca85d9010cf82b",
     ),
     "positivity-sweep": (
-        "94bdd88ed40989f82be0416218bae55ffe4386e732a8efb5634a6d0740689a4d",
+        "2ecbd5efbdbb8db6d4ad9149dffff5d020777a91a1a0ac424394d5c4ae859b90",
         "eaaa56b60cabb22e6acb773aa8c7f7c24d15ba97d7b2bb829986a26466105053",
     ),
     "protocol-degenerate-pairs": (
-        "efe7914b31f842a66c11885f6496a4a050f9b9d61c464dd6da8a9e14c3917550",
+        "d5377abb933f08830adf7c2d2b6e143873df172ffddbfabfb866ffa580156835",
         "85231aa5a5da9fc31970785e3ac7758509b5cecce154d0919089e5f4f8f701c5",
     ),
     "protocol-fixed-pairs": (
@@ -136,7 +136,7 @@ DIGESTS = {
         "0aa10da55c148215986584eda27812f54611ee727928bc2ff55881fb7f876c75",
     ),
     "protocol-fixed-pairs-report": (
-        "1a7bccbe6b20fd05f2a79754be0e8eb86e4aa30c972a3dfcef6ed97647a20ba0",
+        "5c9819ba294cf340a52e442df85d6557f0577911458139abd26401832be83ed7",
         "c739a86c557ec1bfdb489c1931499cd07f0afd223abdb193a5d404aba3533823",
     ),
     "protocol-random-pair": (
@@ -144,29 +144,29 @@ DIGESTS = {
         "d7aa14a27562ec8bb202f38bf7882985a0c1e22a49a63cf6fc5aaf6733b84b15",
     ),
     "protocol-random-pair-report": (
-        "cf8ccc29c082a76b670b05f27c0b277f557481a64019765e5b5614cdb8039a9e",
+        "7ecd30532868bb594f22deff96ba656c600f6a14f88b52cd6ab4389cc62a6682",
         "99e8c38a29dfc0fe7850aa3c705027c291061e7881b2c0cad5e26d7442ae0923",
     ),
     "witness": (
-        "f68380104046c4245e1dad885213be258ec80e8b4f105310d23238e68c94d7f8",
+        "09a1e03b03745c130f30213f72cc9d53b269f9a3cf5da19cb96ea984a6dc59fb",
         "8b4b172112282c3cf40c9573532ea69d47eef365244ddfb2200cd3e00152ae9b",
     ),
 }
 # SHA-256 of every file each CLI case writes, by path.
 CLI_DIGESTS = {
     "verify-ndim-samples": {
-        "exact-ndim/cases.csv": "ab5b37975ad9cbcd837017964503d659e7414575afd0604025f93529b2b5786d",
-        "exact-ndim/report.txt": "379a7d0e0fbf5b44131856e2867a1a39798aedf2815161f4d4dc23a6316e3e11",
+        "exact-ndim/cases.csv": "840bfe8ddadf9a378452d7c3105faf7a8be139f32ac3b17eea64bfa730d0e89f",
+        "exact-ndim/report.txt": "60444d0c660ab24de7695256ad0dbe00804435454bc1b20df95791d69b52cb06",
         "mc-ndim/cases.csv": "1177f76b07deb8856731f84ae94207e6f79e2c2fd0fa74917ccf112e7115e8f0",
-        "mc-ndim/report.txt": "6d44a0391a3c886440510ccabede3f142e6fb88156e2756fa9c02612c465a84d",
+        "mc-ndim/report.txt": "30c48b739c7579aa221913f8368d195d6ea93bef507d84dc763213aa75422933",
     },
     "verify-qubit-samples": {
         "exact-cone/cases.csv": "c52530dcbdaa7487457a419dfce63e93698e8ec09376742f232ae1e1a8223173",
-        "exact-cone/report.txt": "b316d41c03f59b6e23355307e4cdc6e1effa38e13aac62225a7576d45a2b9b96",
+        "exact-cone/report.txt": "0ad1d4997f99341f8099358fd1e8dd96de2b9a815f66dc83849bcf761533242c",
         "exact-sphere/cases.csv": "4b4aa0a3030b1d858fa55e6d67769a709da09e49436635fb8361bebf8ebb88e8",
-        "exact-sphere/report.txt": "9c11533a95d0305be323eaab6836c82ae91e0e4a4e602a9639a292002d481f59",
+        "exact-sphere/report.txt": "37465edca2046c31d20e580d8de47e0dae25d0c6cfce1bad64894c419d17a76b",
         "mc-sphere/cases.csv": "8c59bbdb5e8c70ebca1b980670016dc8adc5d7e20e985ebcca90c6639052e0f6",
-        "mc-sphere/report.txt": "248474dfaffb79b6ffdcb580994a96a46c12ef059309ebfdfa0f61f67071f55f",
+        "mc-sphere/report.txt": "3f44e57537ddd054f26f1b4e3ca7240c349bb8214611c423e2d6e2e7deefd2cd",
     },
 }
 

@@ -29,15 +29,16 @@ from onticsim import (
 )
 from onticsim import harness
 from onticsim.cli import main
-from onticsim.harness import (
-    _CONE_Z_MIN,
+from onticsim.harness import _CONE_Z_MIN, _covering_rows
+from onticsim.icosa import (
     _COVERING_BANDS,
     _COVERING_BEYOND,
     _COVERING_BLOCK_ROWS,
     _covering_blocks,
-    _covering_rows,
     _farthest_from_vertices,
     _nearest_vertex_bound,
+    _vertex_dots,
+    assign_patch,
 )
 from onticsim.reports import render_structured, render_tabular
 
@@ -339,17 +340,15 @@ def test_covering_check_vertices_are_zero(frame):
 
 
 def _lone_row_last(frame, rows):
-    """rows, the last one swapped for one whose one-row product max rounds unlike the stacked one.
+    """rows, the last one swapped for a row whose largest product a stacked ``rows @ vertices.T``
+    rounds unlike ``_vertex_dots``, as a one-row ``@`` does not.
 
-    A reduction that split off a one-row tail block would then differ on it.
-    Rows stay as they are where no such row turns up.
+    A reduction by ``rows @ vertices.T`` would then differ on a one-row tail block. Rows stay
+    as they are where no such row turns up.
     """
-    stacked = (rows[:200] @ frame.vertices.T).max(axis=1)
-    lone = [
-        i for i in range(len(stacked))
-        if (rows[i : i + 1] @ frame.vertices.T).max() != stacked[i]
-    ]
-    if lone:
+    per_row = _vertex_dots(frame, rows[:200]).max(axis=1)
+    lone = np.flatnonzero((rows[:200] @ frame.vertices.T).max(axis=1) != per_row)
+    if len(lone):
         rows = rows.copy()
         rows[-1] = rows[lone[0]]
     return rows
@@ -360,9 +359,14 @@ _COVERING_SIZES = [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 1)]
 _COVERING_IDS = ["1", "2", "B-1", "B", "B+1", "2B+1"]
 
 
+def _angles(frame, rows) -> np.ndarray:
+    """Each row's angle to its nearest vertex, from the ``_vertex_dots`` of the whole stack."""
+    return np.arccos(np.clip(_vertex_dots(frame, rows), -1.0, 1.0).max(axis=1))
+
+
 def _unblocked(frame, rows) -> tuple:
-    """The largest angle to the nearest vertex, its first index and row, from one ``rows @ vertices.T``."""
-    angles = np.arccos(np.clip(rows @ frame.vertices.T, -1.0, 1.0).max(axis=1))
+    """The largest angle to the nearest vertex, its first index and row, over the whole stack at once."""
+    angles = _angles(frame, rows)
     i = int(np.argmax(angles))
     return angles[i].tobytes(), i, tuple(rows[i].tolist())
 
@@ -391,6 +395,21 @@ def _face_centres(frame) -> np.ndarray:
     return centres / np.linalg.norm(centres, axis=1, keepdims=True)
 
 
+def test_covering_check_of_one_direction_is_the_angle_to_its_patch_vertex(frame):
+    # the face centres, the Voronoi ties between adjacent vertices, the poles and random
+    # directions: each alone reads the arccos of its product with vertex assign_patch(v)
+    v = frame.vertices
+    adjacent = [(i, j) for i in range(12) for j in range(i) if abs(np.linalg.norm(v[i] - v[j]) - EDGE_LENGTH) < 0.1]
+    ties = np.array([v[i] + v[j] for i, j in adjacent])
+    ties /= np.linalg.norm(ties, axis=1, keepdims=True)
+    poles = np.array([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)])
+    rows = np.concatenate([_face_centres(frame), ties, poles, random_bloch(np.random.default_rng(25), size=10**4)])
+    k = assign_patch(frame, rows)
+    expected = np.arccos(np.clip(_vertex_dots(frame, rows)[np.arange(len(rows)), k - 1], -1.0, 1.0))
+    assert len(adjacent) == 30
+    assert [covering_check(frame, row[None]) for row in rows] == expected.tolist()
+
+
 # Row counts as (whole blocks B, extra rows), and the vertices themselves.
 @pytest.mark.parametrize(
     "size", [*_COVERING_SIZES, (0, 10**5), None], ids=[*_COVERING_IDS, "1e5", "vertices"]
@@ -405,18 +424,29 @@ def test_nearest_vertex_angles_match_the_unblocked_reduction(frame, size):
         if n > 1:
             rows = _lone_row_last(frame, rows)
     assert _blocked(frame, rows) == _unblocked(frame, rows)
-    # blocks cover the rows in order; the last takes the remainder, and none is a lone row
+    # blocks cover the rows in order, every one but the last of B rows: B + 1 rows end in a lone row
     blocks = _covering_blocks(len(rows))
-    assert [b.start for b in blocks] == [i * B for i in range(len(blocks))]
-    assert blocks[-1].stop == len(rows)
-    assert all(b.stop == b.start + B for b in blocks[:-1])
-    assert len(rows) == 1 or all(b.stop - b.start > 1 for b in blocks)
+    assert [(b.start, b.stop) for b in blocks] == [(i, min(i + B, len(rows))) for i in range(0, len(rows), B)]
+
+
+def test_a_one_row_tail_block_reads_its_row_as_a_larger_block_does(frame):
+    # B + 1 rows: the last, alone in its block, is one whose stacked ``@`` product rounds
+    # unlike a one-row one; ``_vertex_dots`` gives it the bits it has inside a larger block
+    B = _COVERING_BLOCK_ROWS
+    rows = _lone_row_last(frame, random_bloch(np.random.default_rng(24), size=B + 1))
+    assert [b.stop - b.start for b in _covering_blocks(len(rows))] == [B, 1]
+    lone = rows[-1:]
+    assert (rows @ frame.vertices.T)[-1].max() != _vertex_dots(frame, lone).max()
+    assert _vertex_dots(frame, lone).tobytes() == _vertex_dots(frame, rows)[-1:].tobytes()
+    angle, index, row = _farthest_from_vertices(frame, [(lone[:, 2], lone.__getitem__)])
+    assert (np.float64(angle).tobytes(), index, row) == (_angles(frame, rows)[-1].tobytes(), 0, tuple(lone[0].tolist()))
+    assert _blocked(frame, rows) == _unblocked(frame, rows)
 
 
 def test_farthest_from_vertices_keeps_the_first_of_equal_angles(frame):
     # the same direction in two blocks, and twice in one: the first index wins
     rows = np.repeat(random_bloch(np.random.default_rng(3), size=4), 2, axis=0)
-    far = int(np.argmax(np.arccos(np.clip(rows @ frame.vertices.T, -1.0, 1.0).max(axis=1))))
+    far = int(np.argmax(_angles(frame, rows)))
     assert far % 2 == 0
     assert _farthest_from_vertices(frame, [(rows[:, 2], rows.__getitem__)])[1] == far
     parts = rows[: far + 1], rows[far + 1 :]
@@ -431,7 +461,7 @@ def test_nearest_vertex_bound_is_the_least_over_azimuth(frame):
         s = math.sqrt(1.0 - height * height)
         for z in (height, -height):
             rows = np.column_stack((s * np.cos(phi), s * np.sin(phi), np.full_like(phi, z)))
-            least = (rows @ frame.vertices.T).max(axis=1).min()
+            least = _vertex_dots(frame, rows).max(axis=1).min()
             assert _nearest_vertex_bound(height) - 1e-15 <= least <= _nearest_vertex_bound(height) + 1e-4
     # its only local minima are the face centres' heights, inside the bands, where it reads
     # cos(COVERING_RADIUS); the edges hold it about a degree above
@@ -471,8 +501,8 @@ def test_rows_on_the_band_edges(frame):
 
 
 def test_a_block_with_one_row_in_the_bands(frame):
-    # one direction near a face centre, whose one-row product rounds unlike a stacked one, among
-    # rows at heights the bands leave out: its block evaluates it stacked, and alone
+    # one direction near a face centre, whose stacked ``@`` product rounds unlike a one-row one,
+    # among rows at heights the bands leave out: its block evaluates it alone, with its bits
     rng = np.random.default_rng(22)
     z = rng.uniform(0.3, 0.7, 2 * _COVERING_BLOCK_ROWS)
     phi = rng.uniform(0.0, 2.0 * math.pi, len(z))
@@ -481,11 +511,11 @@ def test_a_block_with_one_row_in_the_bands(frame):
     near = _face_centres(frame)[5] + rng.normal(scale=1e-4, size=(400, 3))
     near /= np.linalg.norm(near, axis=1, keepdims=True)
     lone = _lone_row_last(frame, near)[-1]
-    assert (lone[None] @ frame.vertices.T).max() != (np.stack((lone, lone)) @ frame.vertices.T).max(axis=1)[0]
+    assert (np.stack((lone, lone)) @ frame.vertices.T).max(axis=1)[0] != _vertex_dots(frame, lone).max()
     rows[_COVERING_BLOCK_ROWS + 123] = lone
     calls = []
     assert _blocked(frame, rows, calls) == _unblocked(frame, rows)
-    assert [len(index) for index in calls[1]] == [2]  # its block asked for the one row, twice
+    assert [len(index) for index in calls[1]] == [1]  # its block asked for the one row, once
 
 
 def test_blocks_near_vertices_fall_back_to_every_row(frame):
@@ -536,9 +566,28 @@ def test_covering_draws_follow_one_stream(size):
         expected_rows.append(expected)
     # the reported worst vector is that row of its block
     drawn = np.concatenate(expected_rows)
-    angles = np.arccos(np.clip(drawn @ build_frame().vertices.T, -1.0, 1.0).max(axis=1))
     report = run_experiment(ExperimentConfig(kind="covering", pairs=n, seed=7))
-    assert dict(report.columns)["worst_vector"] == [tuple(drawn[int(np.argmax(angles))].tolist())]
+    assert dict(report.columns)["worst_vector"] == [tuple(drawn[int(np.argmax(_angles(build_frame(), drawn)))].tolist())]
+
+
+@pytest.mark.parametrize("seed, block", [(7, 0), (11, 1), (2, 2)])
+def test_covering_names_a_worst_direction_its_block_replays(frame, seed, block):
+    # block index // B, redrawn alone from case_rng(seed, index // B), gives the worst vector
+    # bit for bit; the patch and angle are those of its nearest vertex
+    n = 3 * _COVERING_BLOCK_ROWS + 5
+    columns = dict(run_experiment(ExperimentConfig(kind="covering", pairs=n, seed=seed)).columns)
+    names = ("direction", "worst_vector", "patch", "angle_to_nearest_vertex")
+    (index,), (row,), (patch,), (angle,) = (columns[name] for name in names)
+    b, i = divmod(index, _COVERING_BLOCK_ROWS)
+    assert b == block
+    one, k = case_rng(seed, b), min(_COVERING_BLOCK_ROWS, n - b * _COVERING_BLOCK_ROWS)
+    height = one.uniform(-1.0, 1.0, k)
+    azimuth = one.uniform(0.0, 2.0 * math.pi, k)
+    s = np.sqrt(np.maximum(0.0, 1.0 - height * height))
+    drawn = np.column_stack((s * np.cos(azimuth), s * np.sin(azimuth), height))
+    assert drawn[i].tobytes() == np.array(row).tobytes()
+    assert patch == assign_patch(frame, np.array(row))
+    assert np.float64(angle).tobytes() == _angles(frame, np.array([row])).tobytes()
 
 
 @pytest.mark.parametrize("vectors", [

@@ -20,7 +20,7 @@ from onticsim import (
     harness,
     run_experiment,
 )
-from onticsim import reports
+from onticsim import icosa, reports
 from onticsim.harness import _summary
 from onticsim.reports import (
     format_float,
@@ -67,7 +67,7 @@ def test_structured_layout():
     cfg = ExperimentConfig(kind="witness", seed=5)
     text = render_structured(run_experiment(cfg))
     lines = text.splitlines()
-    assert lines[0] == "format: onticsim-report 10"
+    assert lines[0] == "format: onticsim-report 11"
     assert "[config]" in lines
     assert "[cases]" in lines
     assert "[summary]" in lines
@@ -125,10 +125,10 @@ ROW_COLUMNS = {
     "exact-qubit-cone": "index,v,w,exact_p,born_p,rejections,abs_error",
     "mc-qubit-sphere": "index,v,w,patch," + _MC,
     "mc-qubit-cone": "index,v,w," + _MC,
-    "exact-ndim": "index,psi,phi,exact_p,born_p,rejections,abs_error,cond_min,cond_max,ungated_error",
+    "exact-ndim": "index,psi,phi,exact_p,born_p,rejections,abs_error,cond_min,cond_max",
     "mc-ndim": "index,psi,phi," + _MC,
     "positivity-sweep": "index,quantity,x,n,event,value",
-    "covering": "index,worst_vector,angle_to_nearest_vertex",
+    "covering": "index,direction,worst_vector,patch,angle_to_nearest_vertex",
     "witness": "index,preparation,theta,phi,v,zenith_rate,fd_rate,fd_error",
     "protocol": "index,v,w,patch," + _MC,
 }
@@ -203,7 +203,7 @@ def test_run_draws_from_one_generator(name, monkeypatch):
     monkeypatch.setattr(harness, "case_rng", counted)
     run_experiment(cfg)
     if cfg.kind == "covering":  # one generator per block: block b's is (seed, b)
-        assert calls == [(3, b) for b in range(len(harness._covering_blocks(cfg.pairs)))]
+        assert calls == [(3, b) for b in range(len(icosa._covering_blocks(cfg.pairs)))]
     else:
         assert calls in ([], [(3, 0)])
 
