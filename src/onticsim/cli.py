@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .geometry import _norms
 from .harness import ExperimentConfig, RadiusError, run_experiment
 from .reports import format_float, format_value, write_bytes_atomic, write_report
 
@@ -207,10 +208,10 @@ def _fixed_pairs(entries) -> tuple:
             v, w = np.array([float(p) for p in value.split(",")]).reshape(2, 3)
         except ValueError as exc:
             raise ValueError(f"{key}: expected 6 comma-separated floats, got {value!r}") from exc
-        if np.linalg.norm(v) < 1e-12 or np.linalg.norm(w) < 1e-12:
+        if _norms(v) < 1e-12 or _norms(w) < 1e-12:
             raise ValueError(f"{key}: vectors must be nonzero")
         # ExperimentConfig rejects what does not normalise, e.g. non-finite input
-        pairs[int(n)] = tuple(tuple((u / np.linalg.norm(u)).tolist()) for u in (v, w))
+        pairs[int(n)] = tuple(tuple((u / _norms(u)).tolist()) for u in (v, w))
     return tuple(pairs[n] for n in sorted(pairs))
 
 

@@ -9,9 +9,10 @@ hidden-variable models elsewhere in the package are checked against.
 All randomness flows through an explicit ``numpy.random.Generator`` so
 seeded runs reproduce bit for bit.
 
-``as_bloch`` and ``random_bloch`` without ``size`` keep ``math`` paths for
-one vector: numpy's per-call cost would take criterion 01's single-pair
-loop past its 1 s bound (see ``cone``).
+Every norm and row product is one column sum, ``_row_sums``, so a row has
+the same bits alone or in any stack. ``as_bloch`` and ``random_bloch``
+without ``size`` keep ``math`` paths for one vector: numpy's per-call cost
+would take criterion 01's single-pair loop past its 1 s bound (see ``cone``).
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ def as_bloch(v) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"Bloch vector must have shape (3,), got {arr.shape}")
-    # math.hypot on three floats costs a fraction of np.linalg.norm on
-    # this per-call path; "not <=" also rejects NaN components.
+    # math.hypot on three floats costs a fraction of ``_norms`` on this
+    # per-call path; "not <=" also rejects NaN components.
     norm = math.hypot(*arr.tolist())
     if not abs(norm - 1.0) <= UNIT_NORM_ATOL:
         raise ValueError(f"Bloch vector must be unit norm, got |v| = {norm!r}")
@@ -76,11 +77,31 @@ def _require_count(samples) -> None:
         raise ValueError(f"samples must be an integer in [0, 2**63), got {samples!r}")
 
 
-def _require_unit_norms(norms: np.ndarray, what: str) -> None:
-    error = abs(norms - 1.0)
-    # "not <=" also rejects NaN components; an infinite one makes the norm inf
-    if not (error <= UNIT_NORM_ATOL).all():
-        raise ValueError(f"{what} must be unit norm, off by {float(error.max())!r}")
+def _row_sums(x):
+    """Sums over the last axis, columns added left to right: a row has the same bits alone or in any
+    stack. One row, a list or a 1-D array, adds as Python numbers, cheaper than numpy's."""
+    stack = getattr(x, "ndim", 1) > 1
+    columns = x.T if stack else x.tolist() if isinstance(x, np.ndarray) else x
+    total = columns[0] + columns[1]
+    for j in range(2, len(columns)):
+        total += columns[j]
+    return total.T if stack else total
+
+
+def _norms(x: np.ndarray):
+    """Euclidean norms of the rows of a real or complex array: roots of the row sums of squared parts."""
+    if x.ndim == 1:  # Python floats: cheaper for one row, and a huge square reads inf with no warning
+        return np.sqrt(_row_sums([a.real * a.real + a.imag * a.imag for a in x.tolist()]))
+    return np.sqrt(_row_sums(x.real * x.real + x.imag * x.imag if x.dtype.kind == "c" else x * x))
+
+
+@np.errstate(over="ignore")  # a huge component's square reads inf, and so does its row's norm
+def _require_unit_norms(x: np.ndarray, what: str) -> np.ndarray:
+    error = abs(_norms(x) - 1.0)
+    worst = error.max(initial=0.0) if error.ndim else error
+    if not worst <= UNIT_NORM_ATOL:  # "not <=" also rejects NaN
+        raise ValueError(f"{what} must be unit norm, off by {float(worst)!r}")
+    return x
 
 
 def as_amplitudes(psi) -> np.ndarray:
@@ -88,30 +109,21 @@ def as_amplitudes(psi) -> np.ndarray:
     arr = np.asarray(psi, dtype=complex)
     if arr.ndim < 1 or arr.shape[-1] < 2:
         raise ValueError("amplitude vectors must have N >= 2 components on the last axis")
-    _require_unit_norms(np.hypot.reduce(np.abs(arr), axis=-1), "amplitude vectors")
-    return arr
+    return _require_unit_norms(arr, "amplitude vectors")
 
 
 def _unit_rows(vectors, what: str) -> np.ndarray:
     """Validate and return unit 3-vectors as an (m, 3) float64 array, row by row."""
-    arr = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if arr.ndim != 2 or arr.shape[1] != 3:
+    arr = np.asarray(vectors, dtype=float)
+    if not 1 <= arr.ndim <= 2 or arr.shape[-1] != 3:
         raise ValueError(f"{what} must be an (m, 3) array of unit vectors, got shape {arr.shape}")
-    _require_unit_norms(np.hypot.reduce(arr, axis=-1), what)
-    return arr
+    return np.atleast_2d(_require_unit_norms(arr, what))
 
 
 def _bloch_rows(u) -> np.ndarray:
     """One validated unit vector, shape (3,), or an (m, 3) stack validated row by row."""
     arr = np.asarray(u, dtype=float)
-    return as_bloch(arr) if arr.shape == (3,) else _unit_rows(arr, "Bloch vectors")
-
-
-def _dot_rows(a: np.ndarray, b: np.ndarray):
-    """Dot product of one pair, or of each row pair as a (1, 3) @ (3, 1) product with the same bits."""
-    if a.ndim == 1 == b.ndim:
-        return np.dot(a, b)
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+    return as_bloch(arr) if arr.ndim == 1 else _unit_rows(arr, "Bloch vectors")
 
 
 def _sphere_rows(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -152,8 +164,8 @@ def from_spherical(angles: SphericalAngles) -> np.ndarray:
 
 def born_probability_qubit(v, w):
     """Quantum probability (1 + v.w) / 2 of the event w given the state v, per pair of a stack."""
-    p = 0.5 * (1.0 + _dot_rows(_bloch_rows(v), _bloch_rows(w)))
-    return min(1.0, max(0.0, float(p))) if p.ndim == 0 else np.clip(p, 0.0, 1.0)
+    p = 0.5 * (1.0 + _row_sums(_bloch_rows(v) * _bloch_rows(w)))
+    return min(1.0, max(0.0, p)) if isinstance(p, float) else np.clip(p, 0.0, 1.0)
 
 
 def born_probability_ndim(psi, phi):
@@ -168,7 +180,7 @@ def born_probability_ndim(psi, phi):
         raise ValueError(
             f"dimension mismatch: {psi_arr.shape[-1]} vs {phi_arr.shape[-1]}"
         )
-    overlap = _scalar((np.conj(phi_arr) * psi_arr).sum(axis=-1))
+    overlap = _row_sums(np.conj(phi_arr) * psi_arr)
     p = overlap.real**2 + overlap.imag**2
     return np.clip(p, 0.0, 1.0) if isinstance(p, np.ndarray) else min(1.0, max(0.0, p))
 
@@ -203,7 +215,7 @@ def random_amplitudes(dim: int, rng: np.random.Generator, size: int | None = Non
         raise ValueError(f"need at least two amplitudes, got dim = {dim}")
     shape = (dim,) if size is None else (size, dim)
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return z / np.hypot.reduce(np.abs(z), axis=-1, keepdims=True)
+    return z / _norms(z)[..., None]
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:

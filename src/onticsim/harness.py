@@ -58,7 +58,7 @@ from .cone import (
     sweep_positivity,
 )
 from .dynamics import evolve_bloch, non_markov_witness
-from .geometry import _sphere_rows, as_bloch, born_probability_ndim, born_probability_qubit
+from .geometry import _norms, _sphere_rows, as_bloch, born_probability_ndim, born_probability_qubit
 from .geometry import random_amplitudes, random_bloch, to_spherical
 from .icosa import (
     COVERING_RADIUS,
@@ -72,9 +72,8 @@ from .icosa import (
     measure_messages,
     prepare_messages,
 )
+from .ndim import _cell_responses, _require_in_region, _weighted_sum
 from .ndim import (
-    conditional_probability_grid,
-    exact_event_probability_ndim,
     ground_weighted,
     make_in_region_pair,
     sample_hits_ndim,
@@ -383,17 +382,17 @@ def _ndim_pairs(cfg: ExperimentConfig) -> tuple:
 
 def _run_exact_ndim(cfg: ExperimentConfig) -> tuple:
     rng, scheme, psi, phi, rejections = _ndim_pairs(cfg)
-    exact = exact_event_probability_ndim(psi, phi, scheme)
+    sq = _require_in_region(psi, phi, scheme)  # one grid gates, prices and gives the responses
+    exact = _weighted_sum(sq, scheme)
     born = born_probability_ndim(psi, phi)
-    grid = conditional_probability_grid(psi, phi, scheme)
+    cells = np.ascontiguousarray(_cell_responses(sq, scheme).reshape(len(sq), -1).T)  # cells by pairs
     # Unconstrained pairs: the weighted sum telescopes to the quantum
     # value even when positivity fails.
     psi_any = random_amplitudes(cfg.dim, rng, size=cfg.pairs)
     phi_any = random_amplitudes(cfg.dim, rng, size=cfg.pairs)
     ungated = weighted_probability_sum(psi_any, phi_any, scheme)
     abs_error = np.abs(exact - born)
-    cond_min = grid.min(axis=(1, 2))
-    cond_max = grid.max(axis=(1, 2))
+    cond_min, cond_max = cells.min(axis=0), cells.max(axis=0)  # along the long axis: several times faster
     ungated_error = np.abs(ungated - born_probability_ndim(psi_any, phi_any))
     columns = _columns(
         psi=psi, phi=phi, exact_p=exact, born_p=born, rejections=rejections, abs_error=abs_error,
@@ -504,10 +503,8 @@ def _run_covering(cfg: ExperimentConfig) -> tuple:
     rows = _covering_rows(cfg.seed, _covering_blocks(cfg.pairs))
     max_angle, direction, worst_vector = _farthest_from_vertices(frame, rows)
 
-    diff = frame.vertices[:, None, :] - frame.vertices[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    iu = np.triu_indices(12, k=1)
-    pairwise = dist[iu]
+    ends = np.triu_indices(12, k=1)
+    pairwise = _norms(frame.vertices[ends[0]] - frame.vertices[ends[1]])
     edge_mask = np.abs(pairwise - EDGE_LENGTH) < 0.1
     edge_count = int(edge_mask.sum())
     max_edge_dev = float(np.abs(pairwise[edge_mask] - EDGE_LENGTH).max())

@@ -25,7 +25,7 @@ from .cone import (
     sample_hits,
     sample_ontic,
 )
-from .geometry import _bloch_rows, _dot_rows, _scalar, _unit_rows
+from .geometry import _bloch_rows, _norms, _row_sums, _scalar, _unit_rows
 
 __all__ = [
     "EDGE_LENGTH",
@@ -86,7 +86,7 @@ def _rotation_to_pole(n: np.ndarray) -> np.ndarray:
         # Antipodal: rotate by pi about the x-axis.
         return np.diag([1.0, -1.0, -1.0])
     axis = np.array([n[1], -n[0], 0.0])
-    axis /= np.linalg.norm(axis)
+    axis /= _norms(axis)
     angle = math.acos(c)
     k = np.array(
         [
@@ -144,7 +144,7 @@ def _vertex_dots(frame: IcosaFrame, rows: np.ndarray) -> np.ndarray:
 
 def assign_patch(frame: IcosaFrame, v):
     """1-based index of the vertex nearest to v (ties go to the lowest); one per row of a stack."""
-    return _scalar(np.argmax(_vertex_dots(frame, _bloch_rows(v)), axis=-1) + 1)
+    return _scalar(_vertex_dots(frame, _bloch_rows(v)).argmax(axis=-1) + 1)
 
 
 def _nearest_vertex_bound(height: float) -> float:
@@ -234,16 +234,17 @@ def covering_check(frame: IcosaFrame, vectors) -> float:
     return _farthest_from_vertices(frame, ((vectors[block, 2], vectors[block].__getitem__) for block in blocks))[0]
 
 
-def _rotate_into_patch(frame: IcosaFrame, k, u) -> np.ndarray:
-    """Unit vector(s) u in the frame where vertex k (one per row of a stack) is the pole."""
-    rotated = np.matmul(frame.rotations[k - 1], _bloch_rows(u)[..., None])[..., 0]
-    return rotated / np.sqrt(_dot_rows(rotated, rotated))[..., None]
+def _rotate_into_patch(frame: IcosaFrame, k, u: np.ndarray) -> np.ndarray:
+    """Validated unit vector(s) u in the frame where vertex k (one per row) is the pole, renormalised."""
+    u = _row_sums((frame.rotations[k - 1] * u[..., None, :]).reshape(-1, 3)).reshape(u.shape)
+    return u / _norms(u)[..., None]
 
 
 def into_patch(frame: IcosaFrame, v, w) -> tuple:
     """The patch k of v, then v and w in the frame where vertex k is the pole; one per pair of a stack."""
-    k = assign_patch(frame, v)
-    return k, _rotate_into_patch(frame, k, v), _rotate_into_patch(frame, k, w)
+    k = assign_patch(frame, v)  # which refuses what is not unit vectors; v and w rotate as one stack
+    rotated = _rotate_into_patch(frame, k, np.array((v, _bloch_rows(w)), dtype=float))
+    return k, rotated[0], rotated[1]
 
 
 def prepare(frame: IcosaFrame, v, rng: np.random.Generator) -> PatchedOnticState:
@@ -257,7 +258,7 @@ def measure_probability(frame: IcosaFrame, w, state: PatchedOnticState) -> float
     The event is rotated into the same patch frame the preparation was
     sampled in; the cone-model response function does the rest.
     """
-    rotated = _rotate_into_patch(frame, state.k, w)
+    rotated = _rotate_into_patch(frame, state.k, _bloch_rows(w))
     return conditional_probability(rotated, QubitOnticState(state.x, state.n))
 
 
@@ -308,7 +309,7 @@ def prepare_messages(frame: IcosaFrame, v, rounds: int, rng: np.random.Generator
     n one-round calls equal one n-round call.
     """
     k = assign_patch(frame, v)
-    x, n = sample_ontic(_rotate_into_patch(frame, k, v), rng, rounds)
+    x, n = sample_ontic(_rotate_into_patch(frame, k, np.asarray(v, dtype=float)), rng, rounds)
     messages = np.empty(rounds, dtype=MESSAGE_DTYPE)  # after the draw: its transients are freed
     messages["x"], messages["n"], messages["k"] = x, n, k
     return messages
@@ -317,11 +318,13 @@ def prepare_messages(frame: IcosaFrame, v, rounds: int, rng: np.random.Generator
 def measure_messages(frame: IcosaFrame, w, data: bytes) -> np.ndarray:
     """Outcome probability of event w for each 10-byte message in data, any bytes-like buffer.
 
-    Each distinct message is decoded by ``deserialize_message`` and
-    priced by one ``measure_probability`` call, so a batch from
-    ``prepare_messages`` costs at most two response evaluations.
+    Each distinct message, found by its integer keys (the bits of x, then the branch and patch
+    bytes) with no sort, is decoded by ``deserialize_message`` and priced by one ``measure_probability``
+    call: a ``prepare_messages`` batch holds at most two; d distinct messages take d passes.
     """
-    messages = np.frombuffer(data, dtype=f"V{MESSAGE_SIZE}")
-    distinct, which = np.unique(messages, return_inverse=True)
-    states = [deserialize_message(raw) for raw in distinct.tolist()]
-    return np.array([measure_probability(frame, w, s) for s in states], dtype=float)[which]
+    keys = np.frombuffer(data, dtype=[("x", "<u8"), ("nk", "<u2")])
+    prices = np.full(len(keys), np.nan)  # NaN until priced: a price is never NaN, as ``_response`` refuses it
+    while (todo := np.isnan(prices)).any():
+        first = keys[todo.argmax()]  # the first message not yet priced, then every copy of it
+        prices[keys == first] = measure_probability(frame, w, deserialize_message(first.tobytes()))
+    return prices

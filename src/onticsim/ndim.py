@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import _require_count, _scalar, as_amplitudes, random_amplitudes
+from .geometry import _norms, _require_count, _scalar, as_amplitudes, random_amplitudes
 
 __all__ = [
     "WeightScheme",
@@ -311,7 +311,7 @@ def make_in_region_pair(
         mag = radius * np.sqrt(rng.random((rows, dim)))
         ang = 2.0 * math.pi * rng.random((rows, dim))
         phi = psi + mag * np.exp(1j * ang)
-        phi /= np.hypot.reduce(np.abs(phi), axis=-1, keepdims=True)
+        phi /= _norms(phi)[:, None]
         return psi, phi, _margins(psi, phi, scheme)[0].min(axis=(-2, -1)) > 0.0
 
     psi, phi, ok = attempt(1 if size is None else size)

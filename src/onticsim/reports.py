@@ -62,7 +62,7 @@ __all__ = [
     "write_report",
 ]
 
-FORMAT_HEADER = "format: onticsim-report 11"
+FORMAT_HEADER = "format: onticsim-report 12"
 
 # Rows per block in which write_report streams both files: each block's cells are formatted
 # once, shared by both files and written out before the next block is formatted.

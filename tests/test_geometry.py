@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,10 @@ def test_azimuth_range(rng):
         assert 0.0 <= phi < 2.0 * math.pi
 
 
+# Components that no unit vector has: huge, tiny, infinite and NaN.
+EXTREMES = (1e200, 1e-200, math.inf, -math.inf, math.nan)
+
+
 def test_as_bloch_rejects_bad_input():
     with pytest.raises(ValueError):
         as_bloch((1.0, 0.0, 0.1))
@@ -67,6 +72,22 @@ def test_as_bloch_rejects_bad_input():
         as_bloch((1.0, 0.0))
     with pytest.raises(ValueError):
         as_bloch((math.nan, 0.0, 1.0))
+    # the gate |norm - 1| <= 1e-12 holds alike for one vector and for a stack (born_probability_qubit
+    # validates stacks row by row), and extreme components are refused with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for off in (0.9e-12, -0.9e-12):
+            v = np.array([0.6, 0.0, 0.8]) * (1.0 + off)
+            as_bloch(v)
+            assert born_probability_qubit(np.stack([v, v]), np.stack([v, v])).shape == (2,)
+        bad = [np.array([0.6, 0.0, 0.8]) * (1.0 + off) for off in (1.1e-12, -1.1e-12)]
+        bad += [np.array([value, 0.0, 0.0]) for value in EXTREMES]
+        for v in bad:
+            with pytest.raises(ValueError, match="unit norm"):
+                as_bloch(v)
+            stack = np.stack([(0.0, 0.0, 1.0), v])
+            with pytest.raises(ValueError, match="unit norm"):
+                born_probability_qubit(stack, stack)
 
 
 def test_as_amplitudes_rejects_bad_input():
@@ -80,6 +101,21 @@ def test_as_amplitudes_rejects_bad_input():
     assert as_amplitudes([[1.0, 0.0], [0.0, 1.0]]).shape == (2, 2)
     with pytest.raises(ValueError):
         as_amplitudes([[1.0, 0.0], [0.9, 0.0]])
+    # the same gate, |norm - 1| <= 1e-12, for one vector and for a stack, and extreme
+    # components refused with no RuntimeWarning
+    psi = np.array([0.6, 0.48 + 0.64j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for off in (0.9e-12, -0.9e-12):
+            as_amplitudes(psi * (1.0 + off))
+            assert as_amplitudes(np.stack([psi, psi * (1.0 + off)])).shape == (2, 2)
+        bad = [psi * (1.0 + off) for off in (1.1e-12, -1.1e-12)]
+        bad += [np.array([value, 0.0]) for value in EXTREMES] + [np.array([0.0, 1j * value]) for value in EXTREMES]
+        for phi in bad:
+            with pytest.raises(ValueError, match="unit norm"):
+                as_amplitudes(phi)
+            with pytest.raises(ValueError, match="unit norm"):
+                as_amplitudes(np.stack([psi, phi]))
 
 
 def test_born_qubit_values():

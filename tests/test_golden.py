@@ -79,64 +79,64 @@ CLI_CASES = {
 }
 
 # The FORMAT_HEADER the digests below were written under.
-PINNED_FORMAT = "format: onticsim-report 11"
+PINNED_FORMAT = "format: onticsim-report 12"
 # (render_structured, render_tabular) SHA-256 per case; (messages.bin, transcript.txt) per
 # protocol case.
 DIGESTS = {
     "covering": (
-        "713fc48691fd692a7a03e6bbdf852d35fd0d1242ef2bf32a0c0ac2c0fd4e1587",
+        "e5a36ae37590f588dce7b26d7637e7e9591a5211ea73218ba7a0c514c35f0f05",
         "fd78d4026f32823e05d9ce64015dc8efcd7bbdaa51127a4da0cb79535200161a",
     ),
     "covering-two-blocks": (
-        "03565b136b5a3bd383802028cb2c54be58d44d1f01f025dd29cc30ff6fadc059",
+        "fc6532815fd58e79ec8a01e6e846c8fad5290ca7c50e804ab12f8630425d2709",
         "f834e03b894b85a926ac13787af4d31263e473247dca1a455fc32b583699e0ea",
     ),
     "exact-ndim-ground": (
-        "6b23dd7647959cd4cc9f61509ca8bb40c840bd73940c4202d9bd7bbf52324ecb",
-        "fc28cee8a320b80271531279196ca95e454e20381e68a9bfb26de9cc1a4f944e",
+        "25f9bc6801ee4fa3394a312a3ad34dbd6f555865a13ed67e6969923121a0c333",
+        "afb6b365a4febb0b5b14824b72dbc388537a3603e0f5d69babcb61cb7adaeac9",
     ),
     "exact-ndim-uniform": (
-        "60444d0c660ab24de7695256ad0dbe00804435454bc1b20df95791d69b52cb06",
-        "840bfe8ddadf9a378452d7c3105faf7a8be139f32ac3b17eea64bfa730d0e89f",
+        "a0ceb2efb6fe30aca74b19684ebec1da236a768e9ff7bfa1e097aac8157a2819",
+        "7842da4ca274f8511bb82df0c30552312253893451971f20399d19b9b3eb7e56",
     ),
     "exact-qubit-cone": (
-        "0ad1d4997f99341f8099358fd1e8dd96de2b9a815f66dc83849bcf761533242c",
-        "c52530dcbdaa7487457a419dfce63e93698e8ec09376742f232ae1e1a8223173",
+        "889a206ec1dd495b67c915c9f6f8ef25857f407ccfbd2abfcf35d039bf38fc1c",
+        "8e83b12113eeff77bc93d551be90309e9b22d2af4da6c89895b09f2b43b606fa",
     ),
     "exact-qubit-sphere": (
-        "37465edca2046c31d20e580d8de47e0dae25d0c6cfce1bad64894c419d17a76b",
-        "4b4aa0a3030b1d858fa55e6d67769a709da09e49436635fb8361bebf8ebb88e8",
+        "7da29b61d858bde6c4e87b319353b32d3e5dfbcaec9b5c30dfb97e19b24c93ce",
+        "b76834736df4169422e9614926e6a02ae778c3bb5b23eaa9cb0b5a533448ff43",
     ),
     "mc-ndim-ground": (
-        "eed438d07507a6279a731eab7ac01ca56c8c04580f2f150bd4de5a30eb6a5d97",
-        "975622eb2e00af66f3b1bca2d471c206439233aa7bc61bab787052cee9b92920",
+        "76d8107a2d96b695a4f441ec9bf153c86634aca25c9a7a88c55871836b768381",
+        "9cc12c92e253710484c36e4d6ccb4c03b2769b0e013f61971559a29e81b6f723",
     ),
     "mc-ndim-uniform": (
-        "30c48b739c7579aa221913f8368d195d6ea93bef507d84dc763213aa75422933",
-        "1177f76b07deb8856731f84ae94207e6f79e2c2fd0fa74917ccf112e7115e8f0",
+        "ed5447888b5be7cb6cb283d32bbe482f17fb19779a7f032f3fbc19845aae651c",
+        "7d9917f21231fb5d10c05551305f4455c1848fa5b9ba313314bfecd544862394",
     ),
     "mc-qubit-cone": (
-        "20a98f8d1e599339391ffa4b08cf58818388c8232ede4dadcf5728e6c96ecd05",
+        "ec7d84f97e1f6a567985ed4b6dcc92a7c8feb235753290ac758bf7a3b7597dcd",
         "18dc747e824e712f9ac0b5d7b10a28e1a7724733eab2bfd844706b6885c3b7a7",
     ),
     "mc-qubit-sphere": (
-        "b98046a24a818ff2b7492f5c71e28307b4692fa07356d0818c5080b0d96ff92c",
+        "3eafe01f8f7b5b38e365054b64789fd7335b8d61e63ee7ce6ef54c1eab8597a3",
         "5fd2991398ecf343d06d6fb6815efc76a7a89cf2047f673212ca85d9010cf82b",
     ),
     "positivity-sweep": (
-        "2ecbd5efbdbb8db6d4ad9149dffff5d020777a91a1a0ac424394d5c4ae859b90",
+        "219d8be52fba02ea691b266088fa0962d420f38202d13fd785b4362f4ffeb106",
         "eaaa56b60cabb22e6acb773aa8c7f7c24d15ba97d7b2bb829986a26466105053",
     ),
     "protocol-degenerate-pairs": (
-        "d5377abb933f08830adf7c2d2b6e143873df172ffddbfabfb866ffa580156835",
+        "9da180d688253ee293a87153d5b03990517c7f69c0ab77a7b8686a685715e2ed",
         "85231aa5a5da9fc31970785e3ac7758509b5cecce154d0919089e5f4f8f701c5",
     ),
     "protocol-fixed-pairs": (
-        "6db92ea78e5c5a3057b6e2b7420ee611390756a9eb26068aa1d4fd99fd0d9e92",
+        "a7a5ac84d80beb394791354f58ae43aa77854643ede20716d9aab5586cf7aa98",
         "0aa10da55c148215986584eda27812f54611ee727928bc2ff55881fb7f876c75",
     ),
     "protocol-fixed-pairs-report": (
-        "5c9819ba294cf340a52e442df85d6557f0577911458139abd26401832be83ed7",
+        "f356aa642eb52d290badc0f6081907444c9ff05339031fdd634e10848739b95e",
         "c739a86c557ec1bfdb489c1931499cd07f0afd223abdb193a5d404aba3533823",
     ),
     "protocol-random-pair": (
@@ -144,29 +144,29 @@ DIGESTS = {
         "d7aa14a27562ec8bb202f38bf7882985a0c1e22a49a63cf6fc5aaf6733b84b15",
     ),
     "protocol-random-pair-report": (
-        "7ecd30532868bb594f22deff96ba656c600f6a14f88b52cd6ab4389cc62a6682",
+        "06b7a4aa1f0842c362b62faf4b3be4a5c7094734758836b9fcd024e39bad300a",
         "99e8c38a29dfc0fe7850aa3c705027c291061e7881b2c0cad5e26d7442ae0923",
     ),
     "witness": (
-        "09a1e03b03745c130f30213f72cc9d53b269f9a3cf5da19cb96ea984a6dc59fb",
+        "50273fb24aa9f6f4ea2885f1729ec724f3e6b98e84e7ddfaaa626bcba2a35794",
         "8b4b172112282c3cf40c9573532ea69d47eef365244ddfb2200cd3e00152ae9b",
     ),
 }
 # SHA-256 of every file each CLI case writes, by path.
 CLI_DIGESTS = {
     "verify-ndim-samples": {
-        "exact-ndim/cases.csv": "840bfe8ddadf9a378452d7c3105faf7a8be139f32ac3b17eea64bfa730d0e89f",
-        "exact-ndim/report.txt": "60444d0c660ab24de7695256ad0dbe00804435454bc1b20df95791d69b52cb06",
-        "mc-ndim/cases.csv": "1177f76b07deb8856731f84ae94207e6f79e2c2fd0fa74917ccf112e7115e8f0",
-        "mc-ndim/report.txt": "30c48b739c7579aa221913f8368d195d6ea93bef507d84dc763213aa75422933",
+        "exact-ndim/cases.csv": "7842da4ca274f8511bb82df0c30552312253893451971f20399d19b9b3eb7e56",
+        "exact-ndim/report.txt": "a0ceb2efb6fe30aca74b19684ebec1da236a768e9ff7bfa1e097aac8157a2819",
+        "mc-ndim/cases.csv": "7d9917f21231fb5d10c05551305f4455c1848fa5b9ba313314bfecd544862394",
+        "mc-ndim/report.txt": "ed5447888b5be7cb6cb283d32bbe482f17fb19779a7f032f3fbc19845aae651c",
     },
     "verify-qubit-samples": {
-        "exact-cone/cases.csv": "c52530dcbdaa7487457a419dfce63e93698e8ec09376742f232ae1e1a8223173",
-        "exact-cone/report.txt": "0ad1d4997f99341f8099358fd1e8dd96de2b9a815f66dc83849bcf761533242c",
-        "exact-sphere/cases.csv": "4b4aa0a3030b1d858fa55e6d67769a709da09e49436635fb8361bebf8ebb88e8",
-        "exact-sphere/report.txt": "37465edca2046c31d20e580d8de47e0dae25d0c6cfce1bad64894c419d17a76b",
-        "mc-sphere/cases.csv": "8c59bbdb5e8c70ebca1b980670016dc8adc5d7e20e985ebcca90c6639052e0f6",
-        "mc-sphere/report.txt": "3f44e57537ddd054f26f1b4e3ca7240c349bb8214611c423e2d6e2e7deefd2cd",
+        "exact-cone/cases.csv": "8e83b12113eeff77bc93d551be90309e9b22d2af4da6c89895b09f2b43b606fa",
+        "exact-cone/report.txt": "889a206ec1dd495b67c915c9f6f8ef25857f407ccfbd2abfcf35d039bf38fc1c",
+        "exact-sphere/cases.csv": "b76834736df4169422e9614926e6a02ae778c3bb5b23eaa9cb0b5a533448ff43",
+        "exact-sphere/report.txt": "7da29b61d858bde6c4e87b319353b32d3e5dfbcaec9b5c30dfb97e19b24c93ce",
+        "mc-sphere/cases.csv": "15d0f4d827b86150cd8501b393db0e9855e667bcc76a98a9fad8c89e99eca0fd",
+        "mc-sphere/report.txt": "1e7d57f1d3c4085a03802849e360382183457ace71b9e548adfbdc3f6b47ec41",
     },
 }
 

@@ -173,6 +173,8 @@ def test_stacks_match_single_pairs(frame, place):
         assert k == 1 + int(np.flatnonzero(dots == dots.max())[0])  # ties go to the lowest
     sphere = extended_exact_probability(frame, v, w)
     assert sphere.tolist() == [extended_exact_probability(frame, a, b) for a, b in zip(v, w)]
+    born = born_probability_qubit(v, w)
+    assert born.tolist() == [born_probability_qubit(a, b) for a, b in zip(v, w)]
 
     refused = [i for i, (a, b) in enumerate(zip(v, w)) if _refused(exact_event_probability, a, b)]
     if refused:

@@ -298,7 +298,7 @@ def test_telescoping_property(dim, seed):
 
 SCHEMES = [
     pytest.param(dim, name, id=f"{name}-{dim}")
-    for dim in (2, 3, 4, 8)
+    for dim in (2, 3, 4, 8, 16)
     for name in ("uniform", "ground")
 ]
 
